@@ -40,14 +40,13 @@ use dtu::serve::{
 use dtu::telemetry::{AttributionReport, Recorder, SloSpec, TraceBuffer};
 use dtu::{Accelerator, ChipConfig, DataType, Graph, Session, SessionOptions, WorkloadSize};
 use dtu_fleet::{
-    run_fleet, run_fleet_monitored, run_fleet_monitored_with_timing, run_fleet_with_timing,
-    ChipKill, FleetConfig, FleetFrame, FleetMonitor, FleetTenant, FleetTopology, RollPlan,
+    run_fleet, run_fleet_monitored, ChipKill, FleetConfig, FleetFrame, FleetMonitor, FleetTenant,
+    FleetTopology, RollPlan,
 };
 use dtu_graph::parse_model;
 use dtu_harness::{
-    available_jobs, run_fault_sweep, run_slo_scenario, run_slo_sweep, run_sweep,
-    run_sweep_analytic, slo_point_seed, CalibrationCache, SessionCache, SloScenario, SweepModel,
-    SweepReport,
+    available_jobs, run_fault_sweep, run_slo_scenario, run_slo_sweep, run_sweep, slo_point_seed,
+    HarnessError, SessionCache, SloScenario, SweepModel,
 };
 use dtu_models::{GenerativeConfig, Model};
 use std::path::PathBuf;
@@ -64,8 +63,34 @@ struct Args {
     no_power_management: bool,
 }
 
+/// The `sweep` section of the usage text, shared by [`usage`] and
+/// [`sweep_usage`].
+macro_rules! sweep_options {
+    () => {
+        "sweep options (model x batch grid on the parallel experiment engine):\n\
+       --models <a,b,...>       comma-separated model names\n\
+                                (default resnet50,vgg16,bert)\n\
+       --batches <1,2,...>      comma-separated batch sizes, each at least 1\n\
+                                (default 1,2,4,8)\n\
+       --chip <i20|i10>         accelerator generation (default i20)\n\
+       --jobs <n>               worker threads, at least 1 (default: all\n\
+                                cores)\n\
+       --format <table|json>    report format on stdout (default table);\n\
+                                json output is byte-stable across --jobs\n\
+       --cache-dir <dir>        compiled-session artifact directory\n\
+                                (default target/dtu-cache)\n\
+       --no-disk-cache          keep the session cache in memory only\n\
+       --write-golden <file>    regenerate the fig. 12-15 figure data and\n\
+                                write it as the golden JSON (skips the grid)\n\
+       --check-golden <file>    regenerate the fig. 12-15 figure data and\n\
+                                fail unless it matches the golden within a\n\
+                                1e-9 relative tolerance (the CI figure gate)"
+    };
+}
+
 fn usage() -> &'static str {
-    "usage: topsexec (--model <name> | --import <file.tops>) [options]\n\
+    concat!(
+        "usage: topsexec (--model <name> | --import <file.tops>) [options]\n\
      \x20      topsexec profile (<name> | --import <file.tops>) [profile options]\n\
      \x20      topsexec serve [serve options]\n\
      \x20      topsexec sweep [sweep options]\n\
@@ -136,9 +161,6 @@ fn usage() -> &'static str {
        --seed <n>               run seed (default 7)\n\
        --jobs <n>               session warm-up workers (default: all\n\
                                 cores); does not affect the report\n\
-       --timing <backend>       interpreted (default) or analytic: price\n\
-                                every prefill/decode step with the\n\
-                                calibrated analytic timing model\n\
        --monitor                attach the token-level live monitor\n\
                                 (TTFT/TPOT burn-rate alerts and the\n\
                                 flight-recorder tally on stderr); the\n\
@@ -156,37 +178,9 @@ fn usage() -> &'static str {
                                 exposition with tenant= labels)\n\
        --chip / --trace-out / --cache-dir / --no-disk-cache as for serve\n\
      \n\
-     sweep options (model x batch grid on the parallel experiment engine):\n\
-       --models <a,b,...>       comma-separated model names\n\
-                                (default resnet50,vgg16,bert)\n\
-       --batches <1,2,...>      comma-separated batch sizes (default 1,2,4,8)\n\
-       --chip <i20|i10>         accelerator generation (default i20)\n\
-       --jobs <n>               worker threads (default: all cores)\n\
-       --format <table|json>    report format on stdout (default table);\n\
-                                json output is byte-stable across --jobs\n\
-       --timing <backend>       interpreted (default): the cycle-walking\n\
-                                simulator; analytic: the calibrated\n\
-                                closed-form fast path (memoized prices,\n\
-                                byte-stable across --jobs and cache\n\
-                                temperature); both: run the two backends\n\
-                                and print their latency comparison,\n\
-                                failing past --rtol-bound\n\
-       --rtol-bound <f>         max per-point relative latency divergence\n\
-                                tolerated by --timing both (default 0.05)\n\
-       --wall-out <file.json>   write per-backend wall-clock ms (and the\n\
-                                speedup under --timing both) to a file,\n\
-                                keeping stdout schedule-independent\n\
-       --cache-dir <dir>        compiled-session artifact directory\n\
-                                (default target/dtu-cache); --timing\n\
-                                analytic keeps its calibration + price\n\
-                                artifacts in the same directory\n\
-       --no-disk-cache          keep the session cache in memory only\n\
-       --write-golden <file>    regenerate the fig. 12-15 figure data and\n\
-                                write it as the golden JSON (skips the grid)\n\
-       --check-golden <file>    regenerate the fig. 12-15 figure data and\n\
-                                fail unless it matches the golden within a\n\
-                                1e-9 relative tolerance (the CI figure gate)\n\
-     \n\
+     ",
+        sweep_options!(),
+        "\n\n\
      fault options (model x fault-plan x severity degradation grid):\n\
        <name> / --models <a,..> model name(s) to inject into (default resnet50)\n\
        --plan / --plans <a,..>  fault-plan presets: none core-failure ecc\n\
@@ -277,10 +271,6 @@ fn usage() -> &'static str {
                                 alert or chip kill freezes the chip's\n\
                                 span ring + routing decisions) as a\n\
                                 Perfetto/Chrome trace\n\
-       --timing <backend>       interpreted (default) or analytic: price\n\
-                                every per-chip epoch with the calibrated\n\
-                                analytic timing model (one calibration\n\
-                                serves the homogeneous fleet)\n\
        --chip / --cache-dir / --no-disk-cache as for sweep\n\
      \n\
      fleet top (fleet dashboard: per-tenant and per-chip QPS/shed/p99/\n\
@@ -290,6 +280,15 @@ fn usage() -> &'static str {
                                 (deterministic stdout; for scripts/CI)\n\
        --refresh-ms <n>         wall-clock delay between frames\n\
                                 (default 150)"
+    )
+}
+
+/// The usage text of the `sweep` subcommand alone.
+fn sweep_usage() -> &'static str {
+    concat!(
+        "usage: topsexec sweep [sweep options]\n\n",
+        sweep_options!()
+    )
 }
 
 fn chip_by_name(name: &str) -> Result<ChipConfig, String> {
@@ -408,20 +407,6 @@ fn artifact_cache(cache_dir: Option<&PathBuf>, disk_cache: bool) -> SessionCache
         .cloned()
         .unwrap_or_else(SessionCache::default_disk_dir);
     SessionCache::with_disk(dir)
-}
-
-/// Builds the analytic calibration/price cache for `--timing analytic`
-/// runs. It shares the `--cache-dir` directory with the session cache
-/// (calibration and price artifacts carry their own file extensions,
-/// so the two tiers never collide) and honours `--no-disk-cache`.
-fn calibration_cache(cache_dir: Option<&PathBuf>, disk_cache: bool) -> CalibrationCache {
-    if !disk_cache {
-        return CalibrationCache::memory_only();
-    }
-    let dir = cache_dir
-        .cloned()
-        .unwrap_or_else(SessionCache::default_disk_dir);
-    CalibrationCache::with_disk(dir)
 }
 
 fn parse_serve_args() -> Result<ServeArgs, String> {
@@ -649,7 +634,6 @@ struct GenServeArgs {
     seed: u64,
     chip: String,
     jobs: usize,
-    timing: String,
     trace: Option<String>,
     monitor: bool,
     slo: bool,
@@ -687,7 +671,6 @@ fn parse_genserve_args() -> Result<GenServeArgs, String> {
         seed: 7,
         chip: "i20".into(),
         jobs: available_jobs(),
-        timing: "interpreted".into(),
         trace: None,
         monitor: false,
         slo: false,
@@ -734,7 +717,6 @@ fn parse_genserve_args() -> Result<GenServeArgs, String> {
                     .parse()
                     .map_err(|_| "--jobs needs an integer".to_string())?
             }
-            "--timing" => args.timing = value("--timing")?,
             "--trace-out" | "--trace" => args.trace = Some(value("--trace-out")?),
             "--monitor" => args.monitor = true,
             "--slo" => args.slo = true,
@@ -754,12 +736,6 @@ fn parse_genserve_args() -> Result<GenServeArgs, String> {
     }
     if !(args.kv_budget > 0.0 && args.kv_budget <= 1.0) {
         return Err("--kv-budget must be in (0, 1]".into());
-    }
-    if !matches!(args.timing.as_str(), "interpreted" | "analytic") {
-        return Err(format!(
-            "--timing must be interpreted or analytic, got '{}'",
-            args.timing
-        ));
     }
     if !matches!(args.format.as_str(), "json" | "prom") {
         return Err(format!(
@@ -886,30 +862,12 @@ fn run_genserve() -> ExitCode {
     let mut mon = monitored.then(|| GenMonitor::new(gen_live_config(&args)));
     let started = std::time::Instant::now();
     let result = if let Some(mon) = mon.as_mut() {
-        // Monitored: the live path, on either timing backend. The
-        // monitor is observational, so stdout stays byte-identical to
-        // the plain run.
-        let cal = (args.timing == "analytic")
-            .then(|| calibration_cache(args.cache_dir.as_ref(), args.disk_cache));
-        dtu_harness::run_generative_serve_live(
-            &accel,
-            &gen_cfg,
-            &scenario,
-            &cache,
-            cal.as_ref(),
-            args.jobs,
-            mon,
-        )
+        // Monitored: the live path. The monitor is observational, so
+        // stdout stays byte-identical to the plain run.
+        dtu_harness::run_generative_serve_live(&accel, &gen_cfg, &scenario, &cache, args.jobs, mon)
     } else {
         let rec: Option<&mut dyn Recorder> = if chrome_trace { Some(&mut buf) } else { None };
-        if args.timing == "analytic" {
-            let cal = calibration_cache(args.cache_dir.as_ref(), args.disk_cache);
-            dtu_harness::run_generative_serve_analytic(
-                &accel, &gen_cfg, &scenario, &cache, &cal, args.jobs, rec,
-            )
-        } else {
-            dtu_harness::run_generative_serve(&accel, &gen_cfg, &scenario, &cache, args.jobs, rec)
-        }
+        dtu_harness::run_generative_serve(&accel, &gen_cfg, &scenario, &cache, args.jobs, rec)
     };
     let out = match result {
         Ok(o) => o,
@@ -1034,9 +992,6 @@ struct SweepArgs {
     chip: String,
     jobs: usize,
     format: String,
-    timing: String,
-    rtol_bound: f64,
-    wall_out: Option<String>,
     cache_dir: Option<PathBuf>,
     disk_cache: bool,
     check_golden: Option<String>,
@@ -1050,9 +1005,6 @@ fn parse_sweep_args() -> Result<SweepArgs, String> {
         chip: "i20".into(),
         jobs: available_jobs(),
         format: "table".into(),
-        timing: "interpreted".into(),
-        rtol_bound: 0.05,
-        wall_out: None,
         cache_dir: None,
         disk_cache: true,
         check_golden: None,
@@ -1088,13 +1040,6 @@ fn parse_sweep_args() -> Result<SweepArgs, String> {
                     .map_err(|_| "--jobs needs an integer".to_string())?
             }
             "--format" => args.format = value("--format")?,
-            "--timing" => args.timing = value("--timing")?,
-            "--rtol-bound" => {
-                args.rtol_bound = value("--rtol-bound")?
-                    .parse()
-                    .map_err(|_| "--rtol-bound needs a number".to_string())?
-            }
-            "--wall-out" => args.wall_out = Some(value("--wall-out")?),
             "--cache-dir" => args.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
             "--no-disk-cache" => args.disk_cache = false,
             "--help" | "-h" => return Err(String::new()),
@@ -1110,21 +1055,11 @@ fn parse_sweep_args() -> Result<SweepArgs, String> {
             args.format
         ));
     }
-    if !matches!(args.timing.as_str(), "interpreted" | "analytic" | "both") {
-        return Err(format!(
-            "--timing must be interpreted, analytic, or both, got '{}'",
-            args.timing
-        ));
-    }
-    if !(args.rtol_bound > 0.0 && args.rtol_bound.is_finite()) {
-        return Err("--rtol-bound must be a positive number".into());
+    if args.jobs == 0 {
+        return Err("--jobs must be at least 1".into());
     }
     if args.check_golden.is_some() && args.write_golden.is_some() {
         return Err("--check-golden and --write-golden are mutually exclusive".into());
-    }
-    if args.timing != "interpreted" && (args.check_golden.is_some() || args.write_golden.is_some())
-    {
-        return Err("--timing only applies to the grid, not the golden modes".into());
     }
     Ok(args)
 }
@@ -1174,7 +1109,7 @@ fn run_sweep_cmd() -> ExitCode {
             if !e.is_empty() {
                 eprintln!("error: {e}\n");
             }
-            eprintln!("{}", usage());
+            eprintln!("{}", sweep_usage());
             return ExitCode::FAILURE;
         }
     };
@@ -1205,178 +1140,38 @@ fn run_sweep_cmd() -> ExitCode {
         grid.push(SweepModel::new(name.clone(), move |b| m.build(b)));
     }
     let cache = artifact_cache(args.cache_dir.as_ref(), args.disk_cache);
-
-    // `--timing both` runs the interpreter first, then the analytic
-    // fast path, and gates the per-point latency divergence at
-    // `--rtol-bound` (the CI fastpath job's contract).
-    let mut interpreted: Option<(SweepReport, f64)> = None;
-    if matches!(args.timing.as_str(), "interpreted" | "both") {
-        let started = std::time::Instant::now();
-        match run_sweep(&accel, &grid, &args.batches, &cache, args.jobs) {
-            Ok(r) => interpreted = Some((r, started.elapsed().as_secs_f64() * 1e3)),
-            Err(e) => {
-                eprintln!("sweep error: {e}");
-                return ExitCode::FAILURE;
+    let started = std::time::Instant::now();
+    let report = match run_sweep(&accel, &grid, &args.batches, &cache, args.jobs) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("sweep error: {e}");
+            if matches!(e, HarnessError::Config(_)) {
+                eprintln!("\n{}", sweep_usage());
             }
+            return ExitCode::FAILURE;
         }
-    }
-    let mut analytic: Option<(SweepReport, f64)> = None;
-    if matches!(args.timing.as_str(), "analytic" | "both") {
-        let cal = calibration_cache(args.cache_dir.as_ref(), args.disk_cache);
-        let started = std::time::Instant::now();
-        match run_sweep_analytic(&accel, &grid, &args.batches, &cache, &cal, args.jobs) {
-            Ok(r) => analytic = Some((r, started.elapsed().as_secs_f64() * 1e3)),
-            Err(e) => {
-                eprintln!("sweep error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    };
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
     // The report itself is schedule-independent and goes to stdout;
     // anything wall-clock-dependent stays on stderr so json output can
-    // be compared byte-for-byte between runs (--wall-out is the file
-    // side channel for the wall-clock numbers).
-    let max_rtol = match (&interpreted, &analytic) {
-        (Some((interp, _)), Some((fast, _))) => {
-            match args.format.as_str() {
-                "json" => println!("{}", timing_comparison_json(interp, fast, args.rtol_bound)),
-                _ => print!("{}", timing_comparison_table(interp, fast)),
-            }
-            interp
-                .points
-                .iter()
-                .zip(&fast.points)
-                .map(|(a, b)| ((a.latency_ms - b.latency_ms) / a.latency_ms).abs())
-                .fold(0.0f64, f64::max)
-        }
-        _ => {
-            let (report, _) = interpreted.as_ref().or(analytic.as_ref()).expect("one ran");
-            match args.format.as_str() {
-                "json" => println!("{}", report.to_json()),
-                _ => print!("{}", report.to_table()),
-            }
-            0.0
-        }
-    };
-    for (backend, run) in [("interpreted", &interpreted), ("analytic", &analytic)] {
-        if let Some((report, wall_ms)) = run {
-            eprintln!(
-                "[sweep] {backend}: {} points ({} models x {} batches) on {} workers \
-                 in {wall_ms:.0} ms; cache: {} memory + {} disk hits, {} misses",
-                report.points.len(),
-                report.models.len(),
-                report.batches.len(),
-                args.jobs,
-                report.cache.memory_hits,
-                report.cache.disk_hits,
-                report.cache.misses
-            );
-        }
+    // be compared byte-for-byte between runs.
+    match args.format.as_str() {
+        "json" => println!("{}", report.to_json()),
+        _ => print!("{}", report.to_table()),
     }
-    if let Some(path) = &args.wall_out {
-        let payload = wall_json(&args, &interpreted, &analytic, max_rtol);
-        if let Err(e) = std::fs::write(path, format!("{payload}\n")) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if args.timing == "both" && max_rtol > args.rtol_bound {
-        eprintln!(
-            "[sweep] analytic timing diverged from the interpreter: \
-             max rtol {max_rtol:.6} exceeds the --rtol-bound {:.6}",
-            args.rtol_bound
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// The `--timing both` machine-readable comparison: both backends'
-/// latencies per grid point plus the per-point and maximum relative
-/// divergence. Schedule-independent, so byte-stable across `--jobs`.
-fn timing_comparison_json(interp: &SweepReport, fast: &SweepReport, bound: f64) -> String {
-    use dtu::telemetry::json::{array, number, JsonObject};
-    let mut max_rtol = 0.0f64;
-    let points: Vec<String> = interp
-        .points
-        .iter()
-        .zip(&fast.points)
-        .map(|(a, b)| {
-            let rtol = ((a.latency_ms - b.latency_ms) / a.latency_ms).abs();
-            max_rtol = max_rtol.max(rtol);
-            JsonObject::new()
-                .string("model", &a.model)
-                .int("batch", a.batch as i64)
-                .raw("interpreted_ms", &number(a.latency_ms))
-                .raw("analytic_ms", &number(b.latency_ms))
-                .raw("rtol", &number(rtol))
-                .build()
-        })
-        .collect();
-    JsonObject::new()
-        .raw("points", &array(&points))
-        .raw("max_rtol", &number(max_rtol))
-        .raw("rtol_bound", &number(bound))
-        .raw(
-            "within_bound",
-            if max_rtol <= bound { "true" } else { "false" },
-        )
-        .build()
-}
-
-/// The `--timing both` human-readable comparison table.
-fn timing_comparison_table(interp: &SweepReport, fast: &SweepReport) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<14} {:>5} {:>16} {:>14} {:>10}",
-        "model", "batch", "interpreted(ms)", "analytic(ms)", "rtol"
+    eprintln!(
+        "[sweep] {} points ({} models x {} batches) on {} workers \
+         in {wall_ms:.0} ms; cache: {} memory + {} disk hits, {} misses",
+        report.points.len(),
+        report.models.len(),
+        report.batches.len(),
+        args.jobs,
+        report.cache.memory_hits,
+        report.cache.disk_hits,
+        report.cache.misses
     );
-    let mut max_rtol = 0.0f64;
-    for (a, b) in interp.points.iter().zip(&fast.points) {
-        let rtol = ((a.latency_ms - b.latency_ms) / a.latency_ms).abs();
-        max_rtol = max_rtol.max(rtol);
-        let _ = writeln!(
-            out,
-            "{:<14} {:>5} {:>16.3} {:>14.3} {:>10.6}",
-            a.model, a.batch, a.latency_ms, b.latency_ms, rtol
-        );
-    }
-    let _ = writeln!(out, "max rtol: {max_rtol:.6}");
-    out
-}
-
-/// The `--wall-out` payload: per-backend wall-clock (the one quantity
-/// deliberately kept off stdout) plus the speedup when both ran. This
-/// is what `scripts/bench_smoke.sh` reads to gate the analytic
-/// fast-path speedup.
-fn wall_json(
-    args: &SweepArgs,
-    interpreted: &Option<(SweepReport, f64)>,
-    analytic: &Option<(SweepReport, f64)>,
-    max_rtol: f64,
-) -> String {
-    use dtu::telemetry::json::{number, JsonObject};
-    let mut obj = JsonObject::new().string("timing", &args.timing);
-    let points = interpreted
-        .as_ref()
-        .or(analytic.as_ref())
-        .map_or(0, |(r, _)| r.points.len());
-    obj = obj.int("points", points as i64);
-    if let Some((_, wall_ms)) = interpreted {
-        obj = obj.raw("interpreted_wall_ms", &number(*wall_ms));
-    }
-    if let Some((_, wall_ms)) = analytic {
-        obj = obj.raw("analytic_wall_ms", &number(*wall_ms));
-    }
-    if let (Some((_, iw)), Some((_, aw))) = (interpreted, analytic) {
-        obj = obj
-            .raw("speedup", &number(iw / aw))
-            .raw("max_rtol", &number(max_rtol));
-    }
-    obj.build()
+    ExitCode::SUCCESS
 }
 
 struct FaultsArgs {
@@ -2006,16 +1801,8 @@ fn run_gen_top() -> ExitCode {
 
     let cache = artifact_cache(args.cache_dir.as_ref(), args.disk_cache);
     let mut mon = GenMonitor::new(gen_live_config(&args));
-    let cal = (args.timing == "analytic")
-        .then(|| calibration_cache(args.cache_dir.as_ref(), args.disk_cache));
     if let Err(e) = dtu_harness::run_generative_serve_live(
-        &accel,
-        &gen_cfg,
-        &scenario,
-        &cache,
-        cal.as_ref(),
-        args.jobs,
-        &mut mon,
+        &accel, &gen_cfg, &scenario, &cache, args.jobs, &mut mon,
     ) {
         eprintln!("top error: {e}");
         return ExitCode::FAILURE;
@@ -2452,7 +2239,6 @@ struct FleetArgs {
     chip: String,
     jobs: usize,
     format: String,
-    timing: String,
     cache_dir: Option<PathBuf>,
     disk_cache: bool,
     top: bool,
@@ -2484,7 +2270,6 @@ fn parse_fleet_args() -> Result<FleetArgs, String> {
         chip: "i20".into(),
         jobs: available_jobs(),
         format: "json".into(),
-        timing: "interpreted".into(),
         cache_dir: None,
         disk_cache: true,
         top: false,
@@ -2542,7 +2327,6 @@ fn parse_fleet_args() -> Result<FleetArgs, String> {
             "--chip" => args.chip = value("--chip")?,
             "--jobs" | "-j" => args.jobs = parse_int("--jobs", value("--jobs")?)?,
             "--format" => args.format = value("--format")?,
-            "--timing" => args.timing = value("--timing")?,
             "--cache-dir" => args.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
             "--no-disk-cache" => args.disk_cache = false,
             "--once" => args.once = true,
@@ -2574,12 +2358,6 @@ fn parse_fleet_args() -> Result<FleetArgs, String> {
     }
     if args.once && !args.top {
         return Err("--once only applies to `fleet top`".into());
-    }
-    if !matches!(args.timing.as_str(), "interpreted" | "analytic") {
-        return Err(format!(
-            "--timing must be interpreted or analytic, got '{}'",
-            args.timing
-        ));
     }
     Ok(args)
 }
@@ -2732,62 +2510,22 @@ fn run_fleet_cmd() -> ExitCode {
         }),
     };
 
-    // `--timing analytic` calibrates the chip config once (recalled
-    // from the shared artifact directory when warm) and prices every
-    // per-chip epoch through the analytic backend; the CLI topology is
-    // homogeneous, so one calibration serves every chip.
-    let timings = if args.timing == "analytic" {
-        let cal = calibration_cache(args.cache_dir.as_ref(), args.disk_cache);
-        match cal.timing_for(&chip_cfg) {
-            Ok((timing, _)) => Some(vec![timing; topology.len()]),
-            Err(e) => {
-                eprintln!("fleet calibration error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        None
-    };
-
     // The dashboard, compliance report, and flight dump all need the
     // fleet monitor; a plain run skips it entirely. Either way the
     // stdout report is byte-identical — the monitor is observational.
     let monitored = args.top || args.slo || args.monitor || args.flight_out.is_some();
     let started = std::time::Instant::now();
-    let (report, monitor) = match (monitored, &timings) {
-        (true, Some(ts)) => {
-            match run_fleet_monitored_with_timing(&topology, &tenants, &cfg, &cache, args.jobs, ts)
-            {
-                Ok((r, m)) => (r, Some(m)),
-                Err(e) => {
-                    eprintln!("fleet error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+    let result = if monitored {
+        run_fleet_monitored(&topology, &tenants, &cfg, &cache, args.jobs).map(|(r, m)| (r, Some(m)))
+    } else {
+        run_fleet(&topology, &tenants, &cfg, &cache, args.jobs).map(|r| (r, None))
+    };
+    let (report, monitor) = match result {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("fleet error: {e}");
+            return ExitCode::FAILURE;
         }
-        (true, None) => match run_fleet_monitored(&topology, &tenants, &cfg, &cache, args.jobs) {
-            Ok((r, m)) => (r, Some(m)),
-            Err(e) => {
-                eprintln!("fleet error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (false, Some(ts)) => {
-            match run_fleet_with_timing(&topology, &tenants, &cfg, &cache, args.jobs, ts) {
-                Ok(r) => (r, None),
-                Err(e) => {
-                    eprintln!("fleet error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        (false, None) => match run_fleet(&topology, &tenants, &cfg, &cache, args.jobs) {
-            Ok(r) => (r, None),
-            Err(e) => {
-                eprintln!("fleet error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
     };
     let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
 

@@ -55,10 +55,7 @@ pub use dtu_isa::DataType;
 /// The event-driven serving layer (dynamic batching, SLA admission,
 /// elastic scaling); [`simulate_serving`] is its closed-form facade.
 pub use dtu_serve as serve;
-pub use dtu_sim::{
-    AnalyticBackend, AnalyticTiming, ChipConfig, FeatureSet, InterpretedBackend, RunReport,
-    Timeline, TimingBackend, TraceKind, CALIBRATION_VERSION,
-};
+pub use dtu_sim::{ChipConfig, FeatureSet, RunReport, Timeline, TraceKind};
 /// The unified observability layer: spans, the counter registry, trace
 /// export, and per-operator bottleneck attribution.
 pub use dtu_telemetry as telemetry;

@@ -228,25 +228,6 @@ impl<'a> Session<'a> {
         })
     }
 
-    /// Runs the compiled program through an explicit timing backend —
-    /// [`dtu_sim::InterpretedBackend`] matches [`Session::run`]
-    /// byte-for-byte; [`dtu_sim::AnalyticBackend`] prices the program
-    /// from calibrated coefficients instead of interpreting it.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Session::run`].
-    pub fn run_with(
-        &self,
-        backend: &dyn dtu_sim::TimingBackend,
-    ) -> Result<InferenceReport, DtuError> {
-        let report = backend.run(self.accel.chip(), &self.program)?;
-        Ok(InferenceReport {
-            report,
-            batch: self.batch,
-        })
-    }
-
     /// Runs the compiled program with the profiler attached, returning
     /// the report plus the per-command timeline (the Fig. 11 profiler).
     ///

@@ -42,7 +42,7 @@ use dtu_serve::{
     LiveMonitor, RetryPolicy, ScalePolicy, ServeConfig, ServeError, ServiceModel, SlaPolicy,
     TenantSpec,
 };
-use dtu_sim::{AnalyticBackend, AnalyticTiming, Chip, SimError};
+use dtu_sim::{Chip, SimError};
 use dtu_telemetry::LogHistogram;
 
 /// A scheduled whole-chip failure.
@@ -227,24 +227,16 @@ fn run_chip_epoch(
     kill_offset_ms: Option<f64>,
     monitor_base: Option<u64>,
     cache: &SessionCache,
-    timing: Option<&AnalyticTiming>,
 ) -> Result<ChipEpochOutcome, HarnessError> {
     let fleet_chip = topology.chip(chip_idx);
     let chip_cfg = &fleet_chip.config;
     let label = format!("chip{chip_idx}");
     let chip = Chip::new(chip_cfg.clone());
-    // Declared before the models so the backend outlives their borrows.
-    let backend = timing.map(|t| AnalyticBackend::new(t.clone()));
     let mut models: Vec<CompiledModel<'_>> = assignment
         .iter()
         .map(|&(t, _)| {
             let spec = &tenants[t];
-            let mut m = CompiledModel::new(&chip, spec.model.name(), |b| spec.model.build(b))
-                .with_source(cache);
-            if let Some(b) = backend.as_ref() {
-                m = m.with_timing(b);
-            }
-            m
+            CompiledModel::new(&chip, spec.model.name(), |b| spec.model.build(b)).with_source(cache)
         })
         .collect();
 
@@ -385,62 +377,7 @@ pub fn run_fleet(
     cache: &SessionCache,
     jobs: usize,
 ) -> Result<FleetReport, FleetError> {
-    run_fleet_inner(topology, tenants, cfg, cache, jobs, None, None)
-}
-
-/// Calibrates one [`AnalyticTiming`] per chip in the topology, reusing
-/// the fit across chips with identical configs (the homogeneous-fleet
-/// common case probes exactly once).
-///
-/// # Errors
-///
-/// [`FleetError::Config`] when a chip config cannot be calibrated.
-pub fn calibrate_fleet(topology: &FleetTopology) -> Result<Vec<AnalyticTiming>, FleetError> {
-    let mut distinct: Vec<(dtu_sim::ChipConfig, AnalyticTiming)> = Vec::new();
-    let mut timings = Vec::with_capacity(topology.len());
-    for chip in 0..topology.len() {
-        let cfg = &topology.chip(chip).config;
-        let timing = match distinct.iter().find(|(c, _)| c == cfg) {
-            Some((_, t)) => t.clone(),
-            None => {
-                let t = AnalyticTiming::calibrate(cfg).map_err(|e| {
-                    FleetError::Config(format!("calibration failed for chip {chip}: {e}"))
-                })?;
-                distinct.push((cfg.clone(), t.clone()));
-                t
-            }
-        };
-        timings.push(timing);
-    }
-    Ok(timings)
-}
-
-/// Runs the fleet with every chip's serve pricing routed through a
-/// calibrated analytic timing backend (`timings[chip]`, one per chip —
-/// see [`calibrate_fleet`]) instead of the interpreter. Determinism
-/// guarantees are unchanged: byte-identical reports across `jobs` and
-/// cache temperature.
-///
-/// # Errors
-///
-/// Exactly as [`run_fleet`], plus [`FleetError::Config`] when
-/// `timings.len()` does not match the topology.
-pub fn run_fleet_with_timing(
-    topology: &FleetTopology,
-    tenants: &[FleetTenant<'_>],
-    cfg: &FleetConfig,
-    cache: &SessionCache,
-    jobs: usize,
-    timings: &[AnalyticTiming],
-) -> Result<FleetReport, FleetError> {
-    if timings.len() != topology.len() {
-        return Err(FleetError::Config(format!(
-            "{} timings supplied for {} chips",
-            timings.len(),
-            topology.len()
-        )));
-    }
-    run_fleet_inner(topology, tenants, cfg, cache, jobs, None, Some(timings))
+    run_fleet_inner(topology, tenants, cfg, cache, jobs, None)
 }
 
 /// Runs the fleet simulation with a [`FleetMonitor`] riding along:
@@ -468,54 +405,7 @@ pub fn run_fleet_monitored(
         .map(|t| (t.model.name(), t.deadline_ms))
         .collect();
     let mut monitor = FleetMonitor::new(topology.len(), &specs);
-    let report = run_fleet_inner(
-        topology,
-        tenants,
-        cfg,
-        cache,
-        jobs,
-        Some(&mut monitor),
-        None,
-    )?;
-    Ok((report, monitor))
-}
-
-/// [`run_fleet_monitored`] with analytic timing, combining the
-/// guarantees of both variants: the monitor is observational and the
-/// report matches [`run_fleet_with_timing`] byte for byte.
-///
-/// # Errors
-///
-/// Exactly as [`run_fleet_with_timing`].
-pub fn run_fleet_monitored_with_timing(
-    topology: &FleetTopology,
-    tenants: &[FleetTenant<'_>],
-    cfg: &FleetConfig,
-    cache: &SessionCache,
-    jobs: usize,
-    timings: &[AnalyticTiming],
-) -> Result<(FleetReport, FleetMonitor), FleetError> {
-    if timings.len() != topology.len() {
-        return Err(FleetError::Config(format!(
-            "{} timings supplied for {} chips",
-            timings.len(),
-            topology.len()
-        )));
-    }
-    let specs: Vec<(&str, f64)> = tenants
-        .iter()
-        .map(|t| (t.model.name(), t.deadline_ms))
-        .collect();
-    let mut monitor = FleetMonitor::new(topology.len(), &specs);
-    let report = run_fleet_inner(
-        topology,
-        tenants,
-        cfg,
-        cache,
-        jobs,
-        Some(&mut monitor),
-        Some(timings),
-    )?;
+    let report = run_fleet_inner(topology, tenants, cfg, cache, jobs, Some(&mut monitor))?;
     Ok((report, monitor))
 }
 
@@ -526,7 +416,6 @@ fn run_fleet_inner(
     cache: &SessionCache,
     jobs: usize,
     mut monitor: Option<&mut FleetMonitor>,
-    timings: Option<&[AnalyticTiming]>,
 ) -> Result<FleetReport, FleetError> {
     if cfg.epoch_ms.is_nan()
         || cfg.epoch_ms <= 0.0
@@ -635,7 +524,6 @@ fn run_fleet_inner(
                 .filter(|&(c, _)| c == chip)
                 .map(|(_, offset)| offset);
             let monitor_base = monitor.as_ref().map(|_| trace_base(epoch, chip));
-            let timing = timings.map(|ts| &ts[chip]);
             plan.add_point(
                 key.finish(),
                 format!("chip{chip} e{epoch}"),
@@ -651,7 +539,6 @@ fn run_fleet_inner(
                         kill_offset,
                         monitor_base,
                         cache,
-                        timing,
                     )
                 },
             );
@@ -1023,60 +910,6 @@ mod tests {
         // The compliance report is well-formed JSON mentioning it.
         let json = fm.compliance_json();
         assert!(json.contains("\"chips_dead\":[1]"));
-    }
-
-    #[test]
-    fn analytic_timing_tracks_the_interpreter_fleet_wide() {
-        let topo = FleetTopology::homogeneous(1, 3, &ChipConfig::dtu20()).unwrap();
-        let cfg = small_cfg();
-        let cache_a = SessionCache::memory_only();
-        let tenants_a = vec![FleetTenant::new(toy_model(), 1500.0)];
-        let interp = run_fleet(&topo, &tenants_a, &cfg, &cache_a, 2).unwrap();
-        let timings = calibrate_fleet(&topo).unwrap();
-        assert_eq!(timings.len(), 3);
-        let cache_b = SessionCache::memory_only();
-        let tenants_b = vec![FleetTenant::new(toy_model(), 1500.0)];
-        let fast = run_fleet_with_timing(&topo, &tenants_b, &cfg, &cache_b, 2, &timings).unwrap();
-        // Arrivals are seed-driven, independent of pricing.
-        assert_eq!(interp.offered, fast.offered);
-        assert!(fast.accounting_balances());
-        // Sub-1e-6-rtol pricing keeps the discrete outcome essentially
-        // identical; allow a little slack for threshold crossings.
-        let drift = (interp.completed as f64 - fast.completed as f64).abs()
-            / interp.completed.max(1) as f64;
-        assert!(
-            drift < 0.02,
-            "completed drifted {drift}: interpreted {} vs analytic {}",
-            interp.completed,
-            fast.completed
-        );
-    }
-
-    #[test]
-    fn analytic_fleet_report_is_byte_identical_across_jobs() {
-        let topo = FleetTopology::homogeneous(1, 4, &ChipConfig::dtu20()).unwrap();
-        let cfg = small_cfg();
-        let timings = calibrate_fleet(&topo).unwrap();
-        let cache1 = SessionCache::memory_only();
-        let tenants1 = vec![FleetTenant::new(toy_model(), 1200.0)];
-        let r1 = run_fleet_with_timing(&topo, &tenants1, &cfg, &cache1, 1, &timings).unwrap();
-        let cache8 = SessionCache::memory_only();
-        let tenants8 = vec![FleetTenant::new(toy_model(), 1200.0)];
-        let r8 = run_fleet_with_timing(&topo, &tenants8, &cfg, &cache8, 8, &timings).unwrap();
-        assert_eq!(r1.to_json(), r8.to_json());
-    }
-
-    #[test]
-    fn timing_count_must_match_topology() {
-        let topo = FleetTopology::homogeneous(1, 2, &ChipConfig::dtu20()).unwrap();
-        let tenants = vec![FleetTenant::new(toy_model(), 100.0)];
-        let cache = SessionCache::memory_only();
-        let one = calibrate_fleet(&FleetTopology::homogeneous(1, 1, &ChipConfig::dtu20()).unwrap())
-            .unwrap();
-        assert!(matches!(
-            run_fleet_with_timing(&topo, &tenants, &small_cfg(), &cache, 1, &one),
-            Err(FleetError::Config(_))
-        ));
     }
 
     #[test]

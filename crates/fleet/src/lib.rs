@@ -42,10 +42,7 @@ mod schedule;
 mod topology;
 
 pub use deploy::{RollPlan, RollState};
-pub use engine::{
-    calibrate_fleet, run_fleet, run_fleet_monitored, run_fleet_monitored_with_timing,
-    run_fleet_with_timing, ChipKill, FleetConfig,
-};
+pub use engine::{run_fleet, run_fleet_monitored, ChipKill, FleetConfig};
 pub use monitor::{
     FleetAlert, FleetChipRow, FleetFrame, FleetMonitor, FleetTenantRow, OffenderShare,
 };

@@ -13,9 +13,8 @@
 //! `--jobs` and cache temperature only change wall-clock, exactly like
 //! every other sweep in this crate.
 
-use crate::calibrate::CalibrationCache;
 use crate::{ExperimentPlan, HarnessError, SessionCache};
-use dtu::{Accelerator, AnalyticBackend};
+use dtu::Accelerator;
 use dtu_compiler::Fnv1a;
 use dtu_models::{GenerativeConfig, GenerativeModel};
 use dtu_serve::{
@@ -84,75 +83,29 @@ pub fn run_generative_serve(
         Some(rec) => GenRunMode::Recorded(rec),
         None => GenRunMode::Plain,
     };
-    run_generative_serve_inner(accel, config, scenario, cache, jobs, mode, None)
-}
-
-/// [`run_generative_serve`] with every prefill/decode step priced by
-/// the calibrated analytic timing backend instead of the interpreter.
-/// The calibration is recalled from (or probed into) `cal`; all
-/// determinism guarantees are unchanged.
-///
-/// # Errors
-///
-/// Exactly as [`run_generative_serve`], plus calibration failures as
-/// [`HarnessError::Job`].
-pub fn run_generative_serve_analytic(
-    accel: &Accelerator,
-    config: &GenerativeConfig,
-    scenario: &GenerativeScenario,
-    cache: &SessionCache,
-    cal: &CalibrationCache,
-    jobs: usize,
-    rec: Option<&mut dyn Recorder>,
-) -> Result<GenOutcome, HarnessError> {
-    let (timing, _) = cal.timing_for(accel.config())?;
-    let backend = AnalyticBackend::new(timing);
-    let mode = match rec {
-        Some(rec) => GenRunMode::Recorded(rec),
-        None => GenRunMode::Plain,
-    };
-    run_generative_serve_inner(accel, config, scenario, cache, jobs, mode, Some(&backend))
+    run_generative_serve_inner(accel, config, scenario, cache, jobs, mode)
 }
 
 /// [`run_generative_serve`] streamed through a live [`GenMonitor`]:
 /// every token-boundary event feeds the monitor's time series, TTFT /
 /// TPOT windowed histograms, SLO burn-rate trackers, and flight
-/// recorder while the engine runs. Pass `cal` to price steps with the
-/// calibrated analytic backend; `None` uses the interpreter.
+/// recorder while the engine runs.
 ///
 /// Monitoring is strictly observational: the outcome is byte-identical
-/// to the unmonitored run for any `jobs` value, cache temperature, or
-/// timing backend choice.
+/// to the unmonitored run for any `jobs` value or cache temperature.
 ///
 /// # Errors
 ///
-/// Exactly as [`run_generative_serve`] /
-/// [`run_generative_serve_analytic`].
+/// Exactly as [`run_generative_serve`].
 pub fn run_generative_serve_live(
     accel: &Accelerator,
     config: &GenerativeConfig,
     scenario: &GenerativeScenario,
     cache: &SessionCache,
-    cal: Option<&CalibrationCache>,
     jobs: usize,
     mon: &mut GenMonitor,
 ) -> Result<GenOutcome, HarnessError> {
-    let backend = match cal {
-        Some(cal) => {
-            let (timing, _) = cal.timing_for(accel.config())?;
-            Some(AnalyticBackend::new(timing))
-        }
-        None => None,
-    };
-    run_generative_serve_inner(
-        accel,
-        config,
-        scenario,
-        cache,
-        jobs,
-        GenRunMode::Live(mon),
-        backend.as_ref(),
-    )
+    run_generative_serve_inner(accel, config, scenario, cache, jobs, GenRunMode::Live(mon))
 }
 
 fn run_generative_serve_inner(
@@ -162,7 +115,6 @@ fn run_generative_serve_inner(
     cache: &SessionCache,
     jobs: usize,
     mode: GenRunMode<'_>,
-    backend: Option<&AnalyticBackend>,
 ) -> Result<GenOutcome, HarnessError> {
     let workload = GenerativeModel::new(*config, scenario.prompt_tokens);
 
@@ -182,9 +134,6 @@ fn run_generative_serve_inner(
             plan.add_point(key.finish(), label.clone(), &[], move |_| {
                 let mut m =
                     CompiledTokenModel::new(accel.chip(), workload, prompt).with_source(cache);
-                if let Some(b) = backend {
-                    m = m.with_timing(b);
-                }
                 let r = match phase {
                     "prefill" => m.prefill_ms(batch, prompt),
                     _ => m.decode_ms(batch, ctx),
@@ -204,9 +153,6 @@ fn run_generative_serve_inner(
     // session it asks for is already in the cache.
     let mut model =
         CompiledTokenModel::new(accel.chip(), workload, scenario.prompt_tokens).with_source(cache);
-    if let Some(b) = backend {
-        model = model.with_timing(b);
-    }
     let out = match mode {
         GenRunMode::Plain => run_generative(scenario, &mut model),
         GenRunMode::Recorded(rec) => run_generative_recorded(scenario, &mut model, rec),
@@ -252,48 +198,18 @@ mod tests {
     }
 
     #[test]
-    fn analytic_generative_serve_is_deterministic_and_balanced() {
-        use crate::calibrate::CalibrationCache;
+    fn live_monitoring_is_observational_across_jobs() {
         let accel = Accelerator::cloudblazer_i20();
         let sc = scenario();
         let cfg = GenerativeConfig::tiny();
-        let cal = CalibrationCache::memory_only();
-        let c1 = SessionCache::memory_only();
-        let a = run_generative_serve_analytic(&accel, &cfg, &sc, &c1, &cal, 1, None).unwrap();
-        let c4 = SessionCache::memory_only();
-        let b = run_generative_serve_analytic(&accel, &cfg, &sc, &c4, &cal, 4, None).unwrap();
-        assert_eq!(a.report.to_json(), b.report.to_json());
-        assert!(a.report.completed > 0);
-        assert!(a.report.balanced());
-        assert_eq!(cal.stats().misses, 1, "one calibration serves both runs");
-    }
-
-    #[test]
-    fn live_monitoring_is_observational_across_backends() {
-        use dtu_serve::GenLiveConfig;
-        let accel = Accelerator::cloudblazer_i20();
-        let sc = scenario();
-        let cfg = GenerativeConfig::tiny();
-        let cal = CalibrationCache::memory_only();
-
         let plain_cache = SessionCache::memory_only();
         let plain = run_generative_serve(&accel, &cfg, &sc, &plain_cache, 1, None).unwrap();
         let live_cache = SessionCache::memory_only();
         let mut mon = GenMonitor::with_defaults();
-        let live =
-            run_generative_serve_live(&accel, &cfg, &sc, &live_cache, None, 4, &mut mon).unwrap();
+        let live = run_generative_serve_live(&accel, &cfg, &sc, &live_cache, 4, &mut mon).unwrap();
         assert_eq!(plain.report.to_json(), live.report.to_json());
         assert_eq!(plain.trace, live.trace);
         assert!(mon.completions.total() > 0.0, "monitor saw the run");
-
-        let pa = SessionCache::memory_only();
-        let plain_a = run_generative_serve_analytic(&accel, &cfg, &sc, &pa, &cal, 1, None).unwrap();
-        let la = SessionCache::memory_only();
-        let mut mon_a = GenMonitor::new(GenLiveConfig::default());
-        let live_a =
-            run_generative_serve_live(&accel, &cfg, &sc, &la, Some(&cal), 2, &mut mon_a).unwrap();
-        assert_eq!(plain_a.report.to_json(), live_a.report.to_json());
-        assert_eq!(plain_a.trace, live_a.trace);
     }
 
     #[test]

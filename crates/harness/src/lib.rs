@@ -53,7 +53,6 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod calibrate;
 mod error;
 mod faultsweep;
 mod genserve;
@@ -63,16 +62,12 @@ mod slosweep;
 mod sweep;
 
 pub use cache::{CacheOutcome, CacheStats, SessionCache, CACHE_FORMAT_VERSION};
-pub use calibrate::{price_key, CalibrationCache, PricePoint};
 pub use error::HarnessError;
 pub use faultsweep::{run_fault_sweep, FaultPoint, FaultSweepReport};
-pub use genserve::{
-    gen_session_grid, run_generative_serve, run_generative_serve_analytic,
-    run_generative_serve_live,
-};
+pub use genserve::{gen_session_grid, run_generative_serve, run_generative_serve_live};
 pub use golden::{compare_golden, GOLDEN_RTOL};
 pub use plan::{available_jobs, ExperimentPlan, PlanCtx, PointId};
 pub use slosweep::{
     run_slo_scenario, run_slo_sweep, slo_point_seed, SloPoint, SloScenario, SloSweepReport,
 };
-pub use sweep::{run_sweep, run_sweep_analytic, SweepModel, SweepPoint, SweepReport};
+pub use sweep::{run_sweep, SweepModel, SweepPoint, SweepReport};

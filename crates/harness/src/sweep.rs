@@ -15,10 +15,9 @@
 //!   this is what the determinism tests compare between cold and warm
 //!   runs.
 
-use crate::calibrate::{price_key, CalibrationCache, PricePoint};
 use crate::{CacheStats, ExperimentPlan, HarnessError, SessionCache};
-use dtu::{Accelerator, AnalyticBackend, SessionOptions};
-use dtu_compiler::{session_fingerprint, Fnv1a};
+use dtu::{Accelerator, SessionOptions};
+use dtu_compiler::Fnv1a;
 use dtu_graph::Graph;
 use dtu_telemetry::json::{array, number, JsonObject};
 
@@ -189,9 +188,10 @@ fn point_json(p: &SweepPoint, with_cache: bool) -> String {
 ///
 /// # Errors
 ///
-/// The first failing point's [`HarnessError`] (grid order), so a bad
-/// model name or an uncompilable batch fails the sweep loudly rather
-/// than dropping rows silently.
+/// [`HarnessError::Config`] for an empty grid or a zero batch;
+/// otherwise the first failing point's [`HarnessError`] (grid order),
+/// so a bad model name or an uncompilable batch fails the sweep loudly
+/// rather than dropping rows silently.
 pub fn run_sweep(
     accel: &Accelerator,
     models: &[SweepModel<'_>],
@@ -204,6 +204,11 @@ pub fn run_sweep(
             "sweep needs at least one model and one batch".into(),
         ));
     }
+    if batches.contains(&0) {
+        return Err(HarnessError::Config(
+            "sweep batches must be at least 1".into(),
+        ));
+    }
     let stats_before = cache.stats();
     let mut plan: ExperimentPlan<'_, SweepPoint> = ExperimentPlan::new();
     for model in models {
@@ -214,13 +219,13 @@ pub fn run_sweep(
             key.write_u64(batch as u64);
             let label = format!("{} b{batch}", model.name());
             plan.add_point(key.finish(), label, &[], move |_| {
-                let graph = (model.build)(batch.max(1));
-                let options = SessionOptions::batched(batch.max(1));
+                let graph = (model.build)(batch);
+                let options = SessionOptions::batched(batch);
                 let (session, outcome) = cache.compile_session(accel, &graph, &options)?;
                 let report = session.run()?;
                 Ok(SweepPoint {
                     model: model.name().to_string(),
-                    batch: batch.max(1),
+                    batch,
                     latency_ms: report.latency_ms(),
                     throughput_sps: report.throughput(),
                     energy_j: report.energy_joules(),
@@ -238,98 +243,6 @@ pub fn run_sweep(
         batches: batches.to_vec(),
         points,
         cache: cache.stats().delta_since(stats_before),
-    })
-}
-
-/// Runs the same model × batch grid as [`run_sweep`] but prices every
-/// point through the calibrated analytic timing backend instead of the
-/// interpreter.
-///
-/// The calibration comes from `cal` (probed at most once per distinct
-/// chip config, then recalled from memory or disk), and each point's
-/// (latency, energy) pair is memoized in `cal`'s price tier keyed by
-/// (session fingerprint ⊕ calibration key) — so a warm analytic sweep
-/// skips compilation *and* the timing walk entirely. Reports keep the
-/// determinism contract of [`run_sweep`]: [`SweepReport::points_json`]
-/// is byte-identical across `--jobs` and cache temperature (prices
-/// round-trip f64-exactly through their JSON artifacts).
-///
-/// The report's `cache` field accounts the *price* tier, and each
-/// point's `cache` label says where its price came from.
-///
-/// # Errors
-///
-/// Exactly as [`run_sweep`], plus calibration failures as
-/// [`HarnessError::Job`].
-pub fn run_sweep_analytic(
-    accel: &Accelerator,
-    models: &[SweepModel<'_>],
-    batches: &[usize],
-    cache: &SessionCache,
-    cal: &CalibrationCache,
-    jobs: usize,
-) -> Result<SweepReport, HarnessError> {
-    if models.is_empty() || batches.is_empty() {
-        return Err(HarnessError::Config(
-            "sweep needs at least one model and one batch".into(),
-        ));
-    }
-    let (timing, _) = cal.timing_for(accel.config())?;
-    let cal_key = cal.calibration_key(accel.config());
-    let backend = AnalyticBackend::new(timing);
-    let backend = &backend;
-    let price_stats_before = cal.price_stats();
-    let mut plan: ExperimentPlan<'_, SweepPoint> = ExperimentPlan::new();
-    for model in models {
-        for &batch in batches {
-            let mut key = Fnv1a::new();
-            key.write_str("sweep-analytic/");
-            key.write_str(model.name());
-            key.write_u64(batch as u64);
-            let label = format!("{} b{batch}", model.name());
-            plan.add_point(key.finish(), label, &[], move |_| {
-                let batch = batch.max(1);
-                let graph = (model.build)(batch);
-                let options = SessionOptions::batched(batch);
-                let (placement, compiler, batch) = options.resolve(accel);
-                let session_key =
-                    session_fingerprint(&graph, accel.config(), &placement, &compiler, batch);
-                let pkey = price_key(session_key, cal_key);
-                let (price, outcome) = match cal.price_lookup(pkey) {
-                    Some((price, outcome)) => (price, outcome),
-                    None => {
-                        let (session, _) = cache.compile_session(accel, &graph, &options)?;
-                        let report = session.run_with(backend)?;
-                        let price = PricePoint {
-                            latency_ms: report.latency_ms(),
-                            energy_j: report.energy_joules(),
-                        };
-                        cal.price_store(pkey, price);
-                        (price, crate::CacheOutcome::Miss)
-                    }
-                };
-                Ok(SweepPoint {
-                    model: model.name().to_string(),
-                    batch,
-                    latency_ms: price.latency_ms,
-                    // Exactly InferenceReport::throughput's formula, so
-                    // cached and freshly walked points agree bitwise.
-                    throughput_sps: batch as f64 / (price.latency_ms / 1e3),
-                    energy_j: price.energy_j,
-                    cache: outcome.label(),
-                })
-            });
-        }
-    }
-    let mut points = Vec::with_capacity(plan.len());
-    for result in plan.run(jobs) {
-        points.push(result?);
-    }
-    Ok(SweepReport {
-        models: models.iter().map(|m| m.name().to_string()).collect(),
-        batches: batches.to_vec(),
-        points,
-        cache: cal.price_stats().delta_since(price_stats_before),
     })
 }
 
@@ -408,66 +321,22 @@ mod tests {
         assert!(run_sweep(&accel, &[], &[1], &cache, 1).is_err());
         let models = [toy_model("aa")];
         assert!(run_sweep(&accel, &models, &[], &cache, 1).is_err());
-        let cal = CalibrationCache::memory_only();
-        assert!(run_sweep_analytic(&accel, &[], &[1], &cache, &cal, 1).is_err());
     }
 
     #[test]
-    fn analytic_sweep_tracks_the_interpreter_within_rtol() {
+    fn zero_batch_is_a_config_error_not_batch_one() {
         let accel = Accelerator::cloudblazer_i20();
-        let models = [toy_model("aa"), toy_model("bbb")];
         let cache = SessionCache::memory_only();
-        let cal = CalibrationCache::memory_only();
-        let interp = run_sweep(&accel, &models, &[1, 4], &cache, 2).unwrap();
-        let fast = run_sweep_analytic(&accel, &models, &[1, 4], &cache, &cal, 2).unwrap();
-        for (a, b) in interp.points.iter().zip(&fast.points) {
-            assert_eq!((a.model.as_str(), a.batch), (b.model.as_str(), b.batch));
-            let rtol = ((a.latency_ms - b.latency_ms) / a.latency_ms).abs();
+        let models = [toy_model("aa")];
+        for batches in [&[0][..], &[1, 0], &[0, 2]] {
             assert!(
-                rtol <= 0.05,
-                "{} b{}: interpreted {} ms vs analytic {} ms (rtol {rtol})",
-                a.model,
-                a.batch,
-                a.latency_ms,
-                b.latency_ms
+                matches!(
+                    run_sweep(&accel, &models, batches, &cache, 1),
+                    Err(HarnessError::Config(_))
+                ),
+                "batches {batches:?} must be rejected"
             );
         }
-    }
-
-    #[test]
-    fn warm_analytic_sweep_skips_compile_and_walk() {
-        let accel = Accelerator::cloudblazer_i20();
-        let models = [toy_model("aa")];
-        let cache = SessionCache::memory_only();
-        let cal = CalibrationCache::memory_only();
-        let cold = run_sweep_analytic(&accel, &models, &[1, 2], &cache, &cal, 2).unwrap();
-        let sessions_after_cold = cache.stats();
-        let warm = run_sweep_analytic(&accel, &models, &[1, 2], &cache, &cal, 2).unwrap();
-        assert_eq!(cold.cache.misses, 2);
-        assert_eq!(warm.cache.memory_hits, 2);
-        assert_eq!(warm.cache.hit_rate(), 1.0);
-        // The warm run never even consulted the session cache.
-        assert_eq!(cache.stats(), sessions_after_cold);
-        // Prices replay bitwise: the numbers are identical.
-        assert_eq!(cold.points_json(), warm.points_json());
-    }
-
-    #[test]
-    fn analytic_sweep_is_byte_identical_across_jobs_and_temperature() {
-        let dir =
-            std::env::temp_dir().join(format!("dtu-sweep-analytic-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let accel = Accelerator::cloudblazer_i20();
-        let models = [toy_model("aa"), toy_model("bbb")];
-        let cal = CalibrationCache::with_disk(&dir);
-        let cache1 = SessionCache::memory_only();
-        let r1 = run_sweep_analytic(&accel, &models, &[1, 2], &cache1, &cal, 1).unwrap();
-        // Fresh memory, warm disk: prices come back from artifacts.
-        cal.clear_memory();
-        let cache8 = SessionCache::memory_only();
-        let r8 = run_sweep_analytic(&accel, &models, &[1, 2], &cache8, &cal, 8).unwrap();
-        assert_eq!(r1.points_json(), r8.points_json());
-        assert_eq!(r8.cache.disk_hits, 4, "disk tier served every price");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(cache.stats().misses, 0, "nothing compiled before rejecting");
     }
 }

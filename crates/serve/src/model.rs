@@ -10,7 +10,7 @@
 use crate::ServeError;
 use dtu_compiler::{compile, CompilerConfig, Mode, Placement};
 use dtu_graph::Graph;
-use dtu_sim::{Chip, ChipConfig, Program, TimingBackend};
+use dtu_sim::{Chip, ChipConfig, Program};
 use std::collections::HashMap;
 
 use dtu_sim::GroupId;
@@ -148,7 +148,6 @@ pub struct CompiledModel<'c> {
     build: Box<dyn Fn(usize) -> Result<Graph, ServeError> + 'c>,
     cache: HashMap<SessionKey, CachedSession>,
     source: Option<&'c dyn ProgramSource>,
-    timing: Option<&'c dyn TimingBackend>,
     stats: CacheStats,
 }
 
@@ -175,7 +174,6 @@ impl<'c> CompiledModel<'c> {
             build: Box::new(move |b| Ok(build(b))),
             cache: HashMap::new(),
             source: None,
-            timing: None,
             stats: CacheStats::default(),
         }
     }
@@ -185,16 +183,6 @@ impl<'c> CompiledModel<'c> {
     /// local to this model; only the compile step is delegated.
     pub fn with_source(mut self, source: &'c dyn ProgramSource) -> Self {
         self.source = Some(source);
-        self
-    }
-
-    /// Prices this model's sessions through an alternative
-    /// [`TimingBackend`] (builder-style) instead of the interpreter —
-    /// e.g. a calibrated `AnalyticBackend` for fast capacity sweeps.
-    /// Compilation and session caching are unchanged; only the
-    /// program-pricing step is rerouted.
-    pub fn with_timing(mut self, timing: &'c dyn TimingBackend) -> Self {
-        self.timing = Some(timing);
         self
     }
 
@@ -216,7 +204,6 @@ impl<'c> CompiledModel<'c> {
             }),
             cache: HashMap::new(),
             source: None,
-            timing: None,
             stats: CacheStats::default(),
         }
     }
@@ -263,10 +250,7 @@ impl ServiceModel for CompiledModel<'_> {
             }
             None => compile(&graph, chip_cfg, placement, &compiler)?,
         };
-        let service_ms = match self.timing {
-            Some(backend) => backend.run(self.chip, &program)?.latency_ms(),
-            None => self.chip.run(&program)?.latency_ms(),
-        };
+        let service_ms = self.chip.run(&program)?.latency_ms();
         self.cache.insert(
             key,
             CachedSession {
@@ -348,23 +332,6 @@ mod tests {
         let p = Placement::explicit(vec![GroupId::new(0, 0)]);
         assert!(m.service_ms(1, &p).is_ok());
         assert!(matches!(m.service_ms(2, &p), Err(ServeError::Config(_))));
-    }
-
-    #[test]
-    fn analytic_timing_prices_close_to_interpreter() {
-        let chip = Chip::new(ChipConfig::dtu20());
-        let backend = dtu_sim::AnalyticBackend::calibrated(chip.config()).unwrap();
-        let p = Placement::explicit(vec![GroupId::new(0, 0)]);
-        let mut interp = CompiledModel::new(&chip, "toy", toy);
-        let mut fast = CompiledModel::new(&chip, "toy", toy).with_timing(&backend);
-        for batch in [1, 4] {
-            let a = interp.service_ms(batch, &p).unwrap();
-            let b = fast.service_ms(batch, &p).unwrap();
-            assert!(
-                ((a - b) / a).abs() < 0.05,
-                "batch {batch}: interpreted {a} ms vs analytic {b} ms"
-            );
-        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::model::{CacheStats, CompiledModel, ProgramSource, ServiceModel};
 use crate::ServeError;
 use dtu_compiler::Placement;
 use dtu_models::Workload;
-use dtu_sim::{Chip, GroupId, TimingBackend};
+use dtu_sim::{Chip, GroupId};
 use std::collections::HashMap;
 
 /// Cost of one continuous-batching iteration.
@@ -126,7 +126,6 @@ pub struct CompiledTokenModel<'c, W: Workload + Clone + 'c> {
     decode: HashMap<usize, CompiledModel<'c>>,
     chip: &'c Chip,
     source: Option<&'c dyn ProgramSource>,
-    timing: Option<&'c dyn TimingBackend>,
 }
 
 impl<'c, W: Workload + Clone + 'c> std::fmt::Debug for CompiledTokenModel<'c, W> {
@@ -172,7 +171,6 @@ impl<'c, W: Workload + Clone + 'c> CompiledTokenModel<'c, W> {
             decode: HashMap::new(),
             chip,
             source: None,
-            timing: None,
         }
     }
 
@@ -182,19 +180,6 @@ impl<'c, W: Workload + Clone + 'c> CompiledTokenModel<'c, W> {
     pub fn with_source(mut self, source: &'c dyn ProgramSource) -> Self {
         self.source = Some(source);
         self.prefill = self.prefill.with_source(source);
-        self
-    }
-
-    /// Prices every phase (prefill and all decode buckets, existing and
-    /// future) through an alternative [`TimingBackend`], exactly as
-    /// [`CompiledModel::with_timing`](crate::CompiledModel::with_timing).
-    pub fn with_timing(mut self, timing: &'c dyn TimingBackend) -> Self {
-        self.timing = Some(timing);
-        self.prefill = self.prefill.with_timing(timing);
-        self.decode = std::mem::take(&mut self.decode)
-            .into_iter()
-            .map(|(k, m)| (k, m.with_timing(timing)))
-            .collect();
         self
     }
 
@@ -257,9 +242,6 @@ impl<'c, W: Workload + Clone + 'c> TokenModel for CompiledTokenModel<'c, W> {
                 });
                 if let Some(source) = self.source {
                     m = m.with_source(source);
-                }
-                if let Some(timing) = self.timing {
-                    m = m.with_timing(timing);
                 }
                 self.decode.entry(ctx_bucket).or_insert(m)
             }
@@ -370,31 +352,6 @@ mod tests {
             decode < prefill,
             "decode {decode} ms should undercut prefill {prefill} ms"
         );
-    }
-
-    #[test]
-    fn analytic_timing_prices_token_steps_close_to_interpreter() {
-        let chip = Chip::new(ChipConfig::dtu20());
-        let backend = dtu_sim::AnalyticBackend::calibrated(chip.config()).unwrap();
-        let w = GenerativeModel::new(GenerativeConfig::tiny(), 64);
-        let mut interp = CompiledTokenModel::new(&chip, w.clone(), 64);
-        let mut fast = CompiledTokenModel::new(&chip, w, 64).with_timing(&backend);
-        let pairs = [
-            (
-                interp.prefill_ms(2, 64).unwrap(),
-                fast.prefill_ms(2, 64).unwrap(),
-            ),
-            (
-                interp.decode_ms(2, 64).unwrap(),
-                fast.decode_ms(2, 64).unwrap(),
-            ),
-        ];
-        for (a, b) in pairs {
-            assert!(
-                ((a - b) / a).abs() < 0.05,
-                "interpreted {a} ms vs analytic {b} ms"
-            );
-        }
     }
 
     #[test]

@@ -185,11 +185,6 @@ impl Chip {
         &self.power_cfg
     }
 
-    /// The energy model in use.
-    pub fn energy_model(&self) -> &EnergyModel {
-        &self.energy_model
-    }
-
     /// Splits a group-level kernel descriptor across the group's cores
     /// and returns `(busy_ns, intra_stall_ns, l2_ns, l3_ns)` at the
     /// given frequency.

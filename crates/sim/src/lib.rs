@@ -43,7 +43,6 @@ mod program_io;
 mod report;
 mod spu;
 mod sync;
-mod timing;
 mod vector_engine;
 
 pub use chip::{Chip, SimError};
@@ -59,7 +58,4 @@ pub use program_io::{program_from_json, program_to_json, ProgramIoError};
 pub use report::{EngineCounters, RunReport};
 pub use spu::{Spu, SpuError};
 pub use sync::{SyncEngine, SyncError, SyncPattern};
-pub use timing::{
-    AnalyticBackend, AnalyticTiming, InterpretedBackend, TimingBackend, CALIBRATION_VERSION,
-};
 pub use vector_engine::{VectorEngine, VECTOR_LANES_FP32};

@@ -42,19 +42,6 @@ cache = report["cache"]
 hits = cache["memory_hits"] + cache["disk_hits"]
 assert hits >= 1, f"warm sweep must hit the session cache, stats: {cache}"
 PY
-# The analytic timing fast path end to end: `--timing both` runs the
-# interpreter and the calibrated analytic backend over the same grid
-# and exits nonzero past the 5% rtol bound; the comparison JSON is
-# re-checked for the per-point bound here.
-./target/release/topsexec sweep --models resnet50 --batches 1,2 --jobs 4 \
-    --timing both --rtol-bound 0.05 --cache-dir "$trace_dir/cache" \
-    --format json > "$trace_dir/fastpath.json"
-python3 - "$trace_dir/fastpath.json" <<'PY'
-import json, sys
-r = json.load(open(sys.argv[1]))
-assert r["within_bound"] is True, f"analytic diverged: {r['max_rtol']}"
-assert len(r["points"]) == 2 and all(p["rtol"] <= 0.05 for p in r["points"]), r
-PY
 # The fleet layer end to end: a 4-chip cluster run must emit valid,
 # accounting-balanced JSON, hit the shared session cache at least once
 # (jobs=1 keeps the cache tally schedule-independent), and be
