@@ -1116,7 +1116,7 @@ fn run_sweep_cmd() -> ExitCode {
     let chip_cfg = match chip_by_name(&args.chip) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: {e}\n\n{}", sweep_usage());
             return ExitCode::FAILURE;
         }
     };
@@ -1134,7 +1134,7 @@ fn run_sweep_cmd() -> ExitCode {
     let mut grid = Vec::new();
     for name in &args.models {
         let Some(m) = model_by_name(name) else {
-            eprintln!("error: unknown model '{name}'\n\n{}", usage());
+            eprintln!("error: unknown model '{name}'\n\n{}", sweep_usage());
             return ExitCode::FAILURE;
         };
         grid.push(SweepModel::new(name.clone(), move |b| m.build(b)));

@@ -11,6 +11,8 @@ fn bad_sweep_input_fails_with_the_sweep_usage() {
         &["--batches", "-1"],
         &["--jobs", "0"],
         &["--timing", "analytic"],
+        &["--models", "nosuch"],
+        &["--chip", "i99"],
     ];
     for extra in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_topsexec"))

@@ -43,7 +43,9 @@ use std::sync::{Arc, Mutex};
 /// Version of the on-disk artifact schema, embedded in file names.
 ///
 /// Bumping it orphans (rather than misreads) artifacts written by
-/// older builds; stale files are simply never looked up again.
+/// older builds; stale files are simply never looked up again. Any
+/// change to the bytes `dtu_sim::program_to_json` writes needs a bump;
+/// `dtu-sim`'s `v1_bytes_are_pinned` test holds those bytes fixed.
 pub const CACHE_FORMAT_VERSION: u32 = 1;
 
 /// Where a compiled session came from.
@@ -399,6 +401,23 @@ mod tests {
             .unwrap();
         assert_eq!(o3, CacheOutcome::MemoryHit);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compiled_programs_round_trip_through_the_artifact_codec() {
+        use dtu_models::Model;
+        let accel = Accelerator::cloudblazer_i20();
+        for model in [Model::Resnet50, Model::BertLarge] {
+            let session =
+                Session::compile(&accel, &model.build(1), SessionOptions::default()).unwrap();
+            let program = session.program();
+            let json = program_to_json(program).unwrap();
+            assert_eq!(
+                &program_from_json(&json).unwrap(),
+                program,
+                "{model:?} changed across the disk tier"
+            );
+        }
     }
 
     #[test]

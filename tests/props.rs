@@ -239,3 +239,48 @@ proptest! {
         }
     }
 }
+
+/// A real session-cache artifact: a 3x3 conv compiled for the i20,
+/// serialized.
+fn conv_artifact() -> &'static str {
+    use dtu::{Accelerator, Session, SessionOptions};
+    use dtu_graph::{Graph, Op, TensorType};
+    static ARTIFACT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    ARTIFACT.get_or_init(|| {
+        let mut g = Graph::new("toy");
+        let x = g.input("x", TensorType::fixed(&[1, 8, 32, 32]));
+        let c = g.add_node(Op::conv2d(16, 3, 1, 1), vec![x]).expect("legal");
+        g.mark_output(c);
+        let accel = Accelerator::cloudblazer_i20();
+        let session = Session::compile(&accel, &g, SessionOptions::default()).expect("compiles");
+        dtu_sim::program_to_json(session.program()).expect("serializable")
+    })
+}
+
+proptest! {
+    /// The artifact reader never panics on a damaged artifact. In a
+    /// 64-byte window of a real artifact, every cut is a parse error and
+    /// every single-byte overwrite parses or is a parse error.
+    #[test]
+    fn artifact_reader_survives_cuts_and_overwrites(start in 0.0f64..1.0, byte in 0u8..=127) {
+        use dtu_sim::{program_from_json, ProgramIoError};
+        let json = conv_artifact();
+        let start = (json.len() as f64 * start) as usize;
+        for at in start..(start + 64).min(json.len()) {
+            if let Some(prefix) = json.get(..at) {
+                prop_assert!(
+                    matches!(program_from_json(prefix), Err(ProgramIoError::Parse(_))),
+                    "cut at {} parsed", at
+                );
+            }
+            let mut bytes = json.as_bytes().to_vec();
+            bytes[at] = byte;
+            if let Ok(text) = String::from_utf8(bytes) {
+                prop_assert!(
+                    matches!(program_from_json(&text), Ok(_) | Err(ProgramIoError::Parse(_))),
+                    "byte {} at {} was not a parse error", byte, at
+                );
+            }
+        }
+    }
+}

@@ -27,20 +27,24 @@ assert len({e["pid"] for e in spans}) >= 3, "trace must cover >= 3 layers"
 PY
 
 # The parallel experiment engine end to end: a cold sweep populates the
-# compiled-session cache, a warm sweep must hit it and emit valid JSON.
+# compiled-session cache; the warm sweep, a new process, must load every
+# point from the disk tier and report the same points.
 ./target/release/topsexec sweep --models resnet50 --batches 1,2 --jobs 4 \
     --cache-dir "$trace_dir/cache" --format json > "$trace_dir/cold.json"
 ./target/release/topsexec sweep --models resnet50 --batches 1,2 --jobs 4 \
     --cache-dir "$trace_dir/cache" --format json > "$trace_dir/warm.json"
-python3 - "$trace_dir/warm.json" <<'PY'
+python3 - "$trace_dir/cold.json" "$trace_dir/warm.json" <<'PY'
 import json, sys
-report = json.load(open(sys.argv[1]))
-points = report["points"]
+cold, warm = (json.load(open(path)) for path in sys.argv[1:3])
+points = warm["points"]
 assert len(points) == 2, f"expected 2 grid points, got {len(points)}"
 assert all(p["latency_ms"] > 0 for p in points), "latencies must be positive"
-cache = report["cache"]
-hits = cache["memory_hits"] + cache["disk_hits"]
-assert hits >= 1, f"warm sweep must hit the session cache, stats: {cache}"
+cache = warm["cache"]
+assert (cache["disk_hits"], cache["misses"], cache["memory_hits"]) == (2, 0, 0), \
+    f"warm sweep must load both points from disk, stats: {cache}"
+def unlabelled(report):
+    return [{k: v for k, v in p.items() if k != "cache"} for p in report["points"]]
+assert unlabelled(warm) == unlabelled(cold), "disk-loaded points differ from compiled ones"
 PY
 # The fleet layer end to end: a 4-chip cluster run must emit valid,
 # accounting-balanced JSON, hit the shared session cache at least once
