@@ -40,8 +40,8 @@ use dtu::serve::{
 use dtu::telemetry::{AttributionReport, Recorder, SloSpec, TraceBuffer};
 use dtu::{Accelerator, ChipConfig, DataType, Graph, Session, SessionOptions, WorkloadSize};
 use dtu_fleet::{
-    run_fleet, run_fleet_monitored, ChipKill, FleetConfig, FleetFrame, FleetMonitor, FleetTenant,
-    FleetTopology, RollPlan,
+    run_fleet, run_fleet_monitored, ChipKill, FleetConfig, FleetError, FleetFrame, FleetMonitor,
+    FleetTenant, FleetTopology, RollPlan,
 };
 use dtu_graph::parse_model;
 use dtu_harness::{
@@ -85,6 +85,68 @@ macro_rules! sweep_options {
        --check-golden <file>    regenerate the fig. 12-15 figure data and\n\
                                 fail unless it matches the golden within a\n\
                                 1e-9 relative tolerance (the CI figure gate)"
+    };
+}
+
+/// The `fleet` section of the usage text (including `fleet top`),
+/// shared by [`usage`] and [`fleet_usage`].
+macro_rules! fleet_options {
+    () => {
+        "fleet options (cluster-scale serving over N chips x M cards):\n\
+       <name> / --models <a,..> model name(s) to serve (default resnet50)\n\
+       --chips <n>              chips in the fleet, at least 1 (default 4)\n\
+       --cards <n>              cards they sit on, at least 1; chips must\n\
+                                divide evenly (default 1)\n\
+       --qps <q>                fleet-wide offered load, positive (default\n\
+                                7500 x chips, split across models)\n\
+       --duration <ms>          arrival horizon (default 10000)\n\
+       --epoch <ms>             routing-epoch length (default 1000)\n\
+       --replicas <n>           replicas per tenant, 0 = every chip\n\
+                                (default 0)\n\
+       --deadline <ms>          per-request SLA deadline (default 50)\n\
+       --queue-depth <n>        per-replica admission cap (default 256)\n\
+       --cells <n>              routing cells per replica per epoch\n\
+                                (default 2)\n\
+       --no-roll                skip the default rolling deploy\n\
+       --roll-start <ms>        when the roll begins (default 20% of\n\
+                                the horizon)\n\
+       --roll-chips <n>         chips drained per epoch (default\n\
+                                chips/4, at least 1)\n\
+       --kill-chip <n>          kill chip n mid-run (whole-chip fault)\n\
+       --kill-at <ms>           when the kill fires (default 50% of\n\
+                                the horizon)\n\
+       --seed <n>               fleet seed (default 7)\n\
+       --jobs <n>               worker threads, at least 1 (default: all\n\
+                                cores)\n\
+       --format <fmt>           report on stdout: json (default), table,\n\
+                                or prom (Prometheus exposition with\n\
+                                chip=/tenant= labels); json is\n\
+                                byte-identical across runs, --jobs, and\n\
+                                cache temperature (table adds the\n\
+                                schedule-dependent cache tally)\n\
+       --monitor                attach the fleet monitor (alerts and\n\
+                                burn attribution on stderr); the stdout\n\
+                                report stays byte-identical\n\
+       --slo                    print the fleet SLO compliance report\n\
+                                (per-tenant budget, burn alerts, top\n\
+                                offending chip/tenant pairs) instead\n\
+                                of the fleet report\n\
+       --flight-out <file.json> write the first fleet flight dump (an\n\
+                                alert or chip kill freezes the chip's\n\
+                                span ring + routing decisions) as a\n\
+                                Perfetto/Chrome trace\n\
+       --chip <i20|i10>         accelerator generation (default i20)\n\
+       --cache-dir <dir>        compiled-session artifact directory\n\
+                                (default target/dtu-cache)\n\
+       --no-disk-cache          keep the session cache in memory only\n\
+     \n\
+     fleet top (fleet dashboard: per-tenant and per-chip QPS/shed/p99/\n\
+     burn-rate/FIRE rows, one frame per routing epoch):\n\
+       all fleet options as above, plus:\n\
+       --once                   print the final frame once and exit\n\
+                                (deterministic stdout; for scripts/CI)\n\
+       --refresh-ms <n>         wall-clock delay between frames\n\
+                                (default 150)"
     };
 }
 
@@ -229,57 +291,16 @@ fn usage() -> &'static str {
                                 dump as a Perfetto/Chrome trace\n\
        --cache-dir / --no-disk-cache as for sweep\n\
      \n\
-     fleet options (cluster-scale serving over N chips x M cards):\n\
-       <name> / --models <a,..> model name(s) to serve (default resnet50)\n\
-       --chips <n>              chips in the fleet (default 4)\n\
-       --cards <n>              cards they sit on; chips must divide\n\
-                                evenly (default 1)\n\
-       --qps <q>                fleet-wide offered load (default\n\
-                                7500 x chips, split across models)\n\
-       --duration <ms>          arrival horizon (default 10000)\n\
-       --epoch <ms>             routing-epoch length (default 1000)\n\
-       --replicas <n>           replicas per tenant, 0 = every chip\n\
-                                (default 0)\n\
-       --deadline <ms>          per-request SLA deadline (default 50)\n\
-       --queue-depth <n>        per-replica admission cap (default 256)\n\
-       --cells <n>              routing cells per replica per epoch\n\
-                                (default 2)\n\
-       --no-roll                skip the default rolling deploy\n\
-       --roll-start <ms>        when the roll begins (default 20% of\n\
-                                the horizon)\n\
-       --roll-chips <n>         chips drained per epoch (default\n\
-                                chips/4, at least 1)\n\
-       --kill-chip <n>          kill chip n mid-run (whole-chip fault)\n\
-       --kill-at <ms>           when the kill fires (default 50% of\n\
-                                the horizon)\n\
-       --seed <n>               fleet seed (default 7)\n\
-       --jobs <n>               worker threads (default: all cores)\n\
-       --format <fmt>           report on stdout: json (default), table,\n\
-                                or prom (Prometheus exposition with\n\
-                                chip=/tenant= labels); json is\n\
-                                byte-identical across runs, --jobs, and\n\
-                                cache temperature (table adds the\n\
-                                schedule-dependent cache tally)\n\
-       --monitor                attach the fleet monitor (alerts and\n\
-                                burn attribution on stderr); the stdout\n\
-                                report stays byte-identical\n\
-       --slo                    print the fleet SLO compliance report\n\
-                                (per-tenant budget, burn alerts, top\n\
-                                offending chip/tenant pairs) instead\n\
-                                of the fleet report\n\
-       --flight-out <file.json> write the first fleet flight dump (an\n\
-                                alert or chip kill freezes the chip's\n\
-                                span ring + routing decisions) as a\n\
-                                Perfetto/Chrome trace\n\
-       --chip / --cache-dir / --no-disk-cache as for sweep\n\
-     \n\
-     fleet top (fleet dashboard: per-tenant and per-chip QPS/shed/p99/\n\
-     burn-rate/FIRE rows, one frame per routing epoch):\n\
-       all fleet options as above, plus:\n\
-       --once                   print the final frame once and exit\n\
-                                (deterministic stdout; for scripts/CI)\n\
-       --refresh-ms <n>         wall-clock delay between frames\n\
-                                (default 150)"
+     ",
+        fleet_options!()
+    )
+}
+
+/// The usage text of the `fleet` subcommand alone.
+fn fleet_usage() -> &'static str {
+    concat!(
+        "usage: topsexec fleet [top] [<name>] [fleet options]\n\n",
+        fleet_options!()
     )
 }
 
@@ -2344,11 +2365,20 @@ fn parse_fleet_args() -> Result<FleetArgs, String> {
     if args.models.is_empty() {
         args.models.push("resnet50".into());
     }
-    if args.cards == 0 || args.chips == 0 || !args.chips.is_multiple_of(args.cards) {
+    if args.chips == 0 {
+        return Err("--chips must be at least 1".into());
+    }
+    if args.cards == 0 {
+        return Err("--cards must be at least 1".into());
+    }
+    if !args.chips.is_multiple_of(args.cards) {
         return Err(format!(
             "--chips {} must divide evenly over --cards {}",
             args.chips, args.cards
         ));
+    }
+    if args.jobs == 0 {
+        return Err("--jobs must be at least 1".into());
     }
     if !matches!(args.format.as_str(), "table" | "json" | "prom") {
         return Err(format!(
@@ -2455,14 +2485,14 @@ fn run_fleet_cmd() -> ExitCode {
             if !e.is_empty() {
                 eprintln!("error: {e}\n");
             }
-            eprintln!("{}", usage());
+            eprintln!("{}", fleet_usage());
             return ExitCode::FAILURE;
         }
     };
     let chip_cfg = match chip_by_name(&args.chip) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: {e}\n\n{}", fleet_usage());
             return ExitCode::FAILURE;
         }
     };
@@ -2470,7 +2500,7 @@ fn run_fleet_cmd() -> ExitCode {
     {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: {e}\n\n{}", fleet_usage());
             return ExitCode::FAILURE;
         }
     };
@@ -2479,7 +2509,7 @@ fn run_fleet_cmd() -> ExitCode {
     let mut tenants = Vec::new();
     for name in &args.models {
         let Some(m) = model_by_name(name) else {
-            eprintln!("error: unknown model '{name}'\n\n{}", usage());
+            eprintln!("error: unknown model '{name}'\n\n{}", fleet_usage());
             return ExitCode::FAILURE;
         };
         let mut tenant = FleetTenant::new(
@@ -2524,6 +2554,9 @@ fn run_fleet_cmd() -> ExitCode {
         Ok(out) => out,
         Err(e) => {
             eprintln!("fleet error: {e}");
+            if matches!(e, FleetError::Config(_)) {
+                eprintln!("\n{}", fleet_usage());
+            }
             return ExitCode::FAILURE;
         }
     };

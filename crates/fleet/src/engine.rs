@@ -426,6 +426,13 @@ fn run_fleet_inner(
             "fleet duration and epoch length must be positive".into(),
         ));
     }
+    if let Some(t) = tenants.iter().find(|t| !(t.qps.is_finite() && t.qps > 0.0)) {
+        return Err(FleetError::Config(format!(
+            "tenant {} needs a positive, finite QPS, got {}",
+            t.model.name(),
+            t.qps
+        )));
+    }
     if let Some(kill) = &cfg.kill {
         if kill.chip >= topology.len() {
             return Err(FleetError::Config(format!(
@@ -930,5 +937,19 @@ mod tests {
             ..small_cfg()
         };
         assert!(run_fleet(&topo, &tenants, &bad_kill, &cache, 1).is_err());
+    }
+
+    #[test]
+    fn tenant_qps_must_be_positive_and_finite() {
+        let topo = FleetTopology::homogeneous(1, 2, &ChipConfig::dtu20()).unwrap();
+        let cache = SessionCache::memory_only();
+        for qps in [-5.0, 0.0, f64::NAN, f64::INFINITY] {
+            let tenants = vec![FleetTenant::new(toy_model(), qps)];
+            match run_fleet(&topo, &tenants, &small_cfg(), &cache, 1) {
+                Err(FleetError::Config(msg)) => assert!(msg.contains("QPS"), "{msg}"),
+                other => panic!("qps {qps} must be a config error, got {other:?}"),
+            }
+        }
+        assert_eq!(cache.stats().misses, 0, "rejected before compiling");
     }
 }

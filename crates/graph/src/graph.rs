@@ -83,6 +83,14 @@ impl fmt::Display for GraphError {
 
 impl Error for GraphError {}
 
+#[cfg(test)]
+thread_local! {
+    /// Calls to [`Graph::infer_shapes`] on this thread, so tests can pin
+    /// how often a pass re-infers shapes.
+    pub(crate) static INFER_SHAPES_CALLS: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+}
+
 /// A DNN computation graph.
 ///
 /// Construction is append-only (a node may only consume earlier nodes),
@@ -229,6 +237,8 @@ impl Graph {
     /// [`GraphError::NoOutputs`] on output-less graphs and shape-inference
     /// failures from any node.
     pub fn infer_shapes(&self) -> Result<BTreeMap<NodeId, TensorType>, GraphError> {
+        #[cfg(test)]
+        INFER_SHAPES_CALLS.with(|calls| calls.set(calls.get() + 1));
         if self.outputs.is_empty() {
             return Err(GraphError::NoOutputs);
         }

@@ -14,9 +14,15 @@
 //!
 //! [`optimize`] runs the passes to a fixed point and reports what it
 //! removed.
+//!
+//! Each fixed-point iteration scans one graph and decides every rewrite
+//! before it changes anything: nothing is mutated until `rebuild` builds
+//! the next graph. So one shape map serves the whole iteration. It is
+//! inferred at most once, on the first Reshape that needs it, so an
+//! iteration costs one shape inference rather than one per Reshape.
 
 use crate::graph::{Graph, GraphError, NodeId};
-use crate::op::Op;
+use crate::op::{Op, TensorType};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What one [`optimize`] run eliminated.
@@ -62,7 +68,15 @@ fn cse_eligible(op: &Op) -> bool {
 
 /// Whether a node is a no-op given its input/output types, returning the
 /// input it forwards.
-fn identity_forward(graph: &Graph, id: NodeId) -> Result<Option<NodeId>, GraphError> {
+///
+/// `shapes` is the iteration's shape map of `graph`: inferred on the
+/// first Reshape that asks for it, then reused, so a graph without a
+/// Reshape never runs shape inference.
+fn identity_forward(
+    graph: &Graph,
+    id: NodeId,
+    shapes: &mut Option<BTreeMap<NodeId, TensorType>>,
+) -> Result<Option<NodeId>, GraphError> {
     let node = graph.node(id)?;
     let forwarded = match &node.op {
         Op::Transpose { perm } => {
@@ -86,7 +100,10 @@ fn identity_forward(graph: &Graph, id: NodeId) -> Result<Option<NodeId>, GraphEr
         }
         Op::Reshape { dims } => {
             // Reshape to the producer's own (fully fixed) shape.
-            let shapes = graph.infer_shapes()?;
+            let shapes = match shapes {
+                Some(shapes) => shapes,
+                None => shapes.insert(graph.infer_shapes()?),
+            };
             let src = &shapes[&node.inputs[0]];
             if src.is_fully_fixed() && src.dims == *dims {
                 Some(node.inputs[0])
@@ -154,15 +171,15 @@ pub fn optimize(graph: &Graph) -> Result<(Graph, OptimizeStats), GraphError> {
     let mut stats = OptimizeStats::default();
     loop {
         stats.iterations += 1;
-        let before = current.len();
 
         // --- identity elimination ---
         let mut replace: BTreeMap<NodeId, NodeId> = BTreeMap::new();
+        let mut shapes = None;
         for node in current.nodes() {
             if current.outputs().contains(&node.id) {
                 continue; // outputs keep their identity
             }
-            if let Some(fwd) = identity_forward(&current, node.id)? {
+            if let Some(fwd) = identity_forward(&current, node.id, &mut shapes)? {
                 replace.insert(node.id, fwd);
             }
         }
@@ -226,10 +243,12 @@ pub fn optimize(graph: &Graph) -> Result<(Graph, OptimizeStats), GraphError> {
             .count();
         stats.dead_nodes += removed_dead;
 
-        current = rebuild(&current, &keep, &replace)?;
-        if current.len() == before {
+        // Nothing removed: `current` is the fixed point, and a rebuild
+        // would only copy it.
+        if replace.is_empty() && removed_dead == 0 {
             break;
         }
+        current = rebuild(&current, &keep, &replace)?;
     }
     Ok((current, stats))
 }
@@ -436,6 +455,63 @@ mod tests {
         );
         // Still fusable afterwards.
         fuse(&opt, &FusionConfig::default()).unwrap();
+    }
+
+    /// `infer_shapes` calls made on this thread so far.
+    fn infer_shapes_calls() -> usize {
+        crate::graph::INFER_SHAPES_CALLS.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn reshape_chain_infers_shapes_at_most_once_per_iteration() {
+        use crate::op::Dim;
+        let (mut g, x) = base();
+        let fixed = |dims: &[usize]| Op::Reshape {
+            dims: dims.iter().map(|&d| Dim::Fixed(d)).collect(),
+        };
+        // 64 Reshapes: every real one is followed by a no-op repeat of it.
+        let mut cur = x;
+        for i in 0..64 {
+            let op = if i % 4 < 2 {
+                fixed(&[1, 256])
+            } else {
+                fixed(&[1, 4, 64])
+            };
+            cur = g.add_node(op, vec![cur]).unwrap();
+        }
+        let r = g.add_node(Op::Relu, vec![cur]).unwrap();
+        g.mark_output(r);
+
+        let calls = infer_shapes_calls();
+        let (opt, stats) = optimize(&g).unwrap();
+        let calls = infer_shapes_calls() - calls;
+        assert_eq!(stats.identity_ops, 32);
+        assert_eq!(opt.count_ops(|op| matches!(op, Op::Reshape { .. })), 32);
+        assert!(
+            calls <= stats.iterations,
+            "{calls} infer_shapes calls over {} iterations",
+            stats.iterations
+        );
+    }
+
+    #[test]
+    fn graph_without_reshape_never_infers_shapes() {
+        // A conv on a rank-2 input cannot infer, but DCE and identity
+        // elimination need no shapes without a Reshape.
+        let mut g = Graph::new("no-reshape");
+        let x = g.input("x", TensorType::fixed(&[1, 3]));
+        let c = g.add_node(Op::conv2d(8, 3, 1, 1), vec![x]).unwrap();
+        let t = g.add_node(Op::Upsample { scale: 1 }, vec![c]).unwrap();
+        let _dead = g.add_node(Op::Relu, vec![c]).unwrap();
+        let r = g.add_node(Op::Relu, vec![t]).unwrap();
+        g.mark_output(r);
+        assert!(g.infer_shapes().is_err());
+
+        let calls = infer_shapes_calls();
+        let (opt, stats) = optimize(&g).unwrap();
+        assert_eq!(infer_shapes_calls() - calls, 0);
+        assert_eq!((stats.identity_ops, stats.dead_nodes), (1, 1));
+        assert_eq!(opt.len(), 3);
     }
 
     #[test]

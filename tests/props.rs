@@ -176,6 +176,110 @@ fn random_graph(spec: &[(u8, u8)]) -> dtu_graph::Graph {
     g
 }
 
+/// Builds a random layered DAG for the optimiser from the same compact
+/// spec as [`random_graph`], adding the layout ops it rewrites: no-op
+/// and real Reshapes, identity, inverse-pair and real Transposes,
+/// single-input Concats, `Upsample { scale: 1 }` and duplicate ReLUs.
+/// Every tensor is rank 4, and each node's dims are tracked so that
+/// operands always agree.
+fn random_layout_graph(spec: &[(u8, u8)]) -> dtu_graph::Graph {
+    use dtu_graph::{BinaryKind, Dim, Graph, NodeId, Op, TensorType};
+    let reshape = |dims: [usize; 4]| Op::Reshape {
+        dims: dims.iter().map(|&d| Dim::Fixed(d)).collect(),
+    };
+    let transpose = |perm: [usize; 4]| Op::Transpose {
+        perm: perm.to_vec(),
+    };
+    let add = Op::Binary {
+        kind: BinaryKind::Add,
+    };
+    let mut g = Graph::new("random-layout");
+    let x = g.input("x", TensorType::fixed(&[1, 8, 16, 16]));
+    let mut nodes: Vec<(NodeId, [usize; 4])> = vec![(x, [1, 8, 16, 16])];
+    for &(op_sel, back) in spec {
+        let (a, a_dims) = nodes[nodes.len() - 1 - (back as usize % nodes.len().min(3))];
+        let (last, dims) = *nodes.last().expect("non-empty");
+        let [n, c, h, w] = dims;
+        let mut node = |op: Op, inputs: Vec<NodeId>| g.add_node(op, inputs).expect("legal");
+        let pushed = match op_sel % 12 {
+            0 => (
+                node(Op::conv2d(8, 3, 1, 1), vec![a]),
+                [a_dims[0], 8, a_dims[2], a_dims[3]],
+            ),
+            1 => (node(Op::Relu, vec![last]), dims),
+            2 if a_dims == dims => (node(add.clone(), vec![last, a]), dims),
+            3 => {
+                // Twin ReLUs of one input: CSE merges them.
+                let r1 = node(Op::Relu, vec![a]);
+                let r2 = node(Op::Relu, vec![a]);
+                (node(add.clone(), vec![r1, r2]), a_dims)
+            }
+            4 => (node(reshape(dims), vec![last]), dims),
+            5 => {
+                let to = if c % 2 == 0 {
+                    [n, c / 2, h * 2, w]
+                } else {
+                    [n, c * h * w, 1, 1]
+                };
+                (node(reshape(to), vec![last]), to)
+            }
+            6 => (node(transpose([0, 1, 2, 3]), vec![last]), dims),
+            7 => {
+                let nhwc = node(transpose([0, 2, 3, 1]), vec![last]);
+                (node(transpose([0, 3, 1, 2]), vec![nhwc]), dims)
+            }
+            8 => (node(transpose([0, 1, 3, 2]), vec![last]), [n, c, w, h]),
+            9 => (node(Op::Concat { axis: 1 }, vec![last]), dims),
+            10 => (node(Op::Upsample { scale: 1 }, vec![last]), dims),
+            _ => (
+                node(
+                    Op::Activation {
+                        func: dtu_isa::SfuFunc::Tanh,
+                    },
+                    vec![last],
+                ),
+                dims,
+            ),
+        };
+        nodes.push(pushed);
+    }
+    g.mark_output(nodes.last().expect("non-empty").0);
+    g
+}
+
+/// Optimises `g` twice and checks the result is a fixed point: the
+/// second run removes nothing and returns the first run's graph. Returns
+/// the first run's output and stats.
+fn optimize_to_fixed_point(g: &dtu_graph::Graph) -> (dtu_graph::Graph, dtu_graph::OptimizeStats) {
+    use dtu_graph::optimize;
+    let name = &g.name;
+    let (opt, stats) = optimize(g).expect("optimises");
+    assert!(opt.len() <= g.len(), "{name}: optimize grew the graph");
+    assert_eq!(g.len() - opt.len(), stats.total(), "{name}: removals");
+    let (again, again_stats) = optimize(&opt).expect("optimises again");
+    assert_eq!(again_stats.total(), 0, "{name}: second run removed nodes");
+    assert!(again == opt, "{name}: second run changed the graph");
+    (opt, stats)
+}
+
+#[test]
+fn optimizer_is_a_fixed_point_on_the_zoo() {
+    use dtu_models::{decode_graph, prefill_graph, GenerativeConfig, Model};
+    let gpt = GenerativeConfig::gpt_1b();
+    let mut graphs: Vec<dtu_graph::Graph> = Model::ALL
+        .iter()
+        .flat_map(|m| [m.build(1), m.build(8)])
+        .collect();
+    graphs.push(prefill_graph(&gpt, 1, 128));
+    graphs.push(decode_graph(&gpt, 1, 256));
+    for g in &graphs {
+        let (opt, stats) = optimize_to_fixed_point(g);
+        if stats.total() == 0 {
+            assert!(opt == *g, "{}: nothing removed, graph changed", g.name);
+        }
+    }
+}
+
 proptest! {
     /// Fusion plans partition the non-input nodes exactly, for arbitrary
     /// layered DAGs, under both the expert rules and the search pass.
@@ -204,18 +308,17 @@ proptest! {
         }
     }
 
-    /// The optimiser preserves output shapes on arbitrary layered DAGs
-    /// and never grows the graph.
+    /// The optimiser preserves output shapes on random DAGs full of the
+    /// layout ops it rewrites, accounts for every node it removes, and
+    /// stops at a fixed point.
     #[test]
     fn optimizer_preserves_semantics_on_random_graphs(
-        spec in prop::collection::vec((0u8..6, 0u8..3), 1..25)
+        spec in prop::collection::vec((0u8..12, 0u8..3), 1..25)
     ) {
-        use dtu_graph::optimize;
-        let g = random_graph(&spec);
+        let g = random_layout_graph(&spec);
         let before = g.infer_shapes().expect("valid");
-        let (opt, _) = optimize(&g).expect("optimises");
+        let (opt, _) = optimize_to_fixed_point(&g);
         let after = opt.infer_shapes().expect("still valid");
-        prop_assert!(opt.len() <= g.len());
         prop_assert_eq!(
             &before[g.outputs().last().expect("has output")],
             &after[opt.outputs().last().expect("has output")]

@@ -28,20 +28,22 @@ PY
 
 # The parallel experiment engine end to end: a cold sweep populates the
 # compiled-session cache; the warm sweep, a new process, must load every
-# point from the disk tier and report the same points.
-./target/release/topsexec sweep --models resnet50 --batches 1,2 --jobs 4 \
+# point from the disk tier and report the same points. bert is in the
+# grid because its Reshape-heavy graph is what the graph optimizer's
+# identity elimination works on.
+./target/release/topsexec sweep --models resnet50,bert --batches 1,2 --jobs 4 \
     --cache-dir "$trace_dir/cache" --format json > "$trace_dir/cold.json"
-./target/release/topsexec sweep --models resnet50 --batches 1,2 --jobs 4 \
+./target/release/topsexec sweep --models resnet50,bert --batches 1,2 --jobs 4 \
     --cache-dir "$trace_dir/cache" --format json > "$trace_dir/warm.json"
 python3 - "$trace_dir/cold.json" "$trace_dir/warm.json" <<'PY'
 import json, sys
 cold, warm = (json.load(open(path)) for path in sys.argv[1:3])
 points = warm["points"]
-assert len(points) == 2, f"expected 2 grid points, got {len(points)}"
+assert len(points) == 4, f"expected 4 grid points, got {len(points)}"
 assert all(p["latency_ms"] > 0 for p in points), "latencies must be positive"
 cache = warm["cache"]
-assert (cache["disk_hits"], cache["misses"], cache["memory_hits"]) == (2, 0, 0), \
-    f"warm sweep must load both points from disk, stats: {cache}"
+assert (cache["disk_hits"], cache["misses"], cache["memory_hits"]) == (4, 0, 0), \
+    f"warm sweep must load every point from disk, stats: {cache}"
 def unlabelled(report):
     return [{k: v for k, v in p.items() if k != "cache"} for p in report["points"]]
 assert unlabelled(warm) == unlabelled(cold), "disk-loaded points differ from compiled ones"
