@@ -565,25 +565,6 @@ fn run_serve() -> ExitCode {
             .collect(),
     };
 
-    println!("=== topsexec serve ===");
-    println!("accelerator : {accel}");
-    println!(
-        "tenants     : {} ({}), {:.0} qps each{}, {:.0} ms horizon",
-        cfg.tenants.len(),
-        args.models.join(", "),
-        args.qps,
-        if args.bursty { " (bursty)" } else { "" },
-        args.duration_ms
-    );
-    println!(
-        "policies    : max batch {}, timeout {:.1} ms, deadline {:.0} ms, queue cap {}, autoscale {}",
-        args.max_batch,
-        args.batch_timeout_ms,
-        args.deadline_ms,
-        args.queue_depth,
-        if args.autoscale { "on" } else { "off" }
-    );
-
     let mut refs: Vec<&mut dyn ServiceModel> = models
         .iter_mut()
         .map(|m| m as &mut dyn ServiceModel)
@@ -605,6 +586,26 @@ fn run_serve() -> ExitCode {
         }
     };
 
+    // The header waits for the run, so a rejected scenario prints
+    // nothing on stdout.
+    println!("=== topsexec serve ===");
+    println!("accelerator : {accel}");
+    println!(
+        "tenants     : {} ({}), {:.0} qps each{}, {:.0} ms horizon",
+        cfg.tenants.len(),
+        args.models.join(", "),
+        args.qps,
+        if args.bursty { " (bursty)" } else { "" },
+        args.duration_ms
+    );
+    println!(
+        "policies    : max batch {}, timeout {:.1} ms, deadline {:.0} ms, queue cap {}, autoscale {}",
+        args.max_batch,
+        args.batch_timeout_ms,
+        args.deadline_ms,
+        args.queue_depth,
+        if args.autoscale { "on" } else { "off" }
+    );
     println!("\n--- report ---");
     print!("{}", out.report);
     println!("\n--- session cache ---");

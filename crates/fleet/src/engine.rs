@@ -11,6 +11,17 @@
 //! epoch's serve run drains (admitted requests complete), which models
 //! in-flight work finishing before the next routing decision.
 //!
+//! Pricing: a run owns one price table, keyed by (tenant, chip-config
+//! class, batch, sorted groups). A chip-epoch asks it before building,
+//! fetching or walking anything, so each distinct session is priced —
+//! its graph built, its program fetched from the shared
+//! [`SessionCache`] and walked by `Chip::run` — once per run, however
+//! many chips and epochs meet it. The table is a memo of the walk, not
+//! a second timing path. Kill epochs and their truncated re-runs use it
+//! too: `Chip::run` takes `&self` and the serve engine applies fault
+//! effects only after `service_ms` returns, so a table hit equals a
+//! fresh walk.
+//!
 //! Determinism: per-(chip, epoch) serve seeds are content hashes of
 //! (fleet seed, chip, epoch); results merge in chip order whatever the
 //! worker schedule did; the router and scheduler use no hash-map
@@ -32,9 +43,9 @@ use crate::monitor::{FleetMonitor, SliceStats};
 use crate::route::trace_base;
 use crate::{
     place, replace_after_loss, route_epoch, FleetChipReport, FleetError, FleetReport, FleetTenant,
-    FleetTenantReport, FleetTopology, RollPlan, RollState, RouterState,
+    FleetTenantReport, FleetTopology, PricingStats, RollPlan, RollState, RouterState,
 };
-use dtu_compiler::Fnv1a;
+use dtu_compiler::{Fnv1a, Placement};
 use dtu_faults::{FaultEvent, FaultKind, FaultPlan};
 use dtu_harness::{ExperimentPlan, HarnessError, SessionCache};
 use dtu_serve::{
@@ -42,8 +53,10 @@ use dtu_serve::{
     LiveMonitor, RetryPolicy, ScalePolicy, ServeConfig, ServeError, ServiceModel, SlaPolicy,
     TenantSpec,
 };
-use dtu_sim::{Chip, SimError};
+use dtu_sim::{Chip, GroupId, SimError};
 use dtu_telemetry::LogHistogram;
+use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// A scheduled whole-chip failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -197,6 +210,104 @@ fn chip_serve_config(
     }
 }
 
+/// What a session's walked latency depends on within one run.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct PriceKey {
+    /// Fleet tenant index (its builder fixes the graph).
+    tenant: usize,
+    /// The chip's config class (see [`PriceTable::new`]).
+    class: usize,
+    batch: usize,
+    /// Sorted, as `CompiledModel` keys its sessions.
+    groups: Vec<GroupId>,
+}
+
+/// One run's price table: the walked latency of every session a
+/// chip-epoch has met, shared by every chip-epoch of the run.
+struct PriceTable {
+    /// `classes[c]` is the first chip whose `ChipConfig` equals chip
+    /// `c`'s, so chips with equal configs share prices.
+    classes: Vec<usize>,
+    book: Mutex<PriceBook>,
+}
+
+#[derive(Default)]
+struct PriceBook {
+    prices: HashMap<PriceKey, f64>,
+    stats: PricingStats,
+}
+
+impl PriceTable {
+    fn new(topology: &FleetTopology) -> Self {
+        let config = |c: usize| &topology.chip(c).config;
+        let classes = (0..topology.len())
+            .map(|c| (0..c).find(|&f| config(f) == config(c)).unwrap_or(c))
+            .collect();
+        PriceTable {
+            classes,
+            book: Mutex::default(),
+        }
+    }
+
+    fn get(&self, key: &PriceKey) -> Option<f64> {
+        let mut book = self.book.lock().expect("price table lock");
+        book.stats.lookups += 1;
+        book.prices.get(key).copied()
+    }
+
+    fn insert(&self, key: PriceKey, service_ms: f64) {
+        let mut book = self.book.lock().expect("price table lock");
+        book.stats.walks += 1;
+        book.prices.insert(key, service_ms);
+    }
+
+    fn stats(&self) -> PricingStats {
+        self.book.lock().expect("price table lock").stats
+    }
+}
+
+/// A tenant's compiled model on one chip-epoch, priced through the
+/// run's table. `seen` answers the chip-epoch's repeat dispatches, the
+/// table answers sessions another chip-epoch already walked, and only
+/// what neither knows reaches `inner`, which builds, fetches and walks.
+struct PricedModel<'a> {
+    inner: CompiledModel<'a>,
+    table: &'a PriceTable,
+    tenant: usize,
+    class: usize,
+    seen: HashMap<PriceKey, f64>,
+}
+
+impl ServiceModel for PricedModel<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn service_ms(&mut self, batch: usize, placement: &Placement) -> Result<f64, ServeError> {
+        let mut groups = placement.groups().to_vec();
+        groups.sort_unstable();
+        let key = PriceKey {
+            tenant: self.tenant,
+            class: self.class,
+            batch,
+            groups,
+        };
+        if let Some(&service_ms) = self.seen.get(&key) {
+            return Ok(service_ms);
+        }
+        let service_ms = match self.table.get(&key) {
+            Some(service_ms) => service_ms,
+            None => {
+                let service_ms = self.inner.service_ms(batch, placement)?;
+                self.table.insert(key.clone(), service_ms);
+                service_ms
+            }
+        };
+        self.seen.insert(key, service_ms);
+        Ok(service_ms)
+    }
+}
+
 fn job_err(label: &str) -> impl Fn(ServeError) -> HarnessError + '_ {
     move |e| HarnessError::Job {
         label: label.to_string(),
@@ -204,9 +315,10 @@ fn job_err(label: &str) -> impl Fn(ServeError) -> HarnessError + '_ {
     }
 }
 
-/// Runs one chip's slice of one epoch: compiles the assigned tenants'
-/// models through the shared cache, serves the epoch, and reduces the
-/// outcome to per-tenant slices. A whole-chip kill that aborts the run
+/// Runs one chip's slice of one epoch: prices the assigned tenants'
+/// sessions through the run's table (compiling any new one through the
+/// shared cache), serves the epoch, and reduces the outcome to
+/// per-tenant slices. A whole-chip kill that aborts the run
 /// is retried truncated at the kill time (same seed, identical arrival
 /// prefix) so the dead chip's accounting closes exactly.
 ///
@@ -227,16 +339,24 @@ fn run_chip_epoch(
     kill_offset_ms: Option<f64>,
     monitor_base: Option<u64>,
     cache: &SessionCache,
+    prices: &PriceTable,
 ) -> Result<ChipEpochOutcome, HarnessError> {
     let fleet_chip = topology.chip(chip_idx);
     let chip_cfg = &fleet_chip.config;
     let label = format!("chip{chip_idx}");
     let chip = Chip::new(chip_cfg.clone());
-    let mut models: Vec<CompiledModel<'_>> = assignment
+    let mut models: Vec<PricedModel<'_>> = assignment
         .iter()
         .map(|&(t, _)| {
             let spec = &tenants[t];
-            CompiledModel::new(&chip, spec.model.name(), |b| spec.model.build(b)).with_source(cache)
+            PricedModel {
+                inner: CompiledModel::new(&chip, spec.model.name(), |b| spec.model.build(b))
+                    .with_source(cache),
+                table: prices,
+                tenant: t,
+                class: prices.classes[chip_idx],
+                seen: HashMap::new(),
+            }
         })
         .collect();
 
@@ -444,6 +564,7 @@ fn run_fleet_inner(
     }
     let n = topology.len();
     let stats_before = cache.stats();
+    let prices = &PriceTable::new(topology);
     let mut placement = place(topology, tenants)?;
     let initial_replicas: Vec<usize> = placement.replicas.iter().map(Vec::len).collect();
 
@@ -546,6 +667,7 @@ fn run_fleet_inner(
                         kill_offset,
                         monitor_base,
                         cache,
+                        prices,
                     )
                 },
             );
@@ -721,6 +843,7 @@ fn run_fleet_inner(
         tenants: tenant_reports,
         chips_detail,
         cache: cache.stats().delta_since(stats_before),
+        pricing: prices.stats(),
     };
     if !report.accounting_balances() {
         return Err(FleetError::Accounting(format!(

@@ -22,7 +22,9 @@
 //!   on the harness's parallel [`ExperimentPlan`](dtu_harness::ExperimentPlan)
 //!   pool with routing epochs as sync points, merged into a
 //!   [`FleetReport`] whose JSON is byte-identical across worker
-//!   counts.
+//!   counts. Each distinct session is priced once per run (its graph
+//!   built, its program fetched or compiled, and walked); every later
+//!   chip-epoch reuses the walk's result from the run's price table.
 //!
 //! Chip loss is a first-class event: a [`ChipKill`] takes a whole chip
 //! down mid-run (via `dtu-faults` core failures), the scheduler
@@ -46,7 +48,7 @@ pub use engine::{run_fleet, run_fleet_monitored, ChipKill, FleetConfig};
 pub use monitor::{
     FleetAlert, FleetChipRow, FleetFrame, FleetMonitor, FleetTenantRow, OffenderShare,
 };
-pub use report::{FleetChipReport, FleetReport, FleetTenantReport};
+pub use report::{FleetChipReport, FleetReport, FleetTenantReport, PricingStats};
 pub use route::{
     route_epoch, trace_base, trace_chip, trace_epoch, EpochRoutes, RouteCell, RouterState,
 };

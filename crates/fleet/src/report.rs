@@ -6,13 +6,29 @@
 //! is schedule-independent: no wall-clock, no worker count, and no
 //! cache provenance (concurrent lookups of one artifact may race to
 //! compile, making hit counts schedule-dependent — see
-//! `SessionCache::compile_session`). The cache delta *is* carried on
-//! the struct and shown by [`FleetReport::to_table`], where humans
-//! want it and byte-identity is not promised.
+//! `SessionCache::compile_session`). The cache delta and the run's
+//! [`PricingStats`] *are* carried on the struct and shown by
+//! [`FleetReport::to_table`], where humans want them and byte-identity
+//! is not promised.
 
 use dtu_harness::CacheStats;
 use dtu_telemetry::json::{array, number, JsonObject};
 use dtu_telemetry::{Counter, CounterSet};
+
+/// How the run's price table answered its chip-epochs.
+///
+/// A chip-epoch looks a session up the first time it dispatches that
+/// (batch, placement); only a lookup no earlier chip-epoch answered
+/// builds, fetches and walks the program. Concurrent chip-epochs may
+/// both walk one session, so like the cache delta these counts are
+/// schedule-independent only at one worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PricingStats {
+    /// Sessions the chip-epochs asked the table for.
+    pub lookups: u64,
+    /// Lookups the table could not answer: each walked the program.
+    pub walks: u64,
+}
 
 /// One tenant's fleet-wide slice of the report.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,6 +138,8 @@ pub struct FleetReport {
     /// compile races make it schedule-dependent, so it is excluded
     /// from the byte-identical JSON).
     pub cache: CacheStats,
+    /// The run's price-table counts (table-only, like `cache`).
+    pub pricing: PricingStats,
 }
 
 impl FleetReport {
@@ -186,8 +204,8 @@ impl FleetReport {
             .build()
     }
 
-    /// A human-readable fixed-width table (includes the cache delta,
-    /// which the JSON deliberately omits).
+    /// A human-readable fixed-width table (includes the cache delta and
+    /// the pricing counts, which the JSON deliberately omits).
     pub fn to_table(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -259,6 +277,11 @@ impl FleetReport {
             self.cache.disk_hits,
             self.cache.misses,
             self.cache.hit_rate() * 100.0
+        );
+        let _ = writeln!(
+            out,
+            "pricing: {} walks for {} lookups",
+            self.pricing.walks, self.pricing.lookups
         );
         out
     }
@@ -496,6 +519,10 @@ mod tests {
                 disk_hits: 0,
                 misses: 1,
             },
+            pricing: PricingStats {
+                lookups: 6,
+                walks: 1,
+            },
         }
     }
 
@@ -504,10 +531,12 @@ mod tests {
         let r = sample();
         let json = r.to_json();
         assert!(!json.contains("memory_hits"), "cache is table-only");
+        assert!(!json.contains("walks"), "pricing is table-only");
         assert!(json.contains("\"accounting_balanced\":true"));
         assert!(json.contains("\"roll_availability\":null"));
         let table = r.to_table();
         assert!(table.contains("cache: 3 memory + 0 disk hits, 1 misses"));
+        assert!(table.contains("pricing: 1 walks for 6 lookups"));
         assert!(table.contains("chips lost"));
     }
 

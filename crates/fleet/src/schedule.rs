@@ -14,6 +14,10 @@
 //! exactly once fleet-wide, however many replicas exist (audited by
 //! the workspace tests).
 //!
+//! [`place`] and [`replace_after_loss`] build and fingerprint each
+//! tenant's batch-1 graph once per call, then key every candidate chip
+//! from that one fingerprint.
+//!
 //! Everything here is pure bookkeeping over sorted vectors — no hash
 //! iteration, no randomness — so placement is a deterministic function
 //! of (topology, tenants).
@@ -21,6 +25,7 @@
 use crate::{FleetError, FleetTopology};
 use dtu_compiler::{graph_fingerprint, Fnv1a};
 use dtu_harness::SweepModel;
+use dtu_sim::ChipConfig;
 use std::collections::BTreeSet;
 
 /// One tenant of the fleet: a model, a fleet-wide offered load, and
@@ -75,16 +80,26 @@ impl<'m> FleetTenant<'m> {
     }
 }
 
-/// The fingerprint a (tenant, chip) pair compiles under: the tenant's
-/// batch-1 graph content folded with the chip's configuration. Two
-/// chips with equal configs share every artifact of a tenant, so this
-/// is the placement key for compile locality.
-pub fn artifact_key(tenant: &FleetTenant<'_>, topology: &FleetTopology, chip: usize) -> u64 {
+/// The fingerprint a (tenant, chip) pair compiles under: the
+/// `graph_fingerprint` of the tenant's batch-1 graph folded with the
+/// chip's configuration. Two chips with equal configs share every
+/// artifact of a tenant, so this is the placement key for compile
+/// locality.
+pub fn artifact_key(tenant_graph: u64, config: &ChipConfig) -> u64 {
     let mut key = Fnv1a::new();
     key.write_str("fleet-artifact/");
-    key.write_u64(graph_fingerprint(&tenant.model.build(1)));
-    key.write_debug(&topology.chip(chip).config);
+    key.write_u64(tenant_graph);
+    key.write_debug(config);
     key.finish()
+}
+
+/// `tenant`'s [`artifact_key`] on every chip of the fleet, from one
+/// build of its batch-1 graph.
+fn tenant_keys(tenant: &FleetTenant<'_>, topology: &FleetTopology) -> Vec<u64> {
+    let graph = graph_fingerprint(&tenant.model.build(1));
+    (0..topology.len())
+        .map(|chip| artifact_key(graph, &topology.chip(chip).config))
+        .collect()
 }
 
 /// Where every tenant's replicas live.
@@ -113,9 +128,11 @@ impl FleetPlacement {
 /// Chooses the best chip for one more replica of `tenant`: the
 /// candidate minimising `(hosted tenants, artifact novelty, index)`
 /// among chips with free capacity that do not already host the tenant.
+/// `keys` is the tenant's [`tenant_keys`].
 fn best_chip(
     tenant_idx: usize,
     tenant: &FleetTenant<'_>,
+    keys: &[u64],
     topology: &FleetTopology,
     placement: &FleetPlacement,
     excluded: &[bool],
@@ -128,11 +145,7 @@ fn best_chip(
         if placement.hosted[chip] >= topology.chip_tenant_capacity(chip, tenant.initial_groups) {
             continue;
         }
-        let novelty = usize::from(
-            !placement
-                .placed_keys
-                .contains(&artifact_key(tenant, topology, chip)),
-        );
+        let novelty = usize::from(!placement.placed_keys.contains(&keys[chip]));
         let score = (placement.hosted[chip], novelty, chip);
         if best.is_none_or(|b| score < b) {
             best = Some(score);
@@ -173,15 +186,14 @@ pub fn place(
         } else {
             tenant.replicas.min(topology.len())
         };
+        let keys = tenant_keys(tenant, topology);
         for _ in 0..desired {
-            let Some(chip) = best_chip(t, tenant, topology, &placement, &excluded) else {
+            let Some(chip) = best_chip(t, tenant, &keys, topology, &placement, &excluded) else {
                 break;
             };
             placement.replicas[t].push(chip);
             placement.hosted[chip] += 1;
-            placement
-                .placed_keys
-                .insert(artifact_key(tenant, topology, chip));
+            placement.placed_keys.insert(keys[chip]);
         }
         if placement.replicas[t].is_empty() {
             return Err(FleetError::Config(format!(
@@ -198,7 +210,8 @@ pub fn place(
 /// Re-places the replicas a dead chip hosted onto survivors, mirroring
 /// the scheduler's original preference order. Returns the number of
 /// replica moves performed; replicas that fit nowhere are simply
-/// dropped (the tenant keeps its surviving replicas).
+/// dropped (the tenant keeps its surviving replicas). Only tenants the
+/// dead chip hosted have their graph built.
 pub fn replace_after_loss(
     placement: &mut FleetPlacement,
     dead_chip: usize,
@@ -215,13 +228,12 @@ pub fn replace_after_loss(
         };
         placement.replicas[t].remove(pos);
         placement.hosted[dead_chip] = placement.hosted[dead_chip].saturating_sub(1);
-        if let Some(chip) = best_chip(t, tenant, topology, placement, &excluded) {
+        let keys = tenant_keys(tenant, topology);
+        if let Some(chip) = best_chip(t, tenant, &keys, topology, placement, &excluded) {
             placement.replicas[t].push(chip);
             placement.replicas[t].sort_unstable();
             placement.hosted[chip] += 1;
-            placement
-                .placed_keys
-                .insert(artifact_key(tenant, topology, chip));
+            placement.placed_keys.insert(keys[chip]);
             moves += 1;
         }
     }

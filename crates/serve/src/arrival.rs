@@ -4,6 +4,8 @@
 //! the tenant index, so a serving run is a pure function of its
 //! configuration — the determinism the replay/trace tests rely on.
 
+use crate::ServeError;
+
 /// Deterministic xorshift64 PRNG.
 ///
 /// The seed is scrambled through splitmix64 before use: raw xorshift
@@ -61,6 +63,47 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
+    /// Checks that the process, run to `horizon_ms`, describes a finite
+    /// stream of arrivals that moves forward in time. Every serving
+    /// engine calls this before any work: a negative rate draws negative
+    /// gaps, so arrival time runs backwards and never reaches the
+    /// horizon, and a NaN rate or horizon silently serves nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Config`] naming the offending value when the
+    /// horizon is not positive and finite, a Poisson or burst rate is
+    /// not positive and finite, a base rate is negative or not finite,
+    /// or a mean dwell is not positive and finite.
+    pub fn validate(&self, horizon_ms: f64) -> Result<(), ServeError> {
+        let positive = |name: &str, v: f64| {
+            if v.is_finite() && v > 0.0 {
+                Ok(())
+            } else {
+                Err(ServeError::Config(format!(
+                    "arrival {name} must be positive and finite, got {v}"
+                )))
+            }
+        };
+        positive("horizon (ms)", horizon_ms)?;
+        match *self {
+            ArrivalProcess::Poisson { qps } => positive("qps", qps),
+            ArrivalProcess::Bursty {
+                base_qps,
+                burst_qps,
+                mean_dwell_ms,
+            } => {
+                if !(base_qps.is_finite() && base_qps >= 0.0) {
+                    return Err(ServeError::Config(format!(
+                        "arrival base_qps must be non-negative and finite, got {base_qps}"
+                    )));
+                }
+                positive("burst_qps", burst_qps)?;
+                positive("mean_dwell_ms", mean_dwell_ms)
+            }
+        }
+    }
+
     /// Long-run mean rate in queries/second (phases weight equally for
     /// the bursty process because dwell times are symmetric).
     pub fn mean_qps(&self) -> f64 {
@@ -179,6 +222,39 @@ mod tests {
             (800.0..1200.0).contains(&rate_qps),
             "long-run rate {rate_qps} qps"
         );
+    }
+
+    #[test]
+    fn validate_rejects_streams_that_never_reach_the_horizon() {
+        let poisson = |qps| ArrivalProcess::Poisson { qps };
+        let bursty = |base_qps, burst_qps, mean_dwell_ms| ArrivalProcess::Bursty {
+            base_qps,
+            burst_qps,
+            mean_dwell_ms,
+        };
+        assert!(poisson(100.0).validate(1000.0).is_ok());
+        assert!(bursty(0.0, 100.0, 50.0).validate(1000.0).is_ok());
+        // (process, horizon, the value the error must name)
+        let cases = [
+            (poisson(-5.0), 1000.0, "qps"),
+            (poisson(0.0), 1000.0, "qps"),
+            (poisson(f64::NAN), 1000.0, "qps"),
+            (poisson(f64::INFINITY), 1000.0, "qps"),
+            (bursty(-1.0, 100.0, 50.0), 1000.0, "base_qps"),
+            (bursty(f64::NAN, 100.0, 50.0), 1000.0, "base_qps"),
+            (bursty(10.0, 0.0, 50.0), 1000.0, "burst_qps"),
+            (bursty(10.0, f64::INFINITY, 50.0), 1000.0, "burst_qps"),
+            (bursty(10.0, 100.0, 0.0), 1000.0, "mean_dwell_ms"),
+            (poisson(100.0), 0.0, "horizon"),
+            (poisson(100.0), f64::NAN, "horizon"),
+            (poisson(100.0), f64::INFINITY, "horizon"),
+        ];
+        for (process, horizon, name) in cases {
+            match process.validate(horizon) {
+                Err(ServeError::Config(msg)) => assert!(msg.contains(name), "{msg}"),
+                other => panic!("{process:?} to {horizon} ms: {other:?}"),
+            }
+        }
     }
 
     #[test]

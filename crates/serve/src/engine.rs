@@ -171,8 +171,10 @@ struct Engine<'m, 's, 'l> {
 /// # Errors
 ///
 /// Configuration problems (no tenants, bad model index, more groups
-/// requested than the chip has) and compile/simulate failures from the
-/// service models surface as [`ServeError`].
+/// requested than the chip has, an arrival process or horizon that
+/// [`ArrivalProcess::validate`](crate::ArrivalProcess::validate)
+/// rejects) and compile/simulate failures from the service models
+/// surface as [`ServeError`].
 pub fn run_serving(
     cfg: &ServeConfig,
     chip: &ChipConfig,
@@ -287,6 +289,7 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
         let mut slots = vec![vec![None; chip.groups_per_cluster]; chip.clusters];
         let mut tenants = Vec::with_capacity(cfg.tenants.len());
         for (idx, spec) in cfg.tenants.iter().enumerate() {
+            spec.arrival.validate(cfg.duration_ms)?;
             if spec.model >= models.len() {
                 return Err(ServeError::Config(format!(
                     "tenant '{}' references model {} but only {} were provided",

@@ -723,8 +723,9 @@ impl<'m> GenEngine<'m> {
 ///
 /// # Errors
 ///
-/// Configuration problems and compile/simulate failures from the token
-/// model surface as [`ServeError`].
+/// Configuration problems (including an arrival process or horizon
+/// that [`ArrivalProcess::validate`] rejects) and compile/simulate
+/// failures from the token model surface as [`ServeError`].
 pub fn run_generative(
     sc: &GenerativeScenario,
     model: &mut dyn TokenModel,
@@ -746,6 +747,7 @@ pub fn run_generative_observed(
     model: &mut dyn TokenModel,
     obs: &mut dyn GenObserver,
 ) -> Result<GenOutcome, ServeError> {
+    sc.arrival.validate(sc.duration_ms)?;
     if sc.max_concurrency == 0 {
         return Err(ServeError::Config(
             "max_concurrency must be at least 1".into(),

@@ -1,22 +1,33 @@
 //! Fleet-layer integration tests: routing determinism across worker
 //! counts and cache temperature, the power-of-two-choices balance
-//! bound, chip-loss accounting, compile sharing through the
-//! content-addressed session cache, and rolling-deploy availability.
+//! bound, chip-loss accounting, compile and price sharing across
+//! chips and epochs, and rolling-deploy availability.
 
-use dtu_fleet::{run_fleet, ChipKill, FleetConfig, FleetTenant, FleetTopology, RollPlan};
+use dtu_compiler::Fnv1a;
+use dtu_fleet::{
+    run_fleet, ChipKill, FleetChip, FleetConfig, FleetTenant, FleetTopology, RollPlan,
+};
 use dtu_graph::{Graph, Op, TensorType};
 use dtu_harness::{SessionCache, SweepModel};
 use dtu_sim::ChipConfig;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+fn conv_graph(batch: usize, channels: usize) -> Graph {
+    let mut g = Graph::new("toy");
+    let x = g.input("x", TensorType::fixed(&[batch, channels, 24, 24]));
+    let c = g.add_node(Op::conv2d(16, 3, 1, 1), vec![x]).unwrap();
+    g.mark_output(c);
+    g
+}
 
 fn toy_model() -> SweepModel<'static> {
-    SweepModel::new("toy", |batch| {
-        let mut g = Graph::new("toy");
-        let x = g.input("x", TensorType::fixed(&[batch, 16, 24, 24]));
-        let c = g.add_node(Op::conv2d(16, 3, 1, 1), vec![x]).unwrap();
-        g.mark_output(c);
-        g
-    })
+    SweepModel::new("toy", |batch| conv_graph(batch, 16))
+}
+
+/// A second tenant whose graph differs from [`toy_model`]'s.
+fn wide_model() -> SweepModel<'static> {
+    SweepModel::new("wide", |batch| conv_graph(batch, 32))
 }
 
 fn tiny_cfg(seed: u64) -> FleetConfig {
@@ -111,10 +122,10 @@ fn chip_loss_preserves_the_accounting_invariant() {
 }
 
 /// The compile-sharing audit: one model on K identical chips compiles
-/// each (graph, batch, placement) artifact exactly once fleet-wide —
-/// every other replica hits the shared content-addressed cache. Run
-/// with one worker so no two chips race to compile the same artifact
-/// (cache counters are schedule-dependent under concurrency).
+/// and walks each (graph, batch, placement) session exactly once
+/// fleet-wide — every other chip-epoch reuses the price from the run's
+/// table. Run with one worker so no two chips race to price the same
+/// session (the counters are schedule-dependent under concurrency).
 #[test]
 fn identical_chips_share_compiled_sessions_fleet_wide() {
     let chip = ChipConfig::dtu20();
@@ -126,6 +137,10 @@ fn identical_chips_share_compiled_sessions_fleet_wide() {
     let tenants = vec![FleetTenant::new(toy_model(), 500.0)];
     let solo = run_fleet(&solo_topo, &tenants, &cfg, &solo_cache, 1).unwrap();
     assert!(solo.cache.misses > 0, "the solo run compiles something");
+    assert_eq!(
+        solo.pricing.walks, solo.cache.misses,
+        "one walk per compile"
+    );
 
     // K chips at K x the load dispatch the same batch buckets, yet the
     // fleet compiles no more artifacts than the single chip did.
@@ -138,10 +153,121 @@ fn identical_chips_share_compiled_sessions_fleet_wide() {
         fleet.cache.misses, solo.cache.misses,
         "K identical chips must compile each artifact exactly once"
     );
-    assert!(
-        fleet.cache.memory_hits > solo.cache.memory_hits,
-        "the other K-1 replicas hit the shared cache"
+    assert_eq!(
+        fleet.pricing.walks, fleet.cache.misses,
+        "each session is walked once fleet-wide"
     );
+    let reused = |r: &dtu_fleet::FleetReport| r.pricing.lookups - r.pricing.walks;
+    assert!(
+        reused(&fleet) > reused(&solo),
+        "the other K-1 chips reuse the walked prices: {:?} vs solo {:?}",
+        fleet.pricing,
+        solo.pricing
+    );
+}
+
+/// A fleet run builds a graph only to walk a session it has never
+/// priced, or to fingerprint a tenant for placement (once at the start
+/// and once per lost chip) — however many chips and epochs it runs.
+#[test]
+fn graph_builds_are_bounded_by_walks_not_chip_epochs() {
+    // (cards, chips per card, horizon ms, epoch ms, kill, jobs)
+    let cases = [
+        (1, 1, 1000.0, 500.0, None, 1),
+        (1, 4, 2000.0, 250.0, None, 1),
+        (2, 4, 2000.0, 500.0, None, 2),
+        (1, 4, 3000.0, 500.0, Some((0, 1250.0)), 1),
+        (2, 2, 3000.0, 500.0, Some((3, 0.0)), 2),
+    ];
+    for (cards, per_card, horizon, epoch, kill, jobs) in cases {
+        let builds = AtomicU64::new(0);
+        let counted = |name: &str, channels: usize| {
+            let builds = &builds;
+            SweepModel::new(name.to_string(), move |batch| {
+                builds.fetch_add(1, Ordering::Relaxed);
+                conv_graph(batch, channels)
+            })
+        };
+        let mut wide = FleetTenant::new(counted("wide", 32), 300.0);
+        wide.replicas = 2;
+        let tenants = vec![FleetTenant::new(counted("toy", 16), 1500.0), wide];
+        let topo = FleetTopology::homogeneous(cards, per_card, &ChipConfig::dtu20()).unwrap();
+        let cfg = FleetConfig {
+            duration_ms: horizon,
+            epoch_ms: epoch,
+            kill: kill.map(|(chip, at_ms)| ChipKill { chip, at_ms }),
+            ..tiny_cfg(13)
+        };
+        let cache = SessionCache::memory_only();
+        let r = run_fleet(&topo, &tenants, &cfg, &cache, jobs).unwrap();
+        let builds = builds.load(Ordering::Relaxed);
+        let bound = r.pricing.walks + tenants.len() as u64 * (1 + r.chips_lost);
+        assert!(
+            builds <= bound,
+            "{} chips x {} epochs built {builds} graphs, over {bound} ({:?}, {} chips lost)",
+            r.chips,
+            r.epochs,
+            r.pricing,
+            r.chips_lost
+        );
+        assert!(r.pricing.lookups > r.pricing.walks, "prices were reused");
+        if jobs == 1 {
+            // Serial: a walk happens only for a session never compiled.
+            assert_eq!(r.pricing.walks, r.cache.misses);
+        }
+    }
+}
+
+/// The fleet report for the hardest inputs is pinned byte for byte: a
+/// heterogeneous topology (i20 and i10 chips, two chip-config
+/// classes), two tenants, a roll in flight and a mid-epoch chip kill.
+/// The digest was computed before chip-epochs shared a price table, so
+/// it proves that sharing prices across chips, epochs and the kill's
+/// truncated re-run leaves every simulated number unchanged, at one
+/// worker and at four.
+#[test]
+fn heterogeneous_roll_and_kill_report_is_pinned() {
+    const PINNED: u64 = 16_301_640_948_880_300_840;
+    let chip = |card, slot, config| FleetChip { card, slot, config };
+    let topo = FleetTopology::from_chips(vec![
+        chip(0, 0, ChipConfig::dtu20()),
+        chip(0, 1, ChipConfig::dtu10()),
+        chip(1, 0, ChipConfig::dtu20()),
+        chip(1, 1, ChipConfig::dtu10()),
+    ])
+    .unwrap();
+    let cfg = FleetConfig {
+        duration_ms: 4000.0,
+        epoch_ms: 1000.0,
+        roll: Some(RollPlan::new(1000.0, 1)),
+        kill: Some(ChipKill {
+            chip: 2,
+            at_ms: 1500.0,
+        }),
+        ..tiny_cfg(9)
+    };
+    // Placement puts toy on the i20s and wide on the i10s. The kill
+    // moves toy onto an i10, where it meets wide's (batch, groups)
+    // sessions, so the key must tell tenants apart.
+    let tenants = || {
+        let mut a = FleetTenant::new(toy_model(), 1600.0);
+        let mut b = FleetTenant::new(wide_model(), 500.0);
+        for t in [&mut a, &mut b] {
+            t.initial_groups = 1;
+            t.replicas = 2;
+        }
+        vec![a, b]
+    };
+    for jobs in [1, 4] {
+        let cache = SessionCache::memory_only();
+        let r = run_fleet(&topo, &tenants(), &cfg, &cache, jobs).unwrap();
+        assert_eq!((r.chips_lost, r.replica_moves), (1, 1));
+        assert!(r.chips_rolled > 0 && r.completed > 0);
+        assert!(r.accounting_balances());
+        let mut digest = Fnv1a::new();
+        digest.write_str(&r.to_json());
+        assert_eq!(digest.finish(), PINNED, "jobs {jobs}: {}", r.to_json());
+    }
 }
 
 /// A rolling deploy swaps every chip to the new version and reports

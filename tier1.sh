@@ -49,19 +49,32 @@ def unlabelled(report):
 assert unlabelled(warm) == unlabelled(cold), "disk-loaded points differ from compiled ones"
 PY
 # The fleet layer end to end: a 4-chip cluster run must emit valid,
-# accounting-balanced JSON, hit the shared session cache at least once
-# (jobs=1 keeps the cache tally schedule-independent), and be
-# byte-identical across worker counts.
+# accounting-balanced JSON, compile and walk each session once
+# fleet-wide (walks == misses) while its chip-epochs reuse the walked
+# prices more than a 1-chip run at a quarter of the load does (jobs=1
+# keeps the tallies schedule-independent), and be byte-identical across
+# worker counts.
 ./target/release/topsexec fleet resnet50 --chips 4 --qps 4000 \
     --duration 2000 --seed 7 --jobs 1 --no-disk-cache \
     --format table > "$trace_dir/fleet.txt"
-grep -E 'cache: [0-9]+ memory' "$trace_dir/fleet.txt" > /dev/null
-python3 - "$trace_dir/fleet.txt" <<'PY'
+./target/release/topsexec fleet resnet50 --chips 1 --qps 1000 \
+    --duration 2000 --seed 7 --jobs 1 --no-disk-cache \
+    --format table > "$trace_dir/fleet_solo.txt"
+python3 - "$trace_dir/fleet.txt" "$trace_dir/fleet_solo.txt" <<'PY'
 import re, sys
-m = re.search(r"cache: (\d+) memory \+ (\d+) disk hits, (\d+) misses",
-              open(sys.argv[1]).read())
-assert m and int(m.group(1)) + int(m.group(2)) >= 1, \
-    "fleet chips must share compiled sessions"
+def tallies(path):
+    t = open(path).read()
+    cache = re.search(r"cache: (\d+) memory \+ (\d+) disk hits, (\d+) misses", t)
+    pricing = re.search(r"pricing: (\d+) walks for (\d+) lookups", t)
+    assert cache and pricing, f"{path} lacks its cache or pricing line"
+    return int(cache.group(3)), int(pricing.group(1)), int(pricing.group(2))
+misses, walks, lookups = tallies(sys.argv[1])
+solo_misses, solo_walks, solo_lookups = tallies(sys.argv[2])
+assert misses == solo_misses, \
+    f"4 identical chips must compile each session once: {misses} vs {solo_misses}"
+assert walks == misses, f"each session is walked once: {walks} walks, {misses} misses"
+assert lookups - walks > solo_lookups - solo_walks, \
+    "fleet chips must reuse walked prices"
 PY
 ./target/release/topsexec fleet resnet50 --chips 4 --qps 4000 \
     --duration 2000 --seed 7 --jobs 1 --no-disk-cache > "$trace_dir/fleet_j1.json"
