@@ -10,12 +10,13 @@
 //! spreads the rest over the worker pool.
 
 use dtu::ChipConfig;
-use dtu_bench::{chip_latencies, ChipPoint, RunnerArgs};
+use dtu_bench::{chip_latencies, cli, ChipPoint};
 use dtu_models::Model;
 
 fn main() {
-    let run = RunnerArgs::parse_or_exit();
-    let cache = run.cache();
+    let run = cli::parse_or_exit(&cli::REPRO, 1);
+    let jobs = cli::jobs(&run);
+    let cache = cli::session_cache(&run);
     let models = [Model::Resnet50, Model::YoloV3, Model::BertLarge];
 
     type Toggle = (&'static str, fn(&mut ChipConfig));
@@ -58,7 +59,7 @@ fn main() {
     for m in Model::ALL {
         points.push(ChipPoint::new(ChipConfig::dtu10(), m));
     }
-    let lat = chip_latencies(&points, &cache, run.jobs);
+    let lat = chip_latencies(&points, &cache, jobs);
 
     println!("== Table II ablation: disable one DTU 2.0 feature at a time ==");
     print!("{:<26}", "Configuration");
@@ -118,7 +119,7 @@ fn main() {
         "[harness] {} points planned ({} after dedup), {} workers; cache: {} hits / {} misses",
         points.len(),
         s.lookups(),
-        run.jobs,
+        jobs,
         s.hits(),
         s.misses
     );

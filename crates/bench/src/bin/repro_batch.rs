@@ -17,14 +17,15 @@ use dtu::serve::{
     TenantSpec,
 };
 use dtu::Accelerator;
-use dtu_bench::RunnerArgs;
+use dtu_bench::cli;
 use dtu_harness::{run_sweep, SweepModel};
 use dtu_models::Model;
 use gpu_baseline::RooflineModel;
 
 fn main() {
-    let run = RunnerArgs::parse_or_exit();
-    let cache = run.cache();
+    let run = cli::parse_or_exit(&cli::REPRO, 1);
+    let jobs = cli::jobs(&run);
+    let cache = cli::session_cache(&run);
     println!("== VGG16 batched throughput: i20 vs A10 ==");
     println!(
         "{:<8} {:>14} {:>14} {:>12}",
@@ -32,7 +33,7 @@ fn main() {
     );
     let accel = Accelerator::cloudblazer_i20();
     let vgg = [SweepModel::new("vgg16", |b| Model::Vgg16.build(b))];
-    let sweep = run_sweep(&accel, &vgg, &[8, 16], &cache, run.jobs).expect("VGG16 sweep");
+    let sweep = run_sweep(&accel, &vgg, &[8, 16], &cache, jobs).expect("VGG16 sweep");
     let mut ratios = Vec::new();
     for p in &sweep.points {
         let graph = Model::Vgg16.build(p.batch);

@@ -2,7 +2,7 @@
 //! and bandwidth across platforms — (a) i20 vs i10 normalised with i10,
 //! (b) i20 vs T4/A10 normalised with T4.
 
-use dtu_bench::{platform_specs, RunnerArgs};
+use dtu_bench::{cli, platform_specs};
 use gpu_baseline::PlatformSpec;
 
 fn row(
@@ -19,8 +19,9 @@ fn row(
 }
 
 fn main() {
-    let run = RunnerArgs::parse_or_exit();
-    let (i10, i20, t4, a10) = platform_specs(run.jobs);
+    let run = cli::parse_or_exit(&cli::REPRO, 1);
+    let jobs = cli::jobs(&run);
+    let (i10, i20, t4, a10) = platform_specs(jobs);
 
     println!("== Fig. 12(a): Cloudblazer i20 vs i10 (normalised with i10) ==");
     println!("{:<14} {:>15} {:>15}", "", "i10", "i20");

@@ -8,9 +8,10 @@
 //! detection models.
 
 fn main() {
-    let run = dtu_bench::RunnerArgs::parse_or_exit();
-    let cache = run.cache();
-    let rows = dtu_bench::evaluate_suite_with(&cache, run.jobs);
+    let run = dtu_bench::cli::parse_or_exit(&dtu_bench::cli::REPRO, 1);
+    let cache = dtu_bench::cli::session_cache(&run);
+    let jobs = dtu_bench::cli::jobs(&run);
+    let rows = dtu_bench::evaluate_suite_with(&cache, jobs);
     println!("== Fig. 13: DNN latency (batch 1, FP16) ==");
     dtu_bench::print_latency_table(&rows);
     println!();
@@ -53,6 +54,6 @@ fn main() {
     let s = cache.stats();
     eprintln!(
         "[harness] {} workers; session cache: {} memory + {} disk hits, {} misses",
-        run.jobs, s.memory_hits, s.disk_hits, s.misses
+        jobs, s.memory_hits, s.disk_hits, s.misses
     );
 }

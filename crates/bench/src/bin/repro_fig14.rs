@@ -7,7 +7,7 @@
 //! over i20; for FP32 the i20 leads with 1.6x / 1.84x / 1.03x over
 //! i10 / T4 / A10.
 
-use dtu_bench::{platform_specs, RunnerArgs};
+use dtu_bench::{cli, platform_specs};
 use dtu_isa::DataType;
 use gpu_baseline::PlatformSpec;
 
@@ -37,8 +37,9 @@ fn table(title: &str, specs: &[&PlatformSpec], base: &PlatformSpec) {
 }
 
 fn main() {
-    let run = RunnerArgs::parse_or_exit();
-    let (i10, i20, t4, a10) = platform_specs(run.jobs);
+    let run = cli::parse_or_exit(&cli::REPRO, 1);
+    let jobs = cli::jobs(&run);
+    let (i10, i20, t4, a10) = platform_specs(jobs);
     table(
         "== Fig. 14(a): i20 vs i10 (normalised with i10) ==",
         &[&i10, &i20],

@@ -8,12 +8,13 @@
 //! average; SRResNet shows the largest improvement at 2.03x / 2.39x;
 //! the i20 wins on power efficiency against T4 for about half the DNNs.
 
-use dtu_bench::{evaluate_suite_with, geomean, LatencyRow, RunnerArgs};
+use dtu_bench::{cli, evaluate_suite_with, geomean, LatencyRow};
 
 fn main() {
-    let run = RunnerArgs::parse_or_exit();
-    let cache = run.cache();
-    let rows = evaluate_suite_with(&cache, run.jobs);
+    let run = cli::parse_or_exit(&cli::REPRO, 1);
+    let jobs = cli::jobs(&run);
+    let cache = cli::session_cache(&run);
+    let rows = evaluate_suite_with(&cache, jobs);
     println!("== Fig. 15: DNN energy efficiency, Perf/TDP (normalised with T4) ==");
     println!("{:<16} {:>12} {:>12}", "DNN", "i20 vs T4", "i20 vs A10");
     for r in &rows {
@@ -58,6 +59,6 @@ fn main() {
     let s = cache.stats();
     eprintln!(
         "[harness] {} workers; session cache: {} memory + {} disk hits, {} misses",
-        run.jobs, s.memory_hits, s.disk_hits, s.misses
+        jobs, s.memory_hits, s.disk_hits, s.misses
     );
 }

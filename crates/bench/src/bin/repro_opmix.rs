@@ -4,7 +4,7 @@
 //! classification DNNs (around 81%). However, their input sizes are more
 //! than 2x larger."
 
-use dtu_bench::RunnerArgs;
+use dtu_bench::cli;
 use dtu_compiler::Fnv1a;
 use dtu_graph::{characterize, fuse, FusionConfig, OpCost};
 use dtu_harness::{ExperimentPlan, HarnessError};
@@ -55,7 +55,8 @@ fn matrix_share_and_flops(model: Model) -> Result<(f64, f64), HarnessError> {
 }
 
 fn main() {
-    let run = RunnerArgs::parse_or_exit();
+    let run = cli::parse_or_exit(&cli::REPRO, 1);
+    let jobs = cli::jobs(&run);
     // Pure graph analysis — no sessions to cache, but the per-model
     // census points still fan out over the experiment plan's workers.
     let mut plan: ExperimentPlan<'_, (f64, f64)> = ExperimentPlan::new();
@@ -70,7 +71,7 @@ fn main() {
             })
         })
         .collect();
-    let results = plan.run(run.jobs);
+    let results = plan.run(jobs);
 
     println!("== §VI-D operator-mix profile: matrix-dense share of operators ==");
     println!(

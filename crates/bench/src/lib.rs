@@ -8,11 +8,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 mod parallel;
 
-pub use parallel::{
-    chip_latencies, evaluate_suite_with, platform_specs, ChipPoint, RunnerArgs, RUNNER_USAGE,
-};
+pub use parallel::{chip_latencies, evaluate_suite_with, platform_specs, ChipPoint};
 
 use dtu::{Accelerator, ChipConfig, Session, SessionOptions};
 use dtu_harness::SessionCache;

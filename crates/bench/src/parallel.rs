@@ -1,7 +1,7 @@
-//! Harness-backed evaluation: the `repro_*` binaries' shared `--jobs` /
-//! cache plumbing plus deduplicated parallel grid evaluation.
+//! Harness-backed evaluation: deduplicated parallel grid evaluation for
+//! the `repro_*` binaries.
 //!
-//! Every binary parses the same three flags through [`RunnerArgs`]
+//! Every binary parses the same three flags through [`crate::cli::REPRO`]
 //! (`--jobs`, `--cache-dir`, `--no-disk-cache`), builds one
 //! [`SessionCache`], and routes its experiment points through an
 //! `ExperimentPlan` so identical (chip, model, batch) points are
@@ -11,90 +11,9 @@
 use crate::LatencyRow;
 use dtu::{Accelerator, ChipConfig, SessionOptions};
 use dtu_compiler::Fnv1a;
-use dtu_harness::{available_jobs, ExperimentPlan, HarnessError, SessionCache};
+use dtu_harness::{ExperimentPlan, HarnessError, SessionCache};
 use dtu_models::Model;
 use gpu_baseline::{PlatformSpec, RooflineModel};
-use std::path::PathBuf;
-
-/// Command-line options shared by every `repro_*` binary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunnerArgs {
-    /// Worker threads for the experiment plan (`--jobs`, default: all
-    /// cores).
-    pub jobs: usize,
-    /// Artifact-cache directory override (`--cache-dir`).
-    pub cache_dir: Option<PathBuf>,
-    /// Whether the disk tier is enabled (`--no-disk-cache` clears it).
-    pub disk_cache: bool,
-}
-
-/// The usage footer shared by the repro binaries.
-pub const RUNNER_USAGE: &str = "common repro options:\n\
-     \x20 --jobs <n>          worker threads (default: all cores)\n\
-     \x20 --cache-dir <dir>   compiled-session artifact directory\n\
-     \x20                     (default target/dtu-cache)\n\
-     \x20 --no-disk-cache     keep the session cache in memory only";
-
-impl RunnerArgs {
-    /// Parses flags from an explicit argument list (the testable form
-    /// of [`RunnerArgs::parse_or_exit`]). Expects the list *without*
-    /// the program name.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message for unknown flags or missing/bad
-    /// values; the empty string for `--help`.
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<RunnerArgs, String> {
-        let mut out = RunnerArgs {
-            jobs: available_jobs(),
-            cache_dir: None,
-            disk_cache: true,
-        };
-        let mut it = args.into_iter();
-        while let Some(a) = it.next() {
-            let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
-            match a.as_str() {
-                "--jobs" | "-j" => {
-                    out.jobs = value("--jobs")?
-                        .parse()
-                        .map_err(|_| "--jobs needs an integer".to_string())?
-                }
-                "--cache-dir" => out.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-                "--no-disk-cache" => out.disk_cache = false,
-                "--help" | "-h" => return Err(String::new()),
-                other => return Err(format!("unknown flag '{other}'")),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Parses `std::env::args()`, printing usage and exiting on error.
-    pub fn parse_or_exit() -> RunnerArgs {
-        match Self::from_args(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(e) => {
-                if e.is_empty() {
-                    eprintln!("{RUNNER_USAGE}");
-                    std::process::exit(0);
-                }
-                eprintln!("error: {e}\n\n{RUNNER_USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// The session cache the binary should compile through.
-    pub fn cache(&self) -> SessionCache {
-        if !self.disk_cache {
-            return SessionCache::memory_only();
-        }
-        let dir = self
-            .cache_dir
-            .clone()
-            .unwrap_or_else(SessionCache::default_disk_dir);
-        SessionCache::with_disk(dir)
-    }
-}
 
 /// One (chip, model, batch) point of an experiment grid.
 #[derive(Debug, Clone)]
@@ -261,37 +180,6 @@ pub fn platform_specs(jobs: usize) -> (PlatformSpec, PlatformSpec, PlatformSpec,
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn parse(args: &[&str]) -> Result<RunnerArgs, String> {
-        RunnerArgs::from_args(args.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn runner_args_defaults_and_flags() {
-        let d = parse(&[]).unwrap();
-        assert!(d.jobs >= 1);
-        assert!(d.disk_cache);
-        assert_eq!(d.cache_dir, None);
-        let a = parse(&["--jobs", "3", "--no-disk-cache", "--cache-dir", "/tmp/x"]).unwrap();
-        assert_eq!(a.jobs, 3);
-        assert!(!a.disk_cache);
-        assert_eq!(a.cache_dir.as_deref(), Some(std::path::Path::new("/tmp/x")));
-    }
-
-    #[test]
-    fn runner_args_rejects_unknown_and_malformed() {
-        assert!(parse(&["--frobnicate"]).is_err());
-        assert!(parse(&["--jobs"]).is_err());
-        assert!(parse(&["--jobs", "many"]).is_err());
-        assert_eq!(parse(&["--help"]).unwrap_err(), "");
-    }
-
-    #[test]
-    fn no_disk_cache_builds_memory_only() {
-        let a = parse(&["--no-disk-cache"]).unwrap();
-        let cache = a.cache();
-        assert_eq!(cache.stats().lookups(), 0);
-    }
 
     #[test]
     fn chip_latencies_dedups_identical_points() {

@@ -1,6 +1,9 @@
 //! `topsexec serve` and `serve --generative` reject arrival streams
-//! that never reach their horizon: every case exits non-zero, prints
-//! nothing on stdout, and names the bad rate or horizon.
+//! that never reach their horizon and flags their flag table rejects:
+//! every case exits non-zero, prints nothing on stdout, and names the
+//! bad value.
+
+mod common;
 
 use std::process::Command;
 
@@ -67,4 +70,30 @@ fn bad_arrival_rates_fail_before_the_run() {
             );
         }
     }
+}
+
+#[test]
+fn bad_serve_flags_fail_with_the_command_usage() {
+    // (command, extra arguments, what the error must mention)
+    let cases: &[(&str, &[&str], &str)] = &[
+        ("serve", &["--max-batch", "0"], "--max-batch"),
+        ("serve --generative", &["--jobs", "0"], "--jobs"),
+        // Flags another mode of the command takes.
+        ("serve --generative", &["--once"], "--once"),
+        ("serve --generative", &["--span", "5"], "--span"),
+        ("serve --generative", &["--refresh-ms", "5"], "--refresh-ms"),
+    ];
+    let mut failures = Vec::new();
+    for (command, extra, reason) in cases {
+        let mut args: Vec<&str> = command.split(' ').collect();
+        if args.len() > 1 {
+            args.extend(["--gen-model", "tiny"]);
+        }
+        args.extend(["--duration", "100", "--no-disk-cache"]);
+        args.extend(*extra);
+        let bin = env!("CARGO_BIN_EXE_topsexec");
+        let command = format!("topsexec {command}");
+        failures.extend(common::rejected(bin, &args, reason, &command).err());
+    }
+    common::assert_all_rejected(failures);
 }
