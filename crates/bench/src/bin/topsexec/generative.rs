@@ -5,7 +5,7 @@ use crate::{
     accelerator, arrival, chip_config, harness_failure, write_dump, write_file, Failure, Outcome,
 };
 use dtu::serve::{GenLiveConfig, GenMonitor, GenerativeScenario, KvCacheConfig};
-use dtu::telemetry::{CounterSnapshot, Recorder, SloSpec, TraceBuffer};
+use dtu::telemetry::{chrome, SloSpec};
 use dtu::Accelerator;
 use dtu_bench::cli::{self, Args};
 use dtu_models::GenerativeConfig;
@@ -93,32 +93,14 @@ pub fn serve(args: &Args) -> Outcome {
     let chrome_trace = trace.as_deref().is_some_and(|p| p.ends_with(".json"));
     let slo = args.switch("--slo");
     let monitored = args.switch("--monitor") || slo || flight_out.is_some();
-    let mut buf = TraceBuffer::new();
     let mut mon = monitored.then(|| GenMonitor::new(live_config(args, &scenario)));
     let started = std::time::Instant::now();
-    let out = if let Some(mon) = mon.as_mut() {
-        // Monitored: the live path. The monitor is observational, so
-        // stdout stays byte-identical to the plain run.
-        dtu_harness::run_generative_serve_live(&accel, &gen_cfg, &scenario, &cache, jobs, mon)
-    } else {
-        let rec: Option<&mut dyn Recorder> = if chrome_trace { Some(&mut buf) } else { None };
-        dtu_harness::run_generative_serve(&accel, &gen_cfg, &scenario, &cache, jobs, rec)
-    }
-    .map_err(harness_failure)?;
+    // The monitor is observational, so stdout stays byte-identical to
+    // the plain run.
+    let out =
+        dtu_harness::run_generative_serve(&accel, &gen_cfg, &scenario, &cache, jobs, mon.as_mut())
+            .map_err(harness_failure)?;
     let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-    if chrome_trace && monitored {
-        // The live path has no recorder attached; rebuild the exact
-        // spans (and final counter snapshot) the recorded path emits,
-        // from the schedule-independent event trace.
-        for s in out.trace.to_spans() {
-            buf.record(s);
-        }
-        buf.snapshot(CounterSnapshot {
-            at_ns: out.report.drained_ms * 1e6,
-            label: "generative".into(),
-            set: out.report.counters(),
-        });
-    }
 
     // The stdout payload is schedule-independent so two runs (any
     // --jobs, warm or cold cache, monitored or not) compare
@@ -176,7 +158,7 @@ pub fn serve(args: &Args) -> Outcome {
 
     if let Some(path) = &trace {
         if chrome_trace {
-            write_file(path, buf.to_chrome_trace(true))?;
+            write_file(path, chrome::export(&out.trace.to_spans(), true))?;
         } else {
             write_file(path, out.trace.to_jsonl())?;
         }

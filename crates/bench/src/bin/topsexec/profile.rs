@@ -3,10 +3,11 @@
 //! per-operator attribution).
 
 use crate::{accelerator, chip_config, write_file, Failure, Outcome};
-use dtu::telemetry::{AttributionReport, Recorder, TraceBuffer};
+use dtu::telemetry::{chrome, AttributionReport, Layer, Recorder, Span, SpanKind, TraceBuffer};
 use dtu::{Accelerator, DataType, Graph, Session, SessionOptions, WorkloadSize};
 use dtu_bench::cli::{self, Args};
 use dtu_graph::parse_model;
+use std::fmt::Write;
 
 /// What both commands set up: the graph, the accelerator (with
 /// `--no-power-management` applied) and the session options.
@@ -63,9 +64,18 @@ pub fn measure(args: &Args) -> Outcome {
         session.program().total_commands(),
         session.program().streams.len()
     );
-    let (report, timeline) = session
-        .run_traced()
+    let mut buf = TraceBuffer::new();
+    let report = session
+        .run_recorded(&mut buf)
         .map_err(|e| Failure::Run(format!("run error: {e}")))?;
+    // The simulator's kernel, DMA, code-load and sync-wait spans; the
+    // session's envelope span is not part of the profile.
+    let spans: Vec<Span> = buf
+        .spans()
+        .iter()
+        .filter(|s| s.layer == Layer::Sim)
+        .cloned()
+        .collect();
 
     println!("\n--- measurements ---");
     println!("latency      : {:.3} ms", report.latency_ms());
@@ -87,13 +97,58 @@ pub fn measure(args: &Args) -> Outcome {
 
     if args.switch("--profile") {
         println!("\n--- profile ---");
-        println!("{}", timeline.report(10));
+        let gpc = accel.config().groups_per_cluster;
+        println!("{}", profile_table(&spans, gpc, 10));
     }
     if let Some(path) = args.opt::<String>("--trace-out") {
-        write_file(&path, timeline.to_chrome_trace())?;
+        write_file(&path, chrome::export(&spans, false))?;
         println!("\ntrace written to {path} (open in chrome://tracing)");
     }
     Ok(())
+}
+
+/// The profiler's text view (Fig. 11): total time and event count per
+/// kind of simulator span, then the `top_k` longest kernels with their
+/// processing group (decoded from the span's flat track) and clock.
+fn profile_table(spans: &[Span], groups_per_cluster: usize, top_k: usize) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "{:<12} {:>12} {:>8}", "kind", "total (us)", "events");
+    for kind in [
+        SpanKind::Kernel,
+        SpanKind::Dma,
+        SpanKind::CodeLoad,
+        SpanKind::SyncWait,
+    ] {
+        let of_kind = spans.iter().filter(|s| s.kind == kind);
+        // A fold from +0.0: an empty f64 sum is -0.0, printed "-0.00".
+        let total_ns = of_kind.clone().fold(0.0, |sum, s| sum + s.duration_ns());
+        let _ = writeln!(
+            out,
+            "{:<12} {:>12.2} {:>8}",
+            kind.name(),
+            total_ns / 1e3,
+            of_kind.count()
+        );
+    }
+    let _ = writeln!(out, "\nhottest kernels:");
+    let mut kernels: Vec<&Span> = spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Kernel)
+        .collect();
+    kernels.sort_by(|a, b| b.duration_ns().total_cmp(&a.duration_ns()));
+    for s in kernels.into_iter().take(top_k) {
+        let flat = s.track as usize;
+        let _ = writeln!(
+            out,
+            "  {:>10.2} us  {}  [g{}.{} @ {} MHz]",
+            s.duration_ns() / 1e3,
+            s.label,
+            flat / groups_per_cluster,
+            flat % groups_per_cluster,
+            s.freq_mhz
+        );
+    }
+    out
 }
 
 /// `topsexec profile`: one buffer, one clock, for the compiler phases,
@@ -139,4 +194,63 @@ pub fn run(args: &Args) -> Outcome {
         _ => print!("{}", attr.to_table()),
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn span(kind: SpanKind, label: &str, start: f64, end: f64) -> Span {
+        Span::new(kind, Layer::Sim, 4, label, start, end).with_freq(1400)
+    }
+
+    #[test]
+    fn totals_and_counts() {
+        let spans = [
+            span(SpanKind::Kernel, "conv", 0.0, 100_000.0),
+            span(SpanKind::Kernel, "fc", 100_000.0, 150_000.0),
+            span(SpanKind::Dma, "L3->L2", 0.0, 30_000.0),
+        ];
+        let table = profile_table(&spans, 3, 10);
+        assert!(
+            table.contains("kernel             150.00        2"),
+            "{table}"
+        );
+        assert!(
+            table.contains("dma                 30.00        1"),
+            "{table}"
+        );
+        // An empty kind prints +0.00, never -0.00.
+        assert!(
+            table.contains("sync-wait            0.00        0"),
+            "{table}"
+        );
+        assert!(!table.contains("-0.00"), "{table}");
+    }
+
+    #[test]
+    fn hottest_sorts_descending() {
+        let spans = [
+            span(SpanKind::Kernel, "small", 0.0, 10_000.0),
+            span(SpanKind::Kernel, "big", 0.0, 100_000.0),
+            span(SpanKind::Kernel, "mid", 0.0, 50_000.0),
+        ];
+        let table = profile_table(&spans, 3, 2);
+        // Rows after the hot-kernel heading read `<us> us <label> ...`.
+        let rows = table.lines().skip(7);
+        let hot: Vec<&str> = rows.flat_map(|l| l.split_whitespace().nth(2)).collect();
+        assert_eq!(hot, ["big", "mid"], "{table}");
+    }
+
+    #[test]
+    fn report_contains_sections() {
+        let spans = [span(SpanKind::Kernel, "conv3x3+bn+relu", 0.0, 42_000.0)];
+        let table = profile_table(&spans, 3, 5);
+        assert!(table.starts_with("kind "));
+        // Track 4 with 3 groups per cluster is group 1 of cluster 1.
+        assert!(
+            table.contains("42.00 us  conv3x3+bn+relu  [g1.1 @ 1400 MHz]"),
+            "{table}"
+        );
+    }
 }

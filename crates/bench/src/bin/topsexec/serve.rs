@@ -3,10 +3,10 @@
 
 use crate::{accelerator, arrival, chip_config, models, write_file, Failure, Outcome};
 use dtu::serve::{
-    faults::FaultPlan, run_serving, run_serving_recorded, BatchPolicy, CompiledModel, ScalePolicy,
+    faults::FaultPlan, run_serving, BatchPolicy, CompiledModel, RequestOutcome, ScalePolicy,
     ServeConfig, ServeError, ServiceModel, SlaPolicy, TenantSpec,
 };
-use dtu::telemetry::TraceBuffer;
+use dtu::telemetry::chrome;
 use dtu::Accelerator;
 use dtu_bench::cli::{self, Args};
 use dtu_harness::SessionCache;
@@ -84,23 +84,19 @@ pub fn run(args: &Args) -> Outcome {
     let cache = cli::session_cache(args);
     let mut models = compiled(args, &accel, &cache);
     let names = (0..models.len()).map(|i| format!("tenant{i}")).collect();
-    let cfg = scenario(args, &accel, names, FaultPlan::default());
+    // A .json trace goes through the telemetry exporter (request/batch
+    // spans on the shared clock); anything else stays JSONL.
+    let trace: Option<String> = args.opt("--trace-out");
+    let chrome_trace = trace.as_deref().is_some_and(|p| p.ends_with(".json"));
+    let mut cfg = scenario(args, &accel, names, FaultPlan::default());
+    // Request spans need the per-request outcomes.
+    cfg.record_requests = chrome_trace;
 
     let mut refs: Vec<&mut dyn ServiceModel> = models
         .iter_mut()
         .map(|m| m as &mut dyn ServiceModel)
         .collect();
-    // A .json trace goes through the telemetry exporter (request/batch
-    // spans on the shared clock); anything else stays JSONL.
-    let trace: Option<String> = args.opt("--trace-out");
-    let chrome_trace = trace.as_deref().is_some_and(|p| p.ends_with(".json"));
-    let mut buf = TraceBuffer::new();
-    let out = if chrome_trace {
-        run_serving_recorded(&cfg, accel.config(), &mut refs, &mut buf)
-    } else {
-        run_serving(&cfg, accel.config(), &mut refs)
-    }
-    .map_err(serve_failure)?;
+    let out = run_serving(&cfg, accel.config(), &mut refs).map_err(serve_failure)?;
 
     // The header waits for the run, so a rejected scenario prints
     // nothing on stdout.
@@ -144,7 +140,9 @@ pub fn run(args: &Args) -> Outcome {
 
     if let Some(path) = &trace {
         if chrome_trace {
-            write_file(path, buf.to_chrome_trace(true))?;
+            let mut spans = out.trace.to_spans();
+            spans.extend(out.requests.iter().map(RequestOutcome::to_span));
+            write_file(path, chrome::export(&spans, true))?;
         } else {
             write_file(path, out.trace.to_jsonl())?;
         }

@@ -18,6 +18,10 @@ use std::path::Path;
 const TOPSEXEC: &[(&[&str], u64)] = &[
     (&["--model", "resnet50"], 0x70e04f61fdba48fc),
     (
+        &["--model", "resnet50", "--trace-out", "m.json"],
+        0x01feba0aca78e9e0,
+    ),
+    (
         &[
             "--model",
             "vgg16",
@@ -30,7 +34,7 @@ const TOPSEXEC: &[(&[&str], u64)] = &[
             "--profile",
             "--no-power-management",
         ],
-        0x89388c48bef18936,
+        0x5f5cbe8c66ff0cb7,
     ),
     // The trace file itself differs between two runs of one binary, so
     // only stdout is pinned.
@@ -81,6 +85,22 @@ const TOPSEXEC: &[(&[&str], u64)] = &[
             "7",
             "--jobs",
             "1",
+            "--no-disk-cache",
+        ],
+        0xbf3834835e84a0ea,
+    ),
+    (
+        &[
+            "serve",
+            "--generative",
+            "--gen-model",
+            "tiny",
+            "--seed",
+            "7",
+            "--jobs",
+            "1",
+            "--trace-out",
+            "gt.json",
             "--no-disk-cache",
         ],
         0xbf3834835e84a0ea,
@@ -364,7 +384,9 @@ const TOPSEXEC: &[(&[&str], u64)] = &[
 
 /// The files the invocations above write, and the digest of their bytes.
 const WRITTEN: &[(&str, u64)] = &[
+    ("m.json", 0xa71008cfd16d9c18),
     ("s.json", 0x93d3e1405c878199),
+    ("gt.json", 0x8293792b97225f7e),
     ("g.json", 0x56ab5a9df97c201a),
     ("slo.json", 0x9ef13ba17b4145fb),
     ("fl.json", 0x7ed8e7aa7ddf9929),

@@ -14,6 +14,21 @@ fn bad_fleet_input_fails_with_the_fleet_usage() {
         (&["fleet"], &["--chips", "0"], "--chips"),
         (&["fleet"], &["--cards", "0"], "--cards"),
         (&["fleet"], &["nosuch"], "unknown model 'nosuch'"),
+        (
+            &["fleet"],
+            &["--deadline", "-1"],
+            "needs a positive SLA deadline (inf for none), got -1 ms",
+        ),
+        (
+            &["fleet"],
+            &["--epoch", "inf"],
+            "must be positive and finite",
+        ),
+        (
+            &["fleet"],
+            &["--epoch", "1e-6"],
+            "at most 10000 routing epochs",
+        ),
         // Flags another mode of the command takes.
         (&["fleet"], &["--refresh-ms", "5"], "--refresh-ms"),
         (&["fleet", "top"], &["--format", "json"], "--format"),

@@ -82,6 +82,38 @@ fn bad_serve_flags_fail_with_the_command_usage() {
         ("serve --generative", &["--once"], "--once"),
         ("serve --generative", &["--span", "5"], "--span"),
         ("serve --generative", &["--refresh-ms", "5"], "--refresh-ms"),
+        // Deadlines must be positive; `inf` means none.
+        (
+            "serve",
+            &["--deadline", "-5"],
+            "deadline_ms must be positive (inf for none), got -5",
+        ),
+        (
+            "serve",
+            &["--deadline", "nan"],
+            "deadline_ms must be positive (inf for none), got NaN",
+        ),
+        (
+            "serve",
+            &["--deadline", "0"],
+            "deadline_ms must be positive (inf for none), got 0",
+        ),
+        // Rejected before the warm-up compiles the session grid.
+        (
+            "serve --generative",
+            &["--jobs", "2", "--ttft-deadline", "-1"],
+            "ttft_deadline_ms must be positive (inf for none), got -1",
+        ),
+        (
+            "serve --generative",
+            &["--jobs", "2", "--tpot-deadline", "nan"],
+            "tpot_deadline_ms must be positive (inf for none), got NaN",
+        ),
+        (
+            "serve --generative",
+            &["--jobs", "2", "--max-concurrency", "0"],
+            "max_concurrency must be at least 1",
+        ),
     ];
     let mut failures = Vec::new();
     for (command, extra, reason) in cases {

@@ -33,7 +33,6 @@ mod accelerator;
 mod error;
 mod recovery;
 mod runtime;
-mod serving;
 mod session;
 
 pub use accelerator::Accelerator;
@@ -42,7 +41,6 @@ pub use recovery::{
     run_resilient, run_resilient_with, RecoveryPolicy, RemapEvent, ResilienceReport,
 };
 pub use runtime::{DeviceAllocator, DeviceBuffer, Runtime, RuntimeError};
-pub use serving::{simulate_serving, ServingConfig, ServingReport};
 pub use session::{InferenceReport, Session, SessionOptions, WorkloadSize};
 
 // Re-export the pieces users need to build models and interpret reports.
@@ -53,9 +51,9 @@ pub use dtu_faults as faults;
 pub use dtu_graph::{Graph, GraphError, Op, TensorType};
 pub use dtu_isa::DataType;
 /// The event-driven serving layer (dynamic batching, SLA admission,
-/// elastic scaling); [`simulate_serving`] is its closed-form facade.
+/// elastic scaling).
 pub use dtu_serve as serve;
-pub use dtu_sim::{ChipConfig, FeatureSet, RunReport, Timeline, TraceKind};
+pub use dtu_sim::{ChipConfig, FeatureSet, RunReport};
 /// The unified observability layer: spans, the counter registry, trace
 /// export, and per-operator bottleneck attribution.
 pub use dtu_telemetry as telemetry;

@@ -228,23 +228,6 @@ impl<'a> Session<'a> {
         })
     }
 
-    /// Runs the compiled program with the profiler attached, returning
-    /// the report plus the per-command timeline (the Fig. 11 profiler).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Session::run`].
-    pub fn run_traced(&self) -> Result<(InferenceReport, dtu_sim::Timeline), DtuError> {
-        let (report, timeline) = self.accel.chip().run_traced(&self.program)?;
-        Ok((
-            InferenceReport {
-                report,
-                batch: self.batch,
-            },
-            timeline,
-        ))
-    }
-
     /// Runs the compiled program with a telemetry [`Recorder`]
     /// attached: the simulator's kernel/DMA/sync spans stream into
     /// `rec`, and the session wraps them in one `Layer::Session` span

@@ -133,6 +133,11 @@ struct ChipEpochOutcome {
     monitor: Option<LiveMonitor>,
 }
 
+/// Most routing epochs one fleet run may take. Every epoch re-routes
+/// and re-runs each serving chip, so a tiny `epoch_ms` would otherwise
+/// run for hours; the default CLI fleet takes 20.
+const MAX_EPOCHS: usize = 10_000;
+
 /// The content-derived serve seed for one (chip, epoch).
 fn chip_epoch_seed(fleet_seed: u64, chip: usize, epoch: usize) -> u64 {
     let mut key = Fnv1a::new();
@@ -537,20 +542,39 @@ fn run_fleet_inner(
     jobs: usize,
     mut monitor: Option<&mut FleetMonitor>,
 ) -> Result<FleetReport, FleetError> {
-    if cfg.epoch_ms.is_nan()
-        || cfg.epoch_ms <= 0.0
-        || cfg.duration_ms.is_nan()
-        || cfg.duration_ms <= 0.0
-    {
-        return Err(FleetError::Config(
-            "fleet duration and epoch length must be positive".into(),
-        ));
+    let positive_finite = |x: f64| x.is_finite() && x > 0.0;
+    if !(positive_finite(cfg.epoch_ms) && positive_finite(cfg.duration_ms)) {
+        return Err(FleetError::Config(format!(
+            "fleet duration and epoch length must be positive and finite, \
+             got {} ms and {} ms",
+            cfg.duration_ms, cfg.epoch_ms
+        )));
     }
-    if let Some(t) = tenants.iter().find(|t| !(t.qps.is_finite() && t.qps > 0.0)) {
+    let epochs = (cfg.duration_ms / cfg.epoch_ms).ceil();
+    if epochs > MAX_EPOCHS as f64 {
+        return Err(FleetError::Config(format!(
+            "a fleet run takes at most {MAX_EPOCHS} routing epochs, but {} ms in \
+             {} ms epochs takes {epochs}",
+            cfg.duration_ms, cfg.epoch_ms
+        )));
+    }
+    let epochs = epochs as usize;
+    if let Some(t) = tenants.iter().find(|t| !positive_finite(t.qps)) {
         return Err(FleetError::Config(format!(
             "tenant {} needs a positive, finite QPS, got {}",
             t.model.name(),
             t.qps
+        )));
+    }
+    // `+inf` is a tenant without an SLO.
+    if let Some(t) = tenants
+        .iter()
+        .find(|t| t.deadline_ms.is_nan() || t.deadline_ms <= 0.0)
+    {
+        return Err(FleetError::Config(format!(
+            "tenant {} needs a positive SLA deadline (inf for none), got {} ms",
+            t.model.name(),
+            t.deadline_ms
         )));
     }
     if let Some(kill) = &cfg.kill {
@@ -579,7 +603,6 @@ fn run_fleet_inner(
     let mut faults_injected = 0u64;
     let mut retries = 0u64;
 
-    let epochs = (cfg.duration_ms / cfg.epoch_ms).ceil() as usize;
     for epoch in 0..epochs {
         let epoch_start = epoch as f64 * cfg.epoch_ms;
         let epoch_len = (cfg.duration_ms - epoch_start).min(cfg.epoch_ms);
@@ -1047,11 +1070,28 @@ mod tests {
         let topo = FleetTopology::homogeneous(1, 2, &ChipConfig::dtu20()).unwrap();
         let cache = SessionCache::memory_only();
         let tenants = vec![FleetTenant::new(toy_model(), 100.0)];
-        let bad_epoch = FleetConfig {
-            epoch_ms: 0.0,
-            ..small_cfg()
-        };
-        assert!(run_fleet(&topo, &tenants, &bad_epoch, &cache, 1).is_err());
+        for (epoch_ms, want) in [
+            (0.0, "positive and finite"),
+            (f64::INFINITY, "positive and finite"),
+            (f64::NAN, "positive and finite"),
+            (1e-6, "at most 10000 routing epochs"),
+        ] {
+            let bad_epoch = FleetConfig {
+                epoch_ms,
+                ..small_cfg()
+            };
+            match run_fleet(&topo, &tenants, &bad_epoch, &cache, 1) {
+                Err(FleetError::Config(msg)) => assert!(msg.contains(want), "{msg}"),
+                other => panic!("epoch {epoch_ms} must be a config error, got {other:?}"),
+            }
+        }
+        for deadline_ms in [-1.0, 0.0, f64::NAN] {
+            let mut late = FleetTenant::new(toy_model(), 100.0);
+            late.deadline_ms = deadline_ms;
+            let r = run_fleet(&topo, &[late], &small_cfg(), &cache, 1);
+            assert!(matches!(r, Err(FleetError::Config(_))), "{r:?}");
+        }
+        assert_eq!(cache.stats().misses, 0, "rejected before any work");
         let bad_kill = FleetConfig {
             kill: Some(ChipKill {
                 chip: 9,

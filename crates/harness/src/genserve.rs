@@ -18,19 +18,9 @@ use dtu::Accelerator;
 use dtu_compiler::Fnv1a;
 use dtu_models::{GenerativeConfig, GenerativeModel};
 use dtu_serve::{
-    run_generative, run_generative_live, run_generative_recorded, CompiledTokenModel, GenMonitor,
-    GenOutcome, GenerativeScenario, TokenModel,
+    run_generative, run_generative_live, CompiledTokenModel, GenMonitor, GenOutcome,
+    GenerativeScenario, TokenModel,
 };
-use dtu_telemetry::Recorder;
-
-/// How a generative run reports what happened: silently, through a
-/// span [`Recorder`], or through a live [`GenMonitor`]. All three
-/// produce byte-identical outcomes — observation never steers.
-enum GenRunMode<'a> {
-    Plain,
-    Recorded(&'a mut dyn Recorder),
-    Live(&'a mut GenMonitor),
-}
 
 /// The compiled-session closure of a generative scenario: every
 /// `(phase, batch_bucket, context_bucket)` the engine can request.
@@ -58,17 +48,20 @@ pub fn gen_session_grid(sc: &GenerativeScenario) -> Vec<(&'static str, usize, us
     grid
 }
 
-/// Runs one generative serving scenario end-to-end: warms the session
-/// grid through `cache` on `jobs` workers, then runs the continuous
-/// batcher against the compiled token model (recording spans and
-/// counters into `rec` when one is supplied).
+/// Runs one generative serving scenario end-to-end: checks the
+/// scenario, warms the session grid through `cache` on `jobs` workers,
+/// then runs the continuous batcher against the compiled token model,
+/// with `mon` riding along when one is supplied.
 ///
-/// The returned outcome is byte-identical for any `jobs` value and any
-/// prior cache contents.
+/// The returned outcome is byte-identical for any `jobs` value, any
+/// prior cache contents, and with or without a monitor (monitoring is
+/// strictly observational).
 ///
 /// # Errors
 ///
-/// Compile or simulation failures from any session, wrapped as
+/// [`HarnessError::Config`] for a scenario
+/// [`GenerativeScenario::validate`] rejects, before anything compiles;
+/// compile or simulation failures from any session, wrapped as
 /// [`HarnessError::Job`] with the offending (phase, batch, context)
 /// label.
 pub fn run_generative_serve(
@@ -77,45 +70,11 @@ pub fn run_generative_serve(
     scenario: &GenerativeScenario,
     cache: &SessionCache,
     jobs: usize,
-    rec: Option<&mut dyn Recorder>,
+    mon: Option<&mut GenMonitor>,
 ) -> Result<GenOutcome, HarnessError> {
-    let mode = match rec {
-        Some(rec) => GenRunMode::Recorded(rec),
-        None => GenRunMode::Plain,
-    };
-    run_generative_serve_inner(accel, config, scenario, cache, jobs, mode)
-}
-
-/// [`run_generative_serve`] streamed through a live [`GenMonitor`]:
-/// every token-boundary event feeds the monitor's time series, TTFT /
-/// TPOT windowed histograms, SLO burn-rate trackers, and flight
-/// recorder while the engine runs.
-///
-/// Monitoring is strictly observational: the outcome is byte-identical
-/// to the unmonitored run for any `jobs` value or cache temperature.
-///
-/// # Errors
-///
-/// Exactly as [`run_generative_serve`].
-pub fn run_generative_serve_live(
-    accel: &Accelerator,
-    config: &GenerativeConfig,
-    scenario: &GenerativeScenario,
-    cache: &SessionCache,
-    jobs: usize,
-    mon: &mut GenMonitor,
-) -> Result<GenOutcome, HarnessError> {
-    run_generative_serve_inner(accel, config, scenario, cache, jobs, GenRunMode::Live(mon))
-}
-
-fn run_generative_serve_inner(
-    accel: &Accelerator,
-    config: &GenerativeConfig,
-    scenario: &GenerativeScenario,
-    cache: &SessionCache,
-    jobs: usize,
-    mode: GenRunMode<'_>,
-) -> Result<GenOutcome, HarnessError> {
+    scenario
+        .validate()
+        .map_err(|e| HarnessError::Config(e.to_string()))?;
     let workload = GenerativeModel::new(*config, scenario.prompt_tokens);
 
     // Warm-up: compile the whole session grid in parallel into the
@@ -153,10 +112,9 @@ fn run_generative_serve_inner(
     // session it asks for is already in the cache.
     let mut model =
         CompiledTokenModel::new(accel.chip(), workload, scenario.prompt_tokens).with_source(cache);
-    let out = match mode {
-        GenRunMode::Plain => run_generative(scenario, &mut model),
-        GenRunMode::Recorded(rec) => run_generative_recorded(scenario, &mut model, rec),
-        GenRunMode::Live(mon) => run_generative_live(scenario, &mut model, mon),
+    let out = match mon {
+        Some(mon) => run_generative_live(scenario, &mut model, mon),
+        None => run_generative(scenario, &mut model),
     };
     out.map_err(|e| HarnessError::Job {
         label: "generative".into(),
@@ -206,10 +164,23 @@ mod tests {
         let plain = run_generative_serve(&accel, &cfg, &sc, &plain_cache, 1, None).unwrap();
         let live_cache = SessionCache::memory_only();
         let mut mon = GenMonitor::with_defaults();
-        let live = run_generative_serve_live(&accel, &cfg, &sc, &live_cache, 4, &mut mon).unwrap();
+        let live = run_generative_serve(&accel, &cfg, &sc, &live_cache, 4, Some(&mut mon)).unwrap();
         assert_eq!(plain.report.to_json(), live.report.to_json());
         assert_eq!(plain.trace, live.trace);
         assert!(mon.completions.total() > 0.0, "monitor saw the run");
+    }
+
+    #[test]
+    fn bad_scenario_is_rejected_before_the_warm_up() {
+        let accel = Accelerator::cloudblazer_i20();
+        let cfg = GenerativeConfig::tiny();
+        let mut sc = scenario();
+        sc.ttft_deadline_ms = -1.0;
+        let cache = SessionCache::memory_only();
+        let err = run_generative_serve(&accel, &cfg, &sc, &cache, 2, None).unwrap_err();
+        assert!(matches!(err, HarnessError::Config(_)), "{err}");
+        assert!(err.to_string().contains("ttft_deadline_ms"), "{err}");
+        assert_eq!(cache.stats().misses, 0, "nothing compiled");
     }
 
     #[test]

@@ -64,7 +64,7 @@ mod sweep;
 pub use cache::{CacheOutcome, CacheStats, SessionCache, CACHE_FORMAT_VERSION};
 pub use error::HarnessError;
 pub use faultsweep::{run_fault_sweep, FaultPoint, FaultSweepReport};
-pub use genserve::{gen_session_grid, run_generative_serve, run_generative_serve_live};
+pub use genserve::{gen_session_grid, run_generative_serve};
 pub use golden::{compare_golden, GOLDEN_RTOL};
 pub use plan::{available_jobs, ExperimentPlan, PlanCtx, PointId};
 pub use slosweep::{

@@ -52,14 +52,6 @@ impl DataType {
         }
     }
 
-    /// Whether this is a floating-point format.
-    pub fn is_float(self) -> bool {
-        matches!(
-            self,
-            DataType::Fp32 | DataType::Tf32 | DataType::Fp16 | DataType::Bf16
-        )
-    }
-
     /// Peak-throughput multiplier relative to FP32 on DTU 2.0.
     ///
     /// Table I: FP32 32 TFLOPS; TF32/FP16/BF16 128; INT8 256 TOPS. INT32 and

@@ -1,7 +1,7 @@
 //! Serving-run configuration: tenants, batching, SLA, scaling, and
 //! fault-recovery policies.
 
-use crate::ArrivalProcess;
+use crate::{ArrivalProcess, ServeError};
 use dtu_faults::{FaultPlan, FaultRng};
 
 /// Dynamic-batching policy for one tenant's queue.
@@ -90,6 +90,18 @@ impl SlaPolicy {
             deadline_ms,
             max_queue_depth,
         }
+    }
+}
+
+/// Rejects a deadline that is NaN or not positive; `+inf` means "no
+/// deadline" and passes.
+pub(crate) fn check_deadline(name: &str, deadline_ms: f64) -> Result<(), ServeError> {
+    if deadline_ms > 0.0 {
+        Ok(())
+    } else {
+        Err(ServeError::Config(format!(
+            "{name} must be positive (inf for none), got {deadline_ms}"
+        )))
     }
 }
 

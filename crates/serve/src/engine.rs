@@ -7,7 +7,7 @@
 //! configuration (seeded arrivals, deterministic tie-breaking), so two
 //! runs with the same seed are bit-identical.
 
-use crate::config::{RetryPolicy, ServeConfig, TenantSpec};
+use crate::config::{check_deadline, RetryPolicy, ServeConfig, TenantSpec};
 use crate::live::LiveMonitor;
 use crate::metrics::{
     RequestOutcome, ServeEvent, ServeEventKind, ServeReport, ServingTrace, TenantReport,
@@ -18,8 +18,8 @@ use crate::{ArrivalGen, ServeError};
 use dtu_compiler::Placement;
 use dtu_faults::{FaultError, FaultRng, FaultSession};
 use dtu_sim::{ChipConfig, GroupId, SimError};
+use dtu_telemetry::clock::ms_to_ns;
 use dtu_telemetry::AlertEvent;
-use dtu_telemetry::{clock::ms_to_ns, Layer, Recorder, Span, SpanKind};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
@@ -171,7 +171,8 @@ struct Engine<'m, 's, 'l> {
 /// # Errors
 ///
 /// Configuration problems (no tenants, bad model index, more groups
-/// requested than the chip has, an arrival process or horizon that
+/// requested than the chip has, an SLA deadline that is NaN or not
+/// positive, an arrival process or horizon that
 /// [`ArrivalProcess::validate`](crate::ArrivalProcess::validate)
 /// rejects) and compile/simulate failures from the service models
 /// surface as [`ServeError`].
@@ -180,57 +181,7 @@ pub fn run_serving(
     chip: &ChipConfig,
     models: &mut [&mut dyn ServiceModel],
 ) -> Result<ServeOutcome, ServeError> {
-    let mut engine = Engine::new(cfg, chip, models)?;
-    engine.seed_arrivals(cfg);
-    while let Some(ev) = engine.heap.pop() {
-        engine.step(ev, cfg)?;
-    }
-    Ok(engine.finish(cfg))
-}
-
-/// Runs a serving scenario with a telemetry [`Recorder`] attached.
-///
-/// In addition to the normal [`ServeOutcome`], the run's event log is
-/// recorded as `Layer::Serving` spans on the shared nanosecond clock:
-/// one [`SpanKind::Request`] interval per request (arrival →
-/// completion), one [`SpanKind::Batch`] interval per dispatched batch,
-/// and markers for sheds, completions, and scale decisions. With a
-/// disabled recorder this is exactly [`run_serving`].
-///
-/// # Errors
-///
-/// As for [`run_serving`].
-pub fn run_serving_recorded(
-    cfg: &ServeConfig,
-    chip: &ChipConfig,
-    models: &mut [&mut dyn ServiceModel],
-    rec: &mut dyn Recorder,
-) -> Result<ServeOutcome, ServeError> {
-    if !rec.enabled() {
-        return run_serving(cfg, chip, models);
-    }
-    // Request spans need per-request outcomes; record them for the
-    // duration of the run even if the caller did not ask to keep them.
-    let mut run_cfg = cfg.clone();
-    run_cfg.record_requests = true;
-    let mut out = run_serving(&run_cfg, chip, models)?;
-    for span in out.trace.to_spans() {
-        rec.record(span);
-    }
-    for r in &out.requests {
-        rec.record(Span::new(
-            SpanKind::Request,
-            Layer::Serving,
-            r.tenant as u32,
-            format!("req {}{}", r.req, if r.violated { " (late)" } else { "" }),
-            ms_to_ns(r.arrival_ms),
-            ms_to_ns(r.done_ms),
-        ));
-    }
-    if !cfg.record_requests {
-        out.requests.clear();
-    }
-    Ok(out)
+    drive(cfg, chip, models, None)
 }
 
 /// Runs a serving scenario with a [`LiveMonitor`] attached: windowed
@@ -254,23 +205,32 @@ pub fn run_serving_live(
     live: &mut LiveMonitor,
 ) -> Result<ServeOutcome, ServeError> {
     live.begin(&cfg.tenants);
+    drive(cfg, chip, models, Some(live))
+}
+
+/// The event loop behind both entry points.
+fn drive(
+    cfg: &ServeConfig,
+    chip: &ChipConfig,
+    models: &mut [&mut dyn ServiceModel],
+    live: Option<&mut LiveMonitor>,
+) -> Result<ServeOutcome, ServeError> {
     let mut engine = Engine::new(cfg, chip, models)?;
-    engine.live = Some(live);
+    engine.live = live;
     engine.seed_arrivals(cfg);
     while let Some(ev) = engine.heap.pop() {
         engine.step(ev, cfg)?;
     }
-    // Judge the trailing windows: one final evaluation past the last
-    // event (or the horizon, whichever is later).
-    let last_ns = engine
-        .trace
-        .events
-        .last()
-        .map_or(0.0, |e| e.t_ns)
-        .max(ms_to_ns(cfg.duration_ms));
     if let Some(mon) = engine.live.as_deref_mut() {
-        let fired = mon.finish(last_ns);
-        for (tenant, alert) in fired {
+        // Judge the trailing windows: one final evaluation past the
+        // last event (or the horizon, whichever is later).
+        let last_ns = engine
+            .trace
+            .events
+            .last()
+            .map_or(0.0, |e| e.t_ns)
+            .max(ms_to_ns(cfg.duration_ms));
+        for (tenant, alert) in mon.finish(last_ns) {
             engine.push_alert(tenant, &alert);
         }
     }
@@ -290,6 +250,10 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
         let mut tenants = Vec::with_capacity(cfg.tenants.len());
         for (idx, spec) in cfg.tenants.iter().enumerate() {
             spec.arrival.validate(cfg.duration_ms)?;
+            check_deadline(
+                &format!("tenant '{}' SLA deadline_ms", spec.name),
+                spec.sla.deadline_ms,
+            )?;
             if spec.model >= models.len() {
                 return Err(ServeError::Config(format!(
                     "tenant '{}' references model {} but only {} were provided",
@@ -982,6 +946,17 @@ mod tests {
     }
 
     #[test]
+    fn bad_sla_deadline_is_a_config_error() {
+        for deadline_ms in [-5.0, 0.0, f64::NAN] {
+            let mut cfg = one_tenant(10.0);
+            cfg.tenants[0].sla = SlaPolicy::new(deadline_ms, 8);
+            let mut m = AnalyticModel::new("m", 1.0);
+            let err = run_serving(&cfg, &ChipConfig::dtu20(), &mut [&mut m]).unwrap_err();
+            assert!(err.to_string().contains("SLA deadline_ms"), "{err}");
+        }
+    }
+
+    #[test]
     fn admission_sheds_when_queue_is_full() {
         let mut cfg = one_tenant(4000.0); // far beyond capacity
         cfg.tenants[0].sla = SlaPolicy::new(50.0, 4);
@@ -1103,36 +1078,26 @@ mod tests {
 
     #[test]
     fn recorded_run_emits_request_spans_and_matches_plain_run() {
-        use dtu_telemetry::TraceBuffer;
+        use dtu_telemetry::{Layer, SpanKind};
         let cfg = one_tenant(200.0);
-        let mut m = AnalyticModel::new("m", 1.0);
-        let plain = run_serving(&cfg, &ChipConfig::dtu20(), &mut [&mut m]).unwrap();
-        let mut buf = TraceBuffer::new();
-        let mut m2 = AnalyticModel::new("m", 1.0);
-        let rec =
-            run_serving_recorded(&cfg, &ChipConfig::dtu20(), &mut [&mut m2], &mut buf).unwrap();
-        // Recording must not perturb the simulation or leak request
-        // outcomes the caller did not ask for.
+        let plain = run(&cfg, 1.0);
+        assert!(plain.requests.is_empty(), "kept only on request");
+        let mut recorded = cfg.clone();
+        recorded.record_requests = true;
+        let rec = run(&recorded, 1.0);
+        // Recording outcomes must not perturb the simulation.
         assert_eq!(plain.report, rec.report);
-        assert!(rec.requests.is_empty());
-        let reqs: Vec<_> = buf
-            .spans()
-            .iter()
-            .filter(|s| s.kind == SpanKind::Request)
-            .collect();
+        assert_eq!(plain.trace, rec.trace);
+        let reqs: Vec<_> = rec.requests.iter().map(RequestOutcome::to_span).collect();
         assert_eq!(reqs.len() as u64, rec.report.completed);
         for s in &reqs {
+            assert_eq!(s.kind, SpanKind::Request);
             assert_eq!(s.layer, Layer::Serving);
             assert!(s.end_ns >= s.start_ns);
         }
         // Batch spans from the event log ride along on the same clock.
-        assert!(buf.spans().iter().any(|s| s.kind == SpanKind::Batch));
-        // A disabled recorder takes the plain path.
-        let mut m3 = AnalyticModel::new("m", 1.0);
-        let mut null = dtu_telemetry::NullRecorder;
-        let nulled =
-            run_serving_recorded(&cfg, &ChipConfig::dtu20(), &mut [&mut m3], &mut null).unwrap();
-        assert_eq!(nulled.report, plain.report);
+        let batches = rec.trace.to_spans();
+        assert!(batches.iter().any(|s| s.kind == SpanKind::Batch));
     }
 
     use crate::RetryPolicy;

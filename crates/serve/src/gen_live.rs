@@ -3,11 +3,11 @@
 //! holding the full token timeline of recent requests.
 //!
 //! A [`GenMonitor`] rides along a generative run (see
-//! [`run_generative_live`]) as a [`GenObserver`]: it sees every admit,
-//! prefill, decode step, preemption, KV exhaustion, completion, and
-//! shed *at its simulated time*. It never feeds anything back into the
-//! engine — a monitored run's report and trace are byte-identical to a
-//! plain run's.
+//! [`run_generative_live`](crate::run_generative_live)) as a
+//! [`GenObserver`]: it sees every admit, prefill, decode step,
+//! preemption, KV exhaustion, completion, and shed *at its simulated
+//! time*. It never feeds anything back into the engine — a monitored
+//! run's report and trace are byte-identical to a plain run's.
 //!
 //! It maintains:
 //! * windowed [`TimeSeries`] rings — arrivals, sheds, completions,
@@ -27,12 +27,8 @@
 //!   and every burn-rate page freeze a dump, so the black box names
 //!   the offending request.
 
-use crate::generative::{
-    run_generative_observed, GenDecodeStep, GenJoiner, GenObserver, GenOutcome, GenerativeScenario,
-};
+use crate::generative::{GenDecodeStep, GenJoiner, GenObserver, GenerativeScenario};
 use crate::metrics::{event_to_span, ServeEvent};
-use crate::token_model::TokenModel;
-use crate::ServeError;
 use dtu_telemetry::clock::ms_to_ns;
 use dtu_telemetry::slo::EVAL_WINDOW_NS;
 use dtu_telemetry::{
@@ -175,8 +171,9 @@ pub struct GenMonitor {
 }
 
 impl GenMonitor {
-    /// Creates a monitor; attach to a scenario via
-    /// [`GenMonitor::begin`] (done by [`run_generative_live`]).
+    /// Creates a monitor; pass it to
+    /// [`run_generative_live`](crate::run_generative_live), which resets
+    /// it for the scenario before the run.
     pub fn new(cfg: GenLiveConfig) -> Self {
         let series = || TimeSeries::new(cfg.window_ns, cfg.ring_windows);
         let hist = || WindowedHistogram::new(cfg.window_ns, cfg.ring_windows);
@@ -214,12 +211,6 @@ impl GenMonitor {
     /// A monitor with default windows and no SLOs.
     pub fn with_defaults() -> Self {
         GenMonitor::new(GenLiveConfig::default())
-    }
-
-    /// (Re-)initialises state for a run over `sc`.
-    pub fn begin(&mut self, sc: &GenerativeScenario) {
-        *self = GenMonitor::new(self.cfg.clone());
-        self.total_pages = sc.kv.total_pages;
     }
 
     /// The monitor's configuration.
@@ -272,14 +263,6 @@ impl GenMonitor {
         }
         self.alerts.extend(fired.iter().cloned());
         fired
-    }
-
-    /// Finishes the run at `end_ns`: runs the remaining boundaries plus
-    /// one final evaluation past the end so trailing windows are
-    /// judged. Returns any alerts that transitioned.
-    pub fn finish(&mut self, end_ns: f64) -> Vec<AlertEvent> {
-        let last = (end_ns / EVAL_WINDOW_NS).ceil() * EVAL_WINDOW_NS;
-        self.advance(last.max(self.next_eval_ns))
     }
 
     /// One dashboard row over the trailing `span_ns` at `now_ns`.
@@ -360,6 +343,19 @@ impl GenMonitor {
 }
 
 impl GenObserver for GenMonitor {
+    /// (Re-)initialises state for a run over `sc`.
+    fn begin(&mut self, sc: &GenerativeScenario) {
+        *self = GenMonitor::new(self.cfg.clone());
+        self.total_pages = sc.kv.total_pages;
+    }
+
+    /// Runs the remaining evaluation boundaries plus one final
+    /// evaluation past the end, so trailing windows are judged.
+    fn finish(&mut self, drained_ns: f64) {
+        let last = (drained_ns / EVAL_WINDOW_NS).ceil() * EVAL_WINDOW_NS;
+        self.advance(last.max(self.next_eval_ns));
+    }
+
     fn on_event(&mut self, event: &ServeEvent) {
         self.advance(event.t_ns);
         // The full event stream lands in the ring via the same mapping
@@ -493,33 +489,13 @@ impl GenObserver for GenMonitor {
     }
 }
 
-/// Runs a generative scenario with a [`GenMonitor`] riding along.
-///
-/// The monitor is strictly observational: the returned outcome is
-/// byte-identical to [`run_generative`](crate::run_generative)'s for
-/// the same scenario and model.
-///
-/// # Errors
-///
-/// As for [`run_generative`](crate::run_generative).
-pub fn run_generative_live(
-    sc: &GenerativeScenario,
-    model: &mut dyn TokenModel,
-    mon: &mut GenMonitor,
-) -> Result<GenOutcome, ServeError> {
-    mon.begin(sc);
-    let out = run_generative_observed(sc, model, mon)?;
-    mon.finish(ms_to_ns(out.report.drained_ms));
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arrival::ArrivalProcess;
     use crate::kv::KvCacheConfig;
-    use crate::run_generative;
     use crate::token_model::AnalyticTokenModel;
+    use crate::{run_generative, run_generative_live};
 
     fn scenario(total_pages: usize) -> GenerativeScenario {
         GenerativeScenario {

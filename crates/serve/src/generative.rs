@@ -37,25 +37,25 @@
 //! eventually finish because the run drains after the arrival horizon.
 
 use crate::arrival::{ArrivalGen, ArrivalProcess, ServeRng};
+use crate::config::check_deadline;
 use crate::kv::{KvCacheConfig, KvStats, PagedKvCache};
-use crate::metrics::{event_to_span, ServeEvent, ServeEventKind, ServingTrace};
+use crate::metrics::{ServeEvent, ServeEventKind, ServingTrace};
 use crate::stats::{LatencyStats, Sample};
 use crate::token_model::TokenModel;
 use crate::ServeError;
 use dtu_telemetry::clock::ms_to_ns;
-use dtu_telemetry::{Counter, CounterSet, CounterSnapshot, Recorder};
+use dtu_telemetry::{Counter, CounterSet};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// Observer of the engine's token boundaries.
 ///
-/// [`run_generative_observed`] calls these hooks *as the run unfolds*,
-/// so a live monitor (or a telemetry [`Recorder`] bridge) sees every
-/// admit / prefill / decode-step / preempt / exhaust / complete / shed
-/// at its simulated time instead of reconstructing them afterwards.
-/// Every hook is pure observation: the engine never reads anything
-/// back, so an observed run's report and trace are byte-identical to a
-/// plain run's.
+/// [`run_generative_live`] calls these hooks *as the run unfolds*, so a
+/// live monitor sees every admit / prefill / decode-step / preempt /
+/// exhaust / complete / shed at its simulated time instead of
+/// reconstructing them afterwards. Every hook is pure observation: the
+/// engine never reads anything back, so an observed run's report and
+/// trace are byte-identical to a plain run's.
 ///
 /// All hooks default to no-ops; implement only what you need.
 pub trait GenObserver {
@@ -65,6 +65,11 @@ pub trait GenObserver {
     fn enabled(&self) -> bool {
         true
     }
+    /// The run over `sc` is about to start (the scenario has been
+    /// validated).
+    fn begin(&mut self, _sc: &GenerativeScenario) {}
+    /// The run drained at `drained_ns`; no hook follows.
+    fn finish(&mut self, _drained_ns: f64) {}
     /// Every trace record, in order, the moment it is appended.
     fn on_event(&mut self, _event: &ServeEvent) {}
     /// A request was admitted to the waiting queue.
@@ -185,6 +190,33 @@ impl GenerativeScenario {
         let span = (hi - lo + 1) as f64;
         let mut rng = ServeRng::new(self.seed ^ id.wrapping_mul(LEN_RNG_SALT));
         lo + ((rng.next_f64() * span) as usize).min(hi - lo)
+    }
+
+    /// Checks the scenario before any work: the arrival process and
+    /// horizon ([`ArrivalProcess::validate`]), a concurrency cap, prompt
+    /// length and KV pool of at least one, and TTFT and TPOT deadlines
+    /// that are positive (`f64::INFINITY` disables one).
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Config`] naming the first bad value.
+    pub fn validate(&self) -> Result<(), ServeError> {
+        self.arrival.validate(self.duration_ms)?;
+        if self.max_concurrency == 0 {
+            return Err(ServeError::Config(
+                "max_concurrency must be at least 1".into(),
+            ));
+        }
+        if self.prompt_tokens == 0 {
+            return Err(ServeError::Config(
+                "prompt_tokens must be at least 1".into(),
+            ));
+        }
+        if self.kv.total_pages == 0 {
+            return Err(ServeError::Config("KV pool has zero pages".into()));
+        }
+        check_deadline("ttft_deadline_ms", self.ttft_deadline_ms)?;
+        check_deadline("tpot_deadline_ms", self.tpot_deadline_ms)
     }
 
     /// KV pages request `id` needs at its largest (prompt + full
@@ -723,18 +755,20 @@ impl<'m> GenEngine<'m> {
 ///
 /// # Errors
 ///
-/// Configuration problems (including an arrival process or horizon
-/// that [`ArrivalProcess::validate`] rejects) and compile/simulate
-/// failures from the token model surface as [`ServeError`].
+/// A scenario [`GenerativeScenario::validate`] rejects, and
+/// compile/simulate failures from the token model, surface as
+/// [`ServeError`].
 pub fn run_generative(
     sc: &GenerativeScenario,
     model: &mut dyn TokenModel,
 ) -> Result<GenOutcome, ServeError> {
-    run_generative_observed(sc, model, &mut NoopObserver)
+    run_generative_live(sc, model, &mut NoopObserver)
 }
 
 /// Runs one generative serving scenario to completion with a
-/// [`GenObserver`] receiving every token-boundary event as it happens.
+/// [`GenObserver`] (for example a [`crate::GenMonitor`]) receiving
+/// every token-boundary event as it happens, between its
+/// [`GenObserver::begin`] and [`GenObserver::finish`] hooks.
 ///
 /// The observer is strictly observational: for any observer, the
 /// returned report and trace are identical to [`run_generative`]'s.
@@ -742,25 +776,13 @@ pub fn run_generative(
 /// # Errors
 ///
 /// As for [`run_generative`].
-pub fn run_generative_observed(
+pub fn run_generative_live(
     sc: &GenerativeScenario,
     model: &mut dyn TokenModel,
     obs: &mut dyn GenObserver,
 ) -> Result<GenOutcome, ServeError> {
-    sc.arrival.validate(sc.duration_ms)?;
-    if sc.max_concurrency == 0 {
-        return Err(ServeError::Config(
-            "max_concurrency must be at least 1".into(),
-        ));
-    }
-    if sc.prompt_tokens == 0 {
-        return Err(ServeError::Config(
-            "prompt_tokens must be at least 1".into(),
-        ));
-    }
-    if sc.kv.total_pages == 0 {
-        return Err(ServeError::Config("KV pool has zero pages".into()));
-    }
+    sc.validate()?;
+    obs.begin(sc);
     let mut eng = GenEngine {
         model,
         obs,
@@ -874,63 +896,11 @@ pub fn run_generative_observed(
         },
     };
     debug_assert!(report.balanced(), "accounting identity violated");
+    eng.obs.finish(ms_to_ns(drained_ms));
     Ok(GenOutcome {
         report,
         trace: eng.trace,
     })
-}
-
-/// Bridges the observer hooks onto a telemetry [`Recorder`]: every
-/// trace record becomes its span (via the shared
-/// [`event_to_span`] mapping) the moment the engine emits it.
-struct SpanObserver<'r> {
-    rec: &'r mut dyn Recorder,
-}
-
-impl GenObserver for SpanObserver<'_> {
-    fn on_event(&mut self, event: &ServeEvent) {
-        self.rec.record(event_to_span(event));
-    }
-}
-
-/// Runs a generative scenario with a telemetry [`Recorder`] attached:
-/// the event log becomes `Layer::Serving` spans (prefill and decode
-/// steps as intervals, preemptions and sheds as markers), emitted
-/// *during* the run as each event lands — a recorder with a bounded
-/// ring therefore holds the most recent window of the run, not a
-/// post-hoc replay. The run's final token/KV counters land as one
-/// [`CounterSnapshot`] labelled `generative`. With a disabled recorder
-/// this is exactly [`run_generative`].
-///
-/// # Errors
-///
-/// As for [`run_generative`].
-pub fn run_generative_recorded(
-    sc: &GenerativeScenario,
-    model: &mut dyn TokenModel,
-    rec: &mut dyn Recorder,
-) -> Result<GenOutcome, ServeError> {
-    if !rec.enabled() {
-        return run_generative(sc, model);
-    }
-    let out = {
-        let mut obs = SpanObserver { rec };
-        run_generative_observed(sc, model, &mut obs)?
-    };
-    let mut set = CounterSet::new();
-    let r = &out.report;
-    set.add(Counter::PrefillTokens, r.prefill_tokens as f64);
-    set.add(Counter::DecodeTokens, r.decode_tokens as f64);
-    set.add(Counter::KvPagesAllocated, r.kv.pages_allocated as f64);
-    set.add(Counter::KvSpillBytes, r.kv.spill_bytes as f64);
-    set.add(Counter::KvPreemptions, r.preemptions as f64);
-    set.add(Counter::KvExhaustions, r.kv.exhaustions as f64);
-    rec.snapshot(CounterSnapshot {
-        at_ns: ms_to_ns(r.drained_ms),
-        label: "generative".into(),
-        set,
-    });
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1048,6 +1018,19 @@ mod tests {
     }
 
     #[test]
+    fn deadlines_must_be_positive() {
+        for (ttft, tpot) in [(-1.0, 1.0), (0.0, 1.0), (1.0, f64::NAN)] {
+            let mut sc = scenario(4096);
+            (sc.ttft_deadline_ms, sc.tpot_deadline_ms) = (ttft, tpot);
+            let err = run_generative(&sc, &mut AnalyticTokenModel::new("m")).unwrap_err();
+            assert!(
+                err.to_string().contains("deadline_ms must be positive"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn one_token_answers_complete_at_prefill() {
         let mut sc = scenario(4096);
         sc.min_new_tokens = 1;
@@ -1077,60 +1060,20 @@ mod tests {
 
     #[test]
     fn recorded_run_matches_plain_and_snapshots_counters() {
-        use dtu_telemetry::TraceBuffer;
+        // What `serve --generative --trace-out x.json` records, from a
+        // plain or a monitored run alike: one span per event, plus the
+        // report's token counters.
         let sc = scenario(4096);
         let plain = run_generative(&sc, &mut AnalyticTokenModel::new("m")).unwrap();
-        let mut buf = TraceBuffer::new();
-        let rec =
-            run_generative_recorded(&sc, &mut AnalyticTokenModel::new("m"), &mut buf).unwrap();
-        assert_eq!(plain.report, rec.report);
-        assert!(!buf.spans().is_empty());
-        let snap = buf
-            .snapshots()
-            .iter()
-            .find(|s| s.label == "generative")
-            .expect("generative counter snapshot");
-        assert_eq!(
-            snap.set.get(Counter::DecodeTokens),
-            rec.report.decode_tokens as f64
-        );
-        assert_eq!(
-            snap.set.get(Counter::PrefillTokens),
-            rec.report.prefill_tokens as f64
-        );
-    }
-
-    #[test]
-    fn disabled_recorder_is_invariant_and_free() {
-        use dtu_telemetry::NullRecorder;
-        let sc = scenario(4096);
-        let plain = run_generative(&sc, &mut AnalyticTokenModel::new("m")).unwrap();
-        let mut null = NullRecorder;
-        let rec =
-            run_generative_recorded(&sc, &mut AnalyticTokenModel::new("m"), &mut null).unwrap();
-        assert_eq!(plain.report, rec.report);
-        assert_eq!(plain.trace, rec.trace);
-        assert_eq!(plain.report.to_json(), rec.report.to_json());
-    }
-
-    #[test]
-    fn spans_stream_during_the_run_not_post_hoc() {
-        use dtu_telemetry::FlightRecorder;
-        // A bounded ring much smaller than the event count: if spans
-        // were replayed after the run it would hold an arbitrary
-        // prefix; streamed during the run it holds exactly the most
-        // recent window, in event order.
-        let mut sc = scenario(4096);
-        sc.duration_ms = 120.0;
-        let mut ring = FlightRecorder::new(64);
-        let rec =
-            run_generative_recorded(&sc, &mut AnalyticTokenModel::new("m"), &mut ring).unwrap();
-        assert!(rec.trace.len() > 64, "scenario must overflow the ring");
-        let all = rec.trace.to_spans();
-        let expected = &all[all.len() - 64..];
-        let got: Vec<_> = ring.spans().cloned().collect();
-        assert_eq!(got.len(), 64);
-        assert_eq!(got.as_slice(), expected);
+        let mut mon = crate::GenMonitor::with_defaults();
+        let live = run_generative_live(&sc, &mut AnalyticTokenModel::new("m"), &mut mon).unwrap();
+        let spans = live.trace.to_spans();
+        assert_eq!(spans, plain.trace.to_spans());
+        assert_eq!(spans.len(), live.trace.len());
+        let set = live.report.counters();
+        let r = &live.report;
+        assert_eq!(set.get(Counter::DecodeTokens), r.decode_tokens as f64);
+        assert_eq!(set.get(Counter::PrefillTokens), r.prefill_tokens as f64);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! policies are unit-testable against [`AnalyticModel`] cost curves
 //! and deployable against the real compiled stack via
 //! [`CompiledModel`]. With batching, scaling, and shedding disabled it
-//! reduces exactly to the per-tenant M/D/1 model `dtu::simulate_serving`
-//! has always reported — that facade now delegates here.
+//! reduces exactly to a per-tenant M/D/1 queue (checked against the
+//! closed form in the crate's tests).
 //!
 //! Generative workloads get their own engine: [`run_generative`] runs
 //! **continuous (iteration-level) batching** — requests join and leave
@@ -75,11 +75,11 @@ pub use config::{BatchPolicy, RetryPolicy, ScalePolicy, ServeConfig, SlaPolicy, 
 /// (re-exported so callers can build [`ServeConfig::faults`] without a
 /// separate dependency).
 pub use dtu_faults as faults;
-pub use engine::{run_serving, run_serving_live, run_serving_recorded, ServeOutcome};
-pub use gen_live::{run_generative_live, GenLiveConfig, GenMonitor, GenRow};
+pub use engine::{run_serving, run_serving_live, ServeOutcome};
+pub use gen_live::{GenLiveConfig, GenMonitor, GenRow};
 pub use generative::{
-    run_generative, run_generative_observed, run_generative_recorded, GenDecodeStep, GenJoiner,
-    GenObserver, GenOutcome, GenReport, GenerativeScenario,
+    run_generative, run_generative_live, GenDecodeStep, GenJoiner, GenObserver, GenOutcome,
+    GenReport, GenerativeScenario,
 };
 pub use kv::{KvCacheConfig, KvStats, PagedKvCache};
 pub use live::{LiveConfig, LiveMonitor, TenantLive, TenantRow};

@@ -214,11 +214,6 @@ impl LiveMonitor {
         &self.tenants
     }
 
-    /// The configured SLO, if any.
-    pub fn slo_spec(&self) -> Option<&SloSpec> {
-        self.cfg.slo.as_ref()
-    }
-
     /// Latest simulated time the monitor has seen, ns.
     pub fn now_ns(&self) -> f64 {
         self.now_ns

@@ -448,9 +448,9 @@ impl ServingTrace {
 }
 
 /// Maps one trace record to its telemetry span. Shared by
-/// [`ServingTrace::to_spans`] and the streaming recorders
-/// ([`crate::run_generative_recorded`], [`crate::GenMonitor`]), so a
-/// span ring frozen mid-run renders identically to a post-hoc export.
+/// [`ServingTrace::to_spans`] and [`crate::GenMonitor`]'s flight
+/// recorder, so a span ring frozen mid-run renders identically to a
+/// post-hoc export.
 pub fn event_to_span(e: &ServeEvent) -> Span {
     use dtu_telemetry::clock::ms_to_ns;
     match &e.kind {
@@ -594,6 +594,24 @@ pub struct RequestOutcome {
     pub deadline_ms: f64,
     /// Whether the completion missed the deadline.
     pub violated: bool,
+}
+
+impl RequestOutcome {
+    /// The request as one [`SpanKind::Request`] interval on
+    /// `Layer::Serving` (track = tenant index), from arrival to
+    /// completion; a late completion is labelled `(late)`.
+    pub fn to_span(&self) -> Span {
+        use dtu_telemetry::clock::ms_to_ns;
+        let late = if self.violated { " (late)" } else { "" };
+        Span::new(
+            SpanKind::Request,
+            Layer::Serving,
+            self.tenant as u32,
+            format!("req {}{late}", self.req),
+            ms_to_ns(self.arrival_ms),
+            ms_to_ns(self.done_ms),
+        )
+    }
 }
 
 #[cfg(test)]

@@ -186,28 +186,6 @@ impl<'c> CompiledModel<'c> {
         self
     }
 
-    /// A model pinned to one already-built batch-1 graph (the
-    /// no-batching delegation path of `dtu::simulate_serving`).
-    /// Requests for any other batch size are a configuration error.
-    pub fn from_graph(chip: &'c Chip, name: impl Into<String>, graph: Graph) -> Self {
-        CompiledModel {
-            chip,
-            name: name.into(),
-            build: Box::new(move |b| {
-                if b == 1 {
-                    Ok(graph.clone())
-                } else {
-                    Err(ServeError::Config(format!(
-                        "model was provided as a fixed batch-1 graph but batch {b} was requested"
-                    )))
-                }
-            }),
-            cache: HashMap::new(),
-            source: None,
-            stats: CacheStats::default(),
-        }
-    }
-
     /// Session-cache hit/miss counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.stats
@@ -323,15 +301,6 @@ mod tests {
             s8 < 8.0 * s1,
             "batch 8 ({s8} ms) should amortise launch/staging vs 8 x batch 1 ({s1} ms)"
         );
-    }
-
-    #[test]
-    fn fixed_graph_rejects_other_batches() {
-        let chip = Chip::new(ChipConfig::dtu20());
-        let mut m = CompiledModel::from_graph(&chip, "fixed", toy(1));
-        let p = Placement::explicit(vec![GroupId::new(0, 0)]);
-        assert!(m.service_ms(1, &p).is_ok());
-        assert!(matches!(m.service_ms(2, &p), Err(ServeError::Config(_))));
     }
 
     #[test]

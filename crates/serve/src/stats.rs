@@ -1,8 +1,8 @@
 //! Latency statistics shared by the serving layers.
 //!
-//! Both the closed-form M/D/1 model in `dtu::simulate_serving` and the
-//! discrete-event engine here report percentiles; this module is the
-//! single, tested implementation both use.
+//! The discrete-event engines and the closed-form M/D/1 cross-check in
+//! the crate's tests report percentiles; this module is the single,
+//! tested implementation they all use.
 
 use std::fmt;
 

@@ -5,9 +5,8 @@
 //! all the way into a frozen flight dump.
 
 use dtu_serve::{
-    percentile, run_generative, run_generative_live, run_generative_observed, AnalyticTokenModel,
-    ArrivalProcess, GenDecodeStep, GenLiveConfig, GenMonitor, GenObserver, GenerativeScenario,
-    KvCacheConfig,
+    percentile, run_generative, run_generative_live, AnalyticTokenModel, ArrivalProcess,
+    GenDecodeStep, GenLiveConfig, GenMonitor, GenObserver, GenerativeScenario, KvCacheConfig,
 };
 use dtu_telemetry::SloSpec;
 
@@ -87,7 +86,7 @@ fn windowed_percentiles_match_exact_within_two_percent() {
     for pages in [4096, 64] {
         let sc = scenario(pages);
         let mut raw = RawSamples::default();
-        run_generative_observed(&sc, &mut AnalyticTokenModel::new("m"), &mut raw).unwrap();
+        run_generative_live(&sc, &mut AnalyticTokenModel::new("m"), &mut raw).unwrap();
         let mut mon = GenMonitor::with_defaults();
         run_generative_live(&sc, &mut AnalyticTokenModel::new("m"), &mut mon).unwrap();
 

@@ -1,10 +1,11 @@
 //! Integration tests for the dtu-serve event engine: seeded
-//! determinism, the closed-form M/D/1 cross-check, and the dynamic
-//! batching throughput win the paper's serving story rests on.
+//! determinism, the closed-form M/D/1 cross-check, isolated tenants,
+//! and the dynamic batching throughput win the paper's serving story
+//! rests on.
 
 use dtu_serve::{
     run_serving, AnalyticModel, ArrivalGen, ArrivalProcess, BatchPolicy, ScalePolicy, ServeConfig,
-    SlaPolicy, TenantSpec,
+    ServeReport, SlaPolicy, TenantSpec,
 };
 use dtu_sim::ChipConfig;
 
@@ -217,4 +218,42 @@ fn trace_records_scaling_and_queue_depths() {
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         assert!(line.contains("\"t_ns\":") && line.contains("\"tenant\":"));
     }
+}
+
+/// `tenants` Poisson tenants of a 0.5 ms model, each claiming its own
+/// processing group, without batching, shedding or scaling.
+fn isolated(tenants: usize, qps: f64, duration_ms: f64, seed: u64) -> ServeReport {
+    let cfg = ServeConfig {
+        duration_ms,
+        seed,
+        tenants: (0..tenants)
+            .map(|i| TenantSpec::poisson(format!("tenant{i}"), 0, qps))
+            .collect(),
+        ..ServeConfig::default()
+    };
+    let mut model = AnalyticModel::new("m", 0.5);
+    let out = run_serving(&cfg, &ChipConfig::dtu20(), &mut [&mut model]);
+    out.expect("run").report
+}
+
+/// Near saturation (utilisation 0.9) queueing stretches the tail far
+/// past what light load shows.
+#[test]
+fn heavy_load_grows_the_tail() {
+    let light = isolated(3, 50.0, 100.0, 0x5EED).latency;
+    let heavy = isolated(3, 0.9 / 0.5 * 1e3, 500.0, 0x5EED).latency;
+    assert!(heavy.p99_ms > light.p99_ms * 2.0, "{light:?} vs {heavy:?}");
+    assert!(heavy.p99_ms > heavy.p50_ms);
+}
+
+/// Isolated groups keep tenants independent: six tenants serve far
+/// more than one at the same per-tenant load.
+#[test]
+fn tenants_scale_throughput() {
+    let one = isolated(1, 200.0, 300.0, 11).throughput_qps;
+    let six = isolated(6, 200.0, 300.0, 11).throughput_qps;
+    assert!(
+        six > one * 4.0,
+        "6 tenants ({six:.0} QPS) should serve far more than 1 ({one:.0} QPS)"
+    );
 }

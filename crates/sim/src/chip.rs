@@ -14,7 +14,6 @@ use crate::config::ChipConfig;
 use crate::dma::{DmaEngine, DmaError};
 use crate::icache::InstructionCache;
 use crate::memory::MemoryHierarchy;
-use crate::profile::Timeline;
 use crate::program::{Command, GroupId, Program};
 use crate::report::{EngineCounters, RunReport};
 use crate::sync::{SyncEngine, SyncError};
@@ -26,7 +25,6 @@ use dtu_power::{
 };
 use dtu_telemetry::{
     Counter, CounterSet, CounterSnapshot, Layer, NullRecorder, Recorder, Span, SpanKind,
-    TraceBuffer,
 };
 use std::error::Error;
 use std::fmt;
@@ -311,21 +309,6 @@ impl Chip {
         rec: &mut dyn Recorder,
     ) -> Result<RunReport, SimError> {
         self.run_inner(program, rec, None)
-    }
-
-    /// Runs a program with the profiler attached, returning the report
-    /// plus the per-command [`Timeline`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Chip::run`].
-    pub fn run_traced(&self, program: &Program) -> Result<(RunReport, Timeline), SimError> {
-        let mut buf = TraceBuffer::new();
-        let report = self.run_inner(program, &mut buf, None)?;
-        Ok((
-            report,
-            Timeline::from_spans(buf.spans(), self.cfg.groups_per_cluster),
-        ))
     }
 
     fn run_inner(

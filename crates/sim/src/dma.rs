@@ -17,9 +17,7 @@
 //!   overhead.
 
 use crate::config::ChipConfig;
-use dtu_tensor::{
-    compress, compressed_wire_bytes, sparsity, SparseFormat, Tensor, TensorError, TransformOp,
-};
+use dtu_tensor::{compress, compressed_wire_bytes, SparseFormat, Tensor, TensorError, TransformOp};
 use std::error::Error;
 use std::fmt;
 
@@ -410,12 +408,6 @@ impl DmaEngine {
         self.wire_bytes += wire;
         self.transfers += 1;
         Ok((transformed, wire))
-    }
-
-    /// Measured sparsity helper: what fraction of a tensor the sparse
-    /// format would suppress.
-    pub fn measure_sparsity(t: &Tensor) -> f64 {
-        sparsity(t.data())
     }
 
     /// Transfers executed so far.

@@ -37,7 +37,6 @@ mod icache;
 mod interp;
 mod matrix_engine;
 mod memory;
-mod profile;
 mod program;
 mod program_io;
 mod report;
@@ -52,7 +51,6 @@ pub use icache::{FetchOutcome, InstructionCache};
 pub use interp::{InterpError, InterpReport, Interpreter};
 pub use matrix_engine::{MatrixEngine, MatrixEngineError, SortArtifacts};
 pub use memory::{MemoryError, MemoryHierarchy, MemoryPool};
-pub use profile::{Timeline, TraceEvent, TraceKind};
 pub use program::{Command, GroupId, Program, Stream};
 pub use program_io::{program_from_json, program_to_json, ProgramIoError};
 pub use report::{EngineCounters, RunReport};

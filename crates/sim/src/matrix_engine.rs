@@ -104,11 +104,6 @@ impl MatrixEngine {
         self.cycles
     }
 
-    /// Resets the cycle counter.
-    pub fn reset_cycles(&mut self) {
-        self.cycles = 0;
-    }
-
     /// Validates a (shape, dtype) pattern against the hardware catalog.
     ///
     /// # Errors

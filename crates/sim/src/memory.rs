@@ -198,11 +198,6 @@ impl MemoryHierarchy {
         &mut self.l3
     }
 
-    /// Read-only view of the L3 pool.
-    pub fn l3_ref(&self) -> &MemoryPool {
-        &self.l3
-    }
-
     /// Number of L2 pools (processing groups).
     pub fn l2_partitions(&self) -> usize {
         self.l2.len()

@@ -82,25 +82,6 @@ impl TraceBuffer {
         self.spans.is_empty()
     }
 
-    /// Shifts every span and snapshot later by `offset_ns`. Used to
-    /// place a nested trace (recorded starting at 0) onto an enclosing
-    /// clock, e.g. a chip run inside a serving batch.
-    pub fn shift_ns(&mut self, offset_ns: f64) {
-        for s in &mut self.spans {
-            s.start_ns += offset_ns;
-            s.end_ns += offset_ns;
-        }
-        for snap in &mut self.snapshots {
-            snap.at_ns += offset_ns;
-        }
-    }
-
-    /// Moves every span and snapshot out of `other` into `self`.
-    pub fn absorb(&mut self, other: &mut TraceBuffer) {
-        self.spans.append(&mut other.spans);
-        self.snapshots.append(&mut other.snapshots);
-    }
-
     /// Exports the buffer as a Chrome-trace / Perfetto JSON array.
     /// See [`crate::chrome::export`] for the `rich` flag.
     pub fn to_chrome_trace(&self, rich: bool) -> String {
@@ -141,7 +122,7 @@ mod tests {
     }
 
     #[test]
-    fn buffer_keeps_and_shifts() {
+    fn buffer_keeps_spans_and_snapshots() {
         let mut b = TraceBuffer::new();
         assert!(b.is_empty());
         b.record(Span::new(SpanKind::Kernel, Layer::Sim, 0, "k", 10.0, 20.0));
@@ -150,20 +131,9 @@ mod tests {
             label: "chip".into(),
             set: CounterSet::new(),
         });
-        b.shift_ns(5.0);
-        assert_eq!(b.spans()[0].start_ns, 15.0);
-        assert_eq!(b.spans()[0].end_ns, 25.0);
-        assert_eq!(b.snapshots()[0].at_ns, 25.0);
+        assert_eq!(b.spans()[0].start_ns, 10.0);
+        assert_eq!(b.spans()[0].end_ns, 20.0);
+        assert_eq!(b.snapshots()[0].at_ns, 20.0);
         assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn absorb_moves_spans() {
-        let mut a = TraceBuffer::new();
-        let mut b = TraceBuffer::new();
-        b.record(Span::marker(Layer::Serving, 0, "m", 1.0));
-        a.absorb(&mut b);
-        assert_eq!(a.len(), 1);
-        assert!(b.is_empty());
     }
 }

@@ -64,18 +64,6 @@ impl SloSpec {
             burn_threshold: BURN_THRESHOLD,
         }
     }
-
-    /// Overrides the error budget (builder-style).
-    pub fn with_budget(mut self, budget: f64) -> Self {
-        self.error_budget = budget.max(1e-6);
-        self
-    }
-
-    /// Overrides the burn threshold (builder-style).
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.burn_threshold = threshold.max(0.0);
-        self
-    }
 }
 
 /// What an [`AlertEvent`] announces.

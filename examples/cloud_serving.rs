@@ -9,15 +9,45 @@
 //! ```
 
 use dtu::serve::{
-    run_serving, ArrivalProcess, BatchPolicy, CompiledModel, ScalePolicy, ServeConfig,
+    run_serving, ArrivalProcess, BatchPolicy, CompiledModel, ScalePolicy, ServeConfig, ServeReport,
     ServiceModel, SlaPolicy, TenantSpec,
 };
-use dtu::{simulate_serving, Accelerator, DtuError, ServingConfig};
+use dtu::{Accelerator, DtuError, Placement};
 use dtu_models::Model;
+use dtu_sim::GroupId;
+
+/// Poisson load at `qps` per tenant over `tenants` isolated processing
+/// groups, one per tenant packed cluster-major, with no batching,
+/// shedding or scaling: an M/D/1 queue per tenant, since the
+/// accelerator's latency is deterministic.
+fn isolated_tenants(
+    accel: &Accelerator,
+    model: &mut CompiledModel<'_>,
+    tenants: usize,
+    qps: f64,
+) -> Result<ServeReport, DtuError> {
+    let gpc = accel.config().groups_per_cluster;
+    let cfg = ServeConfig {
+        duration_ms: 400.0,
+        seed: 42,
+        tenants: (0..tenants)
+            .map(|i| {
+                let mut spec = TenantSpec::poisson(format!("tenant{i}"), 0, qps);
+                spec.cluster = Some(i / gpc);
+                spec
+            })
+            .collect(),
+        ..ServeConfig::default()
+    };
+    Ok(run_serving(&cfg, accel.config(), &mut [model])?.report)
+}
 
 fn main() -> Result<(), DtuError> {
     let accel = Accelerator::cloudblazer_i20();
-    let graph = Model::Resnet50.build(1);
+    let mut model = CompiledModel::new(accel.chip(), "resnet50", |b| Model::Resnet50.build(b));
+    // One inference on one group: the deterministic service time.
+    let one_group = Placement::explicit(vec![GroupId::new(0, 0)]);
+    let service_ms = model.service_ms(1, &one_group)?;
 
     println!("ResNet-50 serving on the i20, one isolated group per tenant\n");
     println!(
@@ -26,25 +56,16 @@ fn main() -> Result<(), DtuError> {
     );
     // Sweep offered load per tenant from light to near saturation.
     for qps in [100.0, 300.0, 500.0, 650.0] {
-        let report = simulate_serving(
-            &accel,
-            &graph,
-            &ServingConfig {
-                tenants: 6,
-                arrival_qps: qps,
-                duration_ms: 400.0,
-                seed: 42,
-            },
-        )?;
+        let report = isolated_tenants(&accel, &mut model, 6, qps)?;
         println!(
             "{:>10.0} {:>8} {:>10.0} {:>9.2} {:>9.2} {:>9.2} {:>7.0}%",
             qps,
             6,
             report.throughput_qps,
-            report.p50_ms,
-            report.p95_ms,
-            report.p99_ms,
-            report.utilization * 100.0
+            report.latency.p50_ms,
+            report.latency.p95_ms,
+            report.latency.p99_ms,
+            qps * service_ms / 1e3 * 100.0
         );
     }
 
@@ -53,17 +74,18 @@ fn main() -> Result<(), DtuError> {
     println!("six tenants at moderate load serve ~6x the throughput of one with");
     println!("the same per-tenant latency distribution:");
     for tenants in [1usize, 6] {
-        let report = simulate_serving(
-            &accel,
-            &graph,
-            &ServingConfig {
-                tenants,
-                arrival_qps: 300.0,
-                duration_ms: 400.0,
-                seed: 42,
-            },
-        )?;
-        println!("  {tenants} tenant(s): {report}");
+        let qps = 300.0;
+        let r = isolated_tenants(&accel, &mut model, tenants, qps)?;
+        println!(
+            "  {tenants} tenant(s): {} reqs, {:.0} QPS, p50/p95/p99 = {:.2}/{:.2}/{:.2} ms \
+             (service {service_ms:.2} ms, util {:.0}%)",
+            r.completed,
+            r.throughput_qps,
+            r.latency.p50_ms,
+            r.latency.p95_ms,
+            r.latency.p99_ms,
+            qps * service_ms / 1e3 * 100.0
+        );
     }
 
     // --- The full serving stack: two models, dynamic batching, SLA
