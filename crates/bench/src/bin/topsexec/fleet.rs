@@ -33,10 +33,10 @@ fn render(frame: &FleetFrame) -> String {
             t.qps,
             t.shed_rate,
             t.drop_rate,
-            t.p99_ms,
-            t.burn_fast,
-            t.burn_slow,
-            if t.firing { "FIRE" } else { "-" }
+            t.latency.p99_ms,
+            t.latency.burn_fast,
+            t.latency.burn_slow,
+            if t.latency.firing { "FIRE" } else { "-" }
         );
     }
     let _ = writeln!(

@@ -60,7 +60,6 @@ pub fn live_config(args: &Args, scenario: &GenerativeScenario) -> GenLiveConfig 
         ttft_slo: spec("ttft", scenario.ttft_deadline_ms),
         tpot_slo: spec("tpot", scenario.tpot_deadline_ms),
         tenant: args.get("--gen-model"),
-        ..GenLiveConfig::default()
     }
 }
 

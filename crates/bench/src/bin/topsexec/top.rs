@@ -36,11 +36,11 @@ fn render(mon: &LiveMonitor, t_ns: f64, span_ns: f64) -> String {
             r.qps,
             r.shed_rate,
             r.drop_rate,
-            r.p50_ms,
-            r.p99_ms,
+            r.latency.p50_ms,
+            r.latency.p99_ms,
             r.mean_batch,
-            r.burn_fast,
-            r.burn_slow,
+            r.latency.burn_fast,
+            r.latency.burn_slow,
             if firing_at(own, t_ns) { "FIRE" } else { "-" }
         );
     }
@@ -155,30 +155,8 @@ fn render_generative(mon: &GenMonitor, t_ns: f64, span_ns: f64) -> String {
         "{:<20} {:>9} {:>9} {:>8} {:>8} {:>6}",
         "objective", "p50(ms)", "p99(ms)", "burn5s", "burn60s", "alert"
     );
-    let rows = [
-        (
-            "ttft",
-            &mon.ttft_slo,
-            [
-                r.ttft_p50_ms,
-                r.ttft_p99_ms,
-                r.ttft_burn_fast,
-                r.ttft_burn_slow,
-            ],
-        ),
-        (
-            "tpot",
-            &mon.tpot_slo,
-            [
-                r.tpot_p50_ms,
-                r.tpot_p99_ms,
-                r.tpot_burn_fast,
-                r.tpot_burn_slow,
-            ],
-        ),
-    ];
-    for (metric, tracker, [p50, p99, burn_fast, burn_slow]) in rows {
-        let (name, fire) = match tracker {
+    for (metric, objective, row) in [("ttft", &mon.ttft, r.ttft), ("tpot", &mon.tpot, r.tpot)] {
+        let (name, fire) = match &objective.slo {
             Some(t) => {
                 let own = mon.alerts.iter().filter(|a| a.slo == t.spec.name);
                 let fire = if firing_at(own, t_ns) { "FIRE" } else { "-" };
@@ -189,7 +167,7 @@ fn render_generative(mon: &GenMonitor, t_ns: f64, span_ns: f64) -> String {
         let _ = writeln!(
             out,
             "{:<20} {:>9.3} {:>9.3} {:>8.2} {:>8.2} {:>6}",
-            name, p50, p99, burn_fast, burn_slow, fire
+            name, row.p50_ms, row.p99_ms, row.burn_fast, row.burn_slow, fire
         );
     }
     out

@@ -1,7 +1,8 @@
 //! Pins what the CLI prints: the FNV-1a digest of stdout for a fixed
-//! set of `topsexec` invocations and of every `repro_*` binary, plus the
-//! bytes of the files those invocations write. A changed report,
-//! header, default or alias shows up here as a digest mismatch.
+//! set of `topsexec` invocations and of every `repro_*` binary, of the
+//! `top` dashboards' stderr, and of the bytes of the files those
+//! invocations write. A changed report, header, default or alias shows
+//! up here as a digest mismatch.
 //!
 //! Every run happens in a scratch directory under `CARGO_TARGET_TMPDIR`
 //! with relative output paths only, so no digest depends on where the
@@ -14,372 +15,56 @@ use common::scratch;
 use dtu_compiler::Fnv1a;
 use std::path::Path;
 
-/// `topsexec` invocations and the digest of their stdout.
-const TOPSEXEC: &[(&[&str], u64)] = &[
-    (&["--model", "resnet50"], 0x70e04f61fdba48fc),
-    (
-        &["--model", "resnet50", "--trace-out", "m.json"],
-        0x01feba0aca78e9e0,
-    ),
-    (
-        &[
-            "--model",
-            "vgg16",
-            "--batch",
-            "4",
-            "--chip",
-            "i10",
-            "--groups",
-            "2",
-            "--profile",
-            "--no-power-management",
-        ],
-        0x5f5cbe8c66ff0cb7,
-    ),
+/// The `top` dashboards. Their stderr carries the alert log and the
+/// flight-recorder tallies, and no wall-clock time, so it is pinned too.
+const TOP: &str = "top --once --models resnet50 --duration 4000 --no-disk-cache";
+/// One core-failure fault alert and one flight dump.
+const TOP_CORE_FAILURE: &str = "top --once --models resnet50 --plan core-failure --seed 7 --duration 4000 --deadline 5 --no-disk-cache";
+/// A burn-rate page at t = 2 s that is still firing at the end.
+const TOP_BURN: &str =
+    "top --once --models resnet50 --qps 600 --deadline 2 --duration 4000 --seed 7 --no-disk-cache";
+const TOP_GENERATIVE: &str =
+    "top --generative --gen-model tiny --seed 7 --duration 4000 --once --jobs 1 --no-disk-cache";
+
+/// `topsexec` command lines (arguments split at spaces) and the digest
+/// of their stdout.
+const TOPSEXEC: &[(&str, u64)] = &[
+    ("--model resnet50", 0x70e04f61fdba48fc),
+    ("--model resnet50 --trace-out m.json", 0x01feba0aca78e9e0),
+    ("--model vgg16 --batch 4 --chip i10 --groups 2 --profile --no-power-management", 0x5f5cbe8c66ff0cb7),
     // The trace file itself differs between two runs of one binary, so
     // only stdout is pinned.
-    (
-        &[
-            "profile",
-            "resnet50",
-            "--trace-out",
-            "t.json",
-            "--format",
-            "json",
-        ],
-        0xbaa73502fc892ce0,
-    ),
-    (
-        &[
-            "serve",
-            "--duration",
-            "200",
-            "--trace-out",
-            "s.json",
-            "--no-disk-cache",
-        ],
-        0x7ed85d6e5b399372,
-    ),
-    (
-        &[
-            "serve",
-            "--models",
-            "vgg16",
-            "--bursty",
-            "--no-autoscale",
-            "--max-batch",
-            "1",
-            "--duration",
-            "200",
-            "--no-disk-cache",
-        ],
-        0xaac06797b68c4f17,
-    ),
-    (
-        &[
-            "serve",
-            "--generative",
-            "--gen-model",
-            "tiny",
-            "--seed",
-            "7",
-            "--jobs",
-            "1",
-            "--no-disk-cache",
-        ],
-        0xbf3834835e84a0ea,
-    ),
-    (
-        &[
-            "serve",
-            "--generative",
-            "--gen-model",
-            "tiny",
-            "--seed",
-            "7",
-            "--jobs",
-            "1",
-            "--trace-out",
-            "gt.json",
-            "--no-disk-cache",
-        ],
-        0xbf3834835e84a0ea,
-    ),
-    (
-        &[
-            "serve",
-            "--generative",
-            "--gen-model",
-            "tiny",
-            "--seed",
-            "7",
-            "--jobs",
-            "1",
-            "--format",
-            "prom",
-            "--no-disk-cache",
-        ],
-        0x2206fcaa48f11009,
-    ),
-    (
-        &[
-            "serve",
-            "--generative",
-            "--gen-model",
-            "tiny",
-            "--seed",
-            "7",
-            "--qps",
-            "800",
-            "--kv-budget",
-            "0.0001",
-            "--max-new",
-            "128",
-            "--duration",
-            "4000",
-            "--ttft-deadline",
-            "1",
-            "--monitor",
-            "--slo",
-            "--flight-out",
-            "g.json",
-            "--jobs",
-            "1",
-            "--no-disk-cache",
-        ],
-        0x5746804a261a5424,
-    ),
-    (
-        &[
-            "top",
-            "--once",
-            "--models",
-            "resnet50",
-            "--duration",
-            "4000",
-            "--no-disk-cache",
-        ],
-        0xfcf06f9ba210fbd8,
-    ),
-    (
-        &[
-            "top",
-            "--generative",
-            "--gen-model",
-            "tiny",
-            "--seed",
-            "7",
-            "--duration",
-            "4000",
-            "--once",
-            "--jobs",
-            "1",
-            "--no-disk-cache",
-        ],
-        0x66427a424dfe11f3,
-    ),
-    (
-        &[
-            "sweep",
-            "--models",
-            "resnet50,bert",
-            "--batches",
-            "1,2",
-            "--jobs",
-            "1",
-            "--no-disk-cache",
-        ],
-        0x1da61d4db7ad18b1,
-    ),
-    (
-        &[
-            "sweep",
-            "--models",
-            "resnet50,bert",
-            "--batches",
-            "1,2",
-            "--jobs",
-            "1",
-            "--format",
-            "json",
-            "--no-disk-cache",
-        ],
-        0x839cb9ea48e67b5f,
-    ),
-    (
-        &[
-            "sweep",
-            "--check-golden",
-            "figures.json",
-            "--jobs",
-            "1",
-            "--no-disk-cache",
-        ],
-        0xdfb04ec7083f16a3,
-    ),
-    (
-        &[
-            "faults",
-            "resnet50",
-            "--seed",
-            "7",
-            "--plan",
-            "core-failure",
-            "--jobs",
-            "1",
-            "--no-disk-cache",
-        ],
-        0x6d4bdb0a435563ce,
-    ),
-    (
-        &[
-            "faults",
-            "resnet50",
-            "--seed",
-            "7",
-            "--plans",
-            "none,ecc",
-            "--format",
-            "table",
-            "--jobs",
-            "1",
-            "--no-disk-cache",
-        ],
-        0x8fc64cd8631acc2f,
-    ),
-    (
-        &[
-            "slo",
-            "resnet50",
-            "--seed",
-            "7",
-            "--plan",
-            "core-failure",
-            "--flight-out",
-            "slo.json",
-            "--jobs",
-            "1",
-            "--no-disk-cache",
-        ],
-        0x10c216edfbe6833f,
-    ),
-    (
-        &[
-            "slo",
-            "resnet50",
-            "--seed",
-            "7",
-            "--format",
-            "table",
-            "--jobs",
-            "1",
-            "--no-disk-cache",
-        ],
-        0x455c8cbfa41343b7,
-    ),
-    (
-        &[
-            "fleet",
-            "resnet50",
-            "--chips",
-            "4",
-            "--qps",
-            "4000",
-            "--duration",
-            "2000",
-            "--seed",
-            "7",
-            "--jobs",
-            "1",
-            "--no-disk-cache",
-        ],
-        0x6e63ad9c36c15391,
-    ),
-    (
-        &[
-            "fleet",
-            "resnet50",
-            "--chips",
-            "4",
-            "--qps",
-            "4000",
-            "--duration",
-            "2000",
-            "--seed",
-            "7",
-            "--jobs",
-            "1",
-            "--format",
-            "table",
-            "--no-disk-cache",
-        ],
-        0x59e0402fd6b93dce,
-    ),
-    (
-        &[
-            "fleet",
-            "resnet50",
-            "--chips",
-            "4",
-            "--qps",
-            "4000",
-            "--duration",
-            "2000",
-            "--seed",
-            "7",
-            "--jobs",
-            "1",
-            "--format",
-            "prom",
-            "--no-disk-cache",
-        ],
-        0x49d69d27116f48c8,
-    ),
-    (
-        &[
-            "fleet",
-            "top",
-            "--once",
-            "resnet50",
-            "--chips",
-            "4",
-            "--qps",
-            "4000",
-            "--duration",
-            "2000",
-            "--seed",
-            "7",
-            "--jobs",
-            "1",
-            "--no-disk-cache",
-        ],
-        0x28fd5d65369c0716,
-    ),
-    (
-        &[
-            "fleet",
-            "resnet50",
-            "--chips",
-            "4",
-            "--qps",
-            "2000",
-            "--duration",
-            "2000",
-            "--seed",
-            "7",
-            "--kill-chip",
-            "1",
-            "--kill-at",
-            "900",
-            "--slo",
-            "--flight-out",
-            "fl.json",
-            "--jobs",
-            "1",
-            "--no-disk-cache",
-        ],
-        0xf5acb9a183ecfb9b,
-    ),
+    ("profile resnet50 --trace-out t.json --format json", 0xbaa73502fc892ce0),
+    ("serve --duration 200 --trace-out s.json --no-disk-cache", 0x7ed85d6e5b399372),
+    ("serve --models vgg16 --bursty --no-autoscale --max-batch 1 --duration 200 --no-disk-cache", 0xaac06797b68c4f17),
+    ("serve --generative --gen-model tiny --seed 7 --jobs 1 --no-disk-cache", 0xbf3834835e84a0ea),
+    ("serve --generative --gen-model tiny --seed 7 --jobs 1 --trace-out gt.json --no-disk-cache", 0xbf3834835e84a0ea),
+    ("serve --generative --gen-model tiny --seed 7 --jobs 1 --format prom --no-disk-cache", 0x2206fcaa48f11009),
+    ("serve --generative --gen-model tiny --seed 7 --qps 800 --kv-budget 0.0001 --max-new 128 --duration 4000 --ttft-deadline 1 --monitor --slo --flight-out g.json --jobs 1 --no-disk-cache", 0x5746804a261a5424),
+    (TOP, 0xfcf06f9ba210fbd8),
+    (TOP_CORE_FAILURE, 0x0c7069a74b083c96),
+    (TOP_BURN, 0xda5384ad2f21bb5b),
+    (TOP_GENERATIVE, 0x66427a424dfe11f3),
+    ("sweep --models resnet50,bert --batches 1,2 --jobs 1 --no-disk-cache", 0x1da61d4db7ad18b1),
+    ("sweep --models resnet50,bert --batches 1,2 --jobs 1 --format json --no-disk-cache", 0x839cb9ea48e67b5f),
+    ("sweep --check-golden figures.json --jobs 1 --no-disk-cache", 0xdfb04ec7083f16a3),
+    ("faults resnet50 --seed 7 --plan core-failure --jobs 1 --no-disk-cache", 0x6d4bdb0a435563ce),
+    ("faults resnet50 --seed 7 --plans none,ecc --format table --jobs 1 --no-disk-cache", 0x8fc64cd8631acc2f),
+    ("slo resnet50 --seed 7 --plan core-failure --flight-out slo.json --jobs 1 --no-disk-cache", 0x10c216edfbe6833f),
+    ("slo resnet50 --seed 7 --format table --jobs 1 --no-disk-cache", 0x455c8cbfa41343b7),
+    ("fleet resnet50 --chips 4 --qps 4000 --duration 2000 --seed 7 --jobs 1 --no-disk-cache", 0x6e63ad9c36c15391),
+    ("fleet resnet50 --chips 4 --qps 4000 --duration 2000 --seed 7 --jobs 1 --format table --no-disk-cache", 0x59e0402fd6b93dce),
+    ("fleet resnet50 --chips 4 --qps 4000 --duration 2000 --seed 7 --jobs 1 --format prom --no-disk-cache", 0x49d69d27116f48c8),
+    ("fleet top --once resnet50 --chips 4 --qps 4000 --duration 2000 --seed 7 --jobs 1 --no-disk-cache", 0x28fd5d65369c0716),
+    ("fleet resnet50 --chips 4 --qps 2000 --duration 2000 --seed 7 --kill-chip 1 --kill-at 900 --slo --flight-out fl.json --jobs 1 --no-disk-cache", 0xf5acb9a183ecfb9b),
+];
+
+/// Invocations above whose stderr is pinned too, and its digest.
+const STDERR: &[(&str, u64)] = &[
+    (TOP, 0xd32ec502fd260825),
+    (TOP_CORE_FAILURE, 0x2399c137d89672ca),
+    (TOP_BURN, 0x41f4178ea4db8f61),
+    (TOP_GENERATIVE, 0x6d2a376e1d331668),
 ];
 
 /// The files the invocations above write, and the digest of their bytes.
@@ -414,15 +99,16 @@ fn digest(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Runs `bin` in `dir` and returns the digest of its stdout.
-fn stdout_digest(bin: &str, dir: &Path, args: &[&str]) -> u64 {
+/// Runs `bin` in `dir` and returns the digests of its stdout and
+/// stderr.
+fn output_digests(bin: &str, dir: &Path, args: &[&str]) -> (u64, u64) {
     let out = common::run(bin, dir, args);
     assert!(
         out.status.success(),
         "{bin} {args:?} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    digest(&out.stdout)
+    (digest(&out.stdout), digest(&out.stderr))
 }
 
 /// Prints every (label, pinned, current) digest, then fails naming each
@@ -447,9 +133,13 @@ fn topsexec_stdout_and_written_files_are_pinned() {
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/figures.json");
     std::fs::copy(golden, dir.join("figures.json")).expect("golden figures copy");
     let mut got = Vec::new();
-    for (args, want) in TOPSEXEC {
-        let have = stdout_digest(env!("CARGO_BIN_EXE_topsexec"), &dir, args);
-        got.push((args.join(" "), *want, have));
+    for &(line, want) in TOPSEXEC {
+        let args: Vec<&str> = line.split(' ').collect();
+        let (stdout, stderr) = output_digests(env!("CARGO_BIN_EXE_topsexec"), &dir, &args);
+        got.push((line.to_string(), want, stdout));
+        if let Some(&(_, want)) = STDERR.iter().find(|&&(pinned, _)| pinned == line) {
+            got.push((format!("{line} (stderr)"), want, stderr));
+        }
     }
     for (file, want) in WRITTEN {
         let bytes = std::fs::read(dir.join(file)).expect("the invocation wrote its file");
@@ -463,7 +153,7 @@ fn repro_stdout_is_pinned() {
     let dir = scratch("cli_pinned_repro");
     let mut got = Vec::new();
     for (bin, want) in REPRO {
-        let have = stdout_digest(bin, &dir, &["--no-disk-cache"]);
+        let (have, _) = output_digests(bin, &dir, &["--no-disk-cache"]);
         let name = Path::new(bin).file_name().expect("binary name");
         got.push((name.to_string_lossy().into_owned(), *want, have));
     }

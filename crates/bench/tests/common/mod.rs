@@ -6,7 +6,12 @@
 
 use std::ops::Index;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
+
+/// How long a rejected command line may run: bad input fails before
+/// any simulation starts, so this only ever catches a hang.
+const REJECT_WITHIN: Duration = Duration::from_secs(60);
 
 /// A fresh scratch directory under `CARGO_TARGET_TMPDIR`.
 pub fn scratch(name: &str) -> PathBuf {
@@ -25,6 +30,29 @@ pub fn run(bin: &str, dir: &Path, args: &[&str]) -> Output {
         .expect("binary runs")
 }
 
+/// Runs `bin` like [`run`], but kills it and returns `None` once it has
+/// run for `limit`. Meant for short output: a child that fills a pipe
+/// blocks until the limit.
+fn run_within(bin: &str, dir: &Path, args: &[&str], limit: Duration) -> Option<Output> {
+    let mut child = Command::new(bin)
+        .current_dir(dir)
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let started = Instant::now();
+    while child.try_wait().expect("child status").is_none() {
+        if started.elapsed() > limit {
+            let _ = child.kill();
+            let _ = child.wait();
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    Some(child.wait_with_output().expect("child output"))
+}
+
 /// Runs `topsexec` with `args` in `dir`, asserts it succeeded, and
 /// returns (stdout, stderr).
 pub fn topsexec(dir: &Path, args: &[&str]) -> (String, String) {
@@ -35,11 +63,15 @@ pub fn topsexec(dir: &Path, args: &[&str]) -> (String, String) {
 }
 
 /// Checks that `bin args` was rejected the way bad input must be: a
-/// non-zero exit, nothing on stdout, `reason` in the error, and the
-/// usage of `command` (e.g. `topsexec serve --generative`) but not the
-/// default run's. Returns what was wrong, if anything.
+/// non-zero exit within a minute, nothing on stdout, `reason` in the
+/// error, and the usage of `command` (e.g. `topsexec serve
+/// --generative`) but not the default run's. Returns what was wrong, if
+/// anything.
 pub fn rejected(bin: &str, args: &[&str], reason: &str, command: &str) -> Result<(), String> {
-    let out = run(bin, Path::new(env!("CARGO_TARGET_TMPDIR")), args);
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let Some(out) = run_within(bin, dir, args, REJECT_WITHIN) else {
+        return Err(format!("{args:?} did not return within {REJECT_WITHIN:?}"));
+    };
     let stderr = String::from_utf8_lossy(&out.stderr);
     let usage = format!("usage: {command} ");
     let problem = if out.status.success() {

@@ -29,6 +29,16 @@ fn bad_fleet_input_fails_with_the_fleet_usage() {
             &["--epoch", "1e-6"],
             "at most 10000 routing epochs",
         ),
+        (
+            &["fleet"],
+            &["--kill-chip", "1", "--kill-at", "nan"],
+            "the kill time of chip 1 must be a number, got NaN",
+        ),
+        (
+            &["fleet"],
+            &["--roll-start", "nan"],
+            "the roll start time must be a number, got NaN",
+        ),
         // Flags another mode of the command takes.
         (&["fleet"], &["--refresh-ms", "5"], "--refresh-ms"),
         (&["fleet", "top"], &["--format", "json"], "--format"),

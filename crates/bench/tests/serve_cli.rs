@@ -1,7 +1,7 @@
-//! `topsexec serve` and `serve --generative` reject arrival streams
-//! that never reach their horizon and flags their flag table rejects:
-//! every case exits non-zero, prints nothing on stdout, and names the
-//! bad value.
+//! `topsexec serve`, `serve --generative` and `top` reject arrival
+//! streams that never reach their horizon, out-of-range deadlines and
+//! batch timeouts, and flags their flag table rejects: every case exits
+//! non-zero, prints nothing on stdout, and names the bad value.
 
 mod common;
 
@@ -113,6 +113,33 @@ fn bad_serve_flags_fail_with_the_command_usage() {
             "serve --generative",
             &["--jobs", "2", "--max-concurrency", "0"],
             "max_concurrency must be at least 1",
+        ),
+        // Batch timeouts must be finite and not negative; 0 dispatches
+        // at once.
+        (
+            "serve",
+            &["--batch-timeout", "nan"],
+            "batch timeout_ms must be finite and not negative, got NaN",
+        ),
+        (
+            "serve",
+            &["--batch-timeout", "-1"],
+            "batch timeout_ms must be finite and not negative, got -1",
+        ),
+        (
+            "serve",
+            &["--batch-timeout", "inf"],
+            "batch timeout_ms must be finite and not negative, got inf",
+        ),
+        (
+            "top",
+            &["--once", "--batch-timeout", "nan"],
+            "batch timeout_ms must be finite and not negative, got NaN",
+        ),
+        (
+            "top",
+            &["--once", "--batch-timeout", "inf"],
+            "batch timeout_ms must be finite and not negative, got inf",
         ),
     ];
     let mut failures = Vec::new();

@@ -275,37 +275,6 @@ impl<'a> Session<'a> {
         })
     }
 
-    /// [`Session::run_faulted`] with a telemetry [`Recorder`] attached;
-    /// injected faults appear as `SpanKind::Fault` spans in the trace.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Session::run_faulted`].
-    pub fn run_faulted_recorded(
-        &self,
-        faults: &mut dtu_faults::FaultSession,
-        rec: &mut dyn Recorder,
-    ) -> Result<InferenceReport, DtuError> {
-        let report = self
-            .accel
-            .chip()
-            .run_faulted_recorded(&self.program, faults, rec)?;
-        if rec.enabled() {
-            rec.record(Span::new(
-                SpanKind::Session,
-                Layer::Session,
-                0,
-                self.program.name.clone(),
-                0.0,
-                report.latency_ns,
-            ));
-        }
-        Ok(InferenceReport {
-            report,
-            batch: self.batch,
-        })
-    }
-
     /// The accelerator the session is bound to.
     pub fn accelerator(&self) -> &'a Accelerator {
         self.accel

@@ -20,7 +20,7 @@
 /// A rolling-deploy schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RollPlan {
-    /// Simulated time the roll begins, ms.
+    /// Simulated time the roll begins, ms (NaN is rejected).
     pub start_ms: f64,
     /// Chips drained per epoch (at least 1).
     pub chips_per_epoch: usize,

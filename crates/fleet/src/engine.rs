@@ -64,7 +64,7 @@ pub struct ChipKill {
     /// The chip to kill.
     pub chip: usize,
     /// Simulated failure time, ms (clamped into the run; a time past
-    /// the horizon never fires).
+    /// the horizon never fires; NaN is rejected).
     pub at_ms: f64,
 }
 
@@ -491,10 +491,11 @@ struct TenantAccum {
 /// # Errors
 ///
 /// [`FleetError::Config`] for impossible topologies, placements, or
-/// epoch settings; [`FleetError::Harness`] when a chip simulation
-/// fails for a non-kill reason; [`FleetError::Accounting`] if the
-/// fleet-wide `offered == completed + shed + fault_dropped` invariant
-/// breaks (a bug, never expected).
+/// epoch settings, tenant rates, deadlines or batch timeouts out of
+/// range, and NaN kill or roll times; [`FleetError::Harness`] when a
+/// chip simulation fails for a non-kill reason;
+/// [`FleetError::Accounting`] if the fleet-wide `offered == completed +
+/// shed + fault_dropped` invariant breaks (a bug, never expected).
 pub fn run_fleet(
     topology: &FleetTopology,
     tenants: &[FleetTenant<'_>],
@@ -577,6 +578,16 @@ fn run_fleet_inner(
             t.deadline_ms
         )));
     }
+    if let Some(t) = tenants
+        .iter()
+        .find(|t| !(t.batch_timeout_ms.is_finite() && t.batch_timeout_ms >= 0.0))
+    {
+        return Err(FleetError::Config(format!(
+            "tenant {} needs a finite, non-negative batch timeout, got {} ms",
+            t.model.name(),
+            t.batch_timeout_ms
+        )));
+    }
     if let Some(kill) = &cfg.kill {
         if kill.chip >= topology.len() {
             return Err(FleetError::Config(format!(
@@ -585,6 +596,17 @@ fn run_fleet_inner(
                 topology.len()
             )));
         }
+        if kill.at_ms.is_nan() {
+            return Err(FleetError::Config(format!(
+                "the kill time of chip {} must be a number, got NaN",
+                kill.chip
+            )));
+        }
+    }
+    if cfg.roll.as_ref().is_some_and(|r| r.start_ms.is_nan()) {
+        return Err(FleetError::Config(
+            "the roll start time must be a number, got NaN".into(),
+        ));
     }
     let n = topology.len();
     let stats_before = cache.stats();
@@ -1100,6 +1122,51 @@ mod tests {
             ..small_cfg()
         };
         assert!(run_fleet(&topo, &tenants, &bad_kill, &cache, 1).is_err());
+    }
+
+    /// Runs a one-card fleet of `tenants` under `cfg` and checks it is
+    /// rejected, before any compile, as a config error naming `want`.
+    fn assert_config_error(tenants: &[FleetTenant<'_>], cfg: &FleetConfig, want: &str) {
+        let topo = FleetTopology::homogeneous(1, 2, &ChipConfig::dtu20()).unwrap();
+        let cache = SessionCache::memory_only();
+        match run_fleet(&topo, tenants, cfg, &cache, 1) {
+            Err(FleetError::Config(msg)) => assert!(msg.contains(want), "{msg}"),
+            other => panic!("expected a config error naming `{want}`, got {other:?}"),
+        }
+        assert_eq!(cache.stats().misses, 0, "rejected before any work");
+    }
+
+    #[test]
+    fn batch_timeout_must_be_finite_and_not_negative() {
+        for timeout_ms in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut tenant = FleetTenant::new(toy_model(), 100.0);
+            tenant.batch_timeout_ms = timeout_ms;
+            let want = format!("batch timeout, got {timeout_ms} ms");
+            assert_config_error(&[tenant], &small_cfg(), &want);
+        }
+    }
+
+    #[test]
+    fn nan_kill_time_fails_loudly() {
+        let cfg = FleetConfig {
+            kill: Some(ChipKill {
+                chip: 0,
+                at_ms: f64::NAN,
+            }),
+            ..small_cfg()
+        };
+        let tenants = [FleetTenant::new(toy_model(), 100.0)];
+        assert_config_error(&tenants, &cfg, "kill time of chip 0 must be a number");
+    }
+
+    #[test]
+    fn nan_roll_start_fails_loudly() {
+        let cfg = FleetConfig {
+            roll: Some(RollPlan::new(f64::NAN, 1)),
+            ..small_cfg()
+        };
+        let tenants = [FleetTenant::new(toy_model(), 100.0)];
+        assert_config_error(&tenants, &cfg, "roll start time must be a number");
     }
 
     #[test]

@@ -30,10 +30,11 @@ use dtu_serve::LiveMonitor;
 use dtu_telemetry::clock::NS_PER_MS;
 use dtu_telemetry::flight::MAX_DUMPS;
 use dtu_telemetry::json::{array, number, JsonObject};
-use dtu_telemetry::slo::{EVAL_WINDOW_NS, FAST_WINDOW_NS};
+use dtu_telemetry::monitor::{series, RING_WINDOWS};
+use dtu_telemetry::slo::{BURN_THRESHOLD, EVAL_WINDOW_NS, FAST_WINDOW_NS};
 use dtu_telemetry::{
-    AlertEvent, AlertKind, FlightDump, FlightRecorder, Layer, SloSpec, SloTracker, Span,
-    TimeSeries, WindowedHistogram,
+    AlertEvent, AlertKind, EvalClock, FlightDump, FlightRecorder, Layer, Objective, ObjectiveRow,
+    SloSpec, SloTracker, Span, TimeSeries, WindowedHistogram,
 };
 use std::collections::VecDeque;
 
@@ -41,8 +42,6 @@ use std::collections::VecDeque;
 pub const CHIP_RING_CAPACITY: usize = 4096;
 /// Routing-decision markers retained for dumps.
 pub const ROUTE_RING_CAPACITY: usize = 512;
-/// Windows retained per fleet rollup ring (~2 min of history).
-const RING_WINDOWS: usize = 128;
 
 /// One tenant's fleet-scope rollup.
 #[derive(Debug, Clone)]
@@ -52,26 +51,33 @@ struct TenantScope {
     violations: TimeSeries,
     sheds: TimeSeries,
     fault_drops: TimeSeries,
-    latency: WindowedHistogram,
-    slo: SloTracker,
+    /// Merged chip latencies and the tenant's p99 SLO, judged on the
+    /// folded completion windows.
+    latency: Objective,
 }
 
 impl TenantScope {
     fn new(name: &str, deadline_ms: f64) -> Self {
-        let series = || TimeSeries::new(EVAL_WINDOW_NS, RING_WINDOWS);
         TenantScope {
             name: name.to_string(),
             completions: series(),
             violations: series(),
             sheds: series(),
             fault_drops: series(),
-            latency: WindowedHistogram::new(EVAL_WINDOW_NS, RING_WINDOWS),
-            slo: SloTracker::new(SloSpec::new(
+            latency: Objective::new(Some(SloSpec::new(
                 format!("{name} p99<{deadline_ms}ms"),
                 0.99,
                 deadline_ms,
-            )),
+            ))),
         }
+    }
+
+    /// The tenant's SLO tracker (every fleet tenant has one).
+    fn slo(&self) -> &SloTracker {
+        self.latency
+            .slo
+            .as_ref()
+            .expect("fleet tenants carry an SLO")
     }
 }
 
@@ -89,7 +95,6 @@ struct ChipScope {
 
 impl ChipScope {
     fn new() -> Self {
-        let series = || TimeSeries::new(EVAL_WINDOW_NS, RING_WINDOWS);
         ChipScope {
             completions: series(),
             violations: series(),
@@ -126,14 +131,8 @@ pub struct FleetTenantRow {
     pub shed_rate: f64,
     /// Fault drops per simulated second.
     pub drop_rate: f64,
-    /// Windowed p99 latency, ms.
-    pub p99_ms: f64,
-    /// Fast-window SLO burn rate.
-    pub burn_fast: f64,
-    /// Slow-window SLO burn rate.
-    pub burn_slow: f64,
-    /// Whether the tenant's fleet-scope alert is firing.
-    pub firing: bool,
+    /// The latency objective's columns (its fleet-scope SLO).
+    pub latency: ObjectiveRow,
 }
 
 /// One chip's row of a fleet dashboard frame.
@@ -212,9 +211,7 @@ pub struct FleetMonitor {
     last_offered: Vec<Vec<f64>>,
     /// Tightest tenant error budget (the per-chip burn denominator).
     min_budget: f64,
-    /// Lowest tenant burn threshold (the FIRE marker cutoff).
-    min_threshold: f64,
-    next_eval_ns: f64,
+    clock: EvalClock,
     max_seen_ns: f64,
 }
 
@@ -229,14 +226,9 @@ impl FleetMonitor {
             .collect();
         let min_budget = scopes
             .iter()
-            .map(|t| t.slo.spec.error_budget)
+            .map(|t| t.slo().spec.error_budget())
             .fold(f64::INFINITY, f64::min)
             .min(1.0);
-        let min_threshold = scopes
-            .iter()
-            .map(|t| t.slo.spec.burn_threshold)
-            .fold(f64::INFINITY, f64::min)
-            .min(1e9);
         FleetMonitor {
             tenants: scopes,
             chips: (0..chips).map(|_| ChipScope::new()).collect(),
@@ -248,8 +240,7 @@ impl FleetMonitor {
             bad: vec![vec![0.0; tenants.len()]; chips],
             last_offered: vec![vec![0.0; tenants.len()]; chips],
             min_budget,
-            min_threshold,
-            next_eval_ns: EVAL_WINDOW_NS,
+            clock: EvalClock::default(),
             max_seen_ns: 0.0,
         }
     }
@@ -309,13 +300,13 @@ impl FleetMonitor {
                     ts.violations.merge_offset(&tl.violations, offset_ns);
                     ts.sheds.merge_offset(&tl.sheds, offset_ns);
                     ts.fault_drops.merge_offset(&tl.fault_drops, offset_ns);
-                    ts.latency.merge_offset(&tl.latency, offset_ns);
+                    ts.latency.hist.merge_offset(&tl.latency.hist, offset_ns);
                 }
                 let cs = &mut self.chips[chip];
                 cs.completions.merge_offset(&tl.completions, offset_ns);
                 cs.violations.merge_offset(&tl.violations, offset_ns);
                 cs.sheds.merge_offset(&tl.sheds, offset_ns);
-                cs.latency.merge_offset(&tl.latency, offset_ns);
+                cs.latency.merge_offset(&tl.latency.hist, offset_ns);
             }
             for s in live.flight.spans() {
                 let mut shifted = s.clone();
@@ -362,14 +353,11 @@ impl FleetMonitor {
                 self.bad[chip][t] += self.last_offered[chip][t];
             }
         }
-        let event = AlertEvent {
-            t_ns: at_ns,
-            slo: format!("chip{chip} killed"),
-            kind: AlertKind::Fault,
-            burn_fast: 0.0,
-            burn_slow: 0.0,
-            exemplar: self.resolving_exemplar(chip),
-        };
+        let event = AlertEvent::fault(
+            at_ns,
+            format!("chip{chip} killed"),
+            self.resolving_exemplar(chip),
+        );
         self.alerts.push(FleetAlert {
             epoch,
             tenant: None,
@@ -390,27 +378,24 @@ impl FleetMonitor {
     }
 
     /// Folds any windows still pending after the final epoch (drained
-    /// completions land past the horizon).
+    /// completions land past the horizon). Unlike a per-run monitor, it
+    /// judges no boundary past the last one the completions reach.
     pub(crate) fn finish(&mut self, last_epoch: usize) {
-        let last = (self.max_seen_ns / EVAL_WINDOW_NS).ceil() * EVAL_WINDOW_NS;
-        self.fold_until(last_epoch, last);
+        self.fold_until(last_epoch, EvalClock::ceil(self.max_seen_ns));
     }
 
     fn fold_until(&mut self, epoch: usize, end_ns: f64) {
-        while self.next_eval_ns <= end_ns {
-            let at = self.next_eval_ns;
+        while let Some(at) = self.clock.tick(end_ns) {
             let w = at - EVAL_WINDOW_NS;
             for t in 0..self.tenants.len() {
                 let event = {
                     let ts = &mut self.tenants[t];
                     let completed = ts.completions.sum_over(w, 0.0).round() as u64;
                     let violated = ts.violations.sum_over(w, 0.0).round() as u64;
-                    ts.slo.fold_window(w, completed, violated);
-                    let exemplar = ts
-                        .latency
-                        .exemplar_over(at, ts.slo.spec.fast_window_ns)
-                        .map(|e| e.span_id);
-                    ts.slo.evaluate(at, exemplar)
+                    if let Some(slo) = ts.latency.slo.as_mut() {
+                        slo.fold_window(w, completed, violated);
+                    }
+                    ts.latency.evaluate(at)
                 };
                 if let Some(event) = event {
                     let chip = self.top_offender_chip(t);
@@ -427,7 +412,6 @@ impl FleetMonitor {
                     });
                 }
             }
-            self.next_eval_ns += EVAL_WINDOW_NS;
         }
     }
 
@@ -474,7 +458,7 @@ impl FleetMonitor {
     fn frame_at(&self, epoch: usize, t_ms: f64) -> FleetFrame {
         let now = t_ms * NS_PER_MS;
         let span = FAST_WINDOW_NS;
-        let tenants = self
+        let tenants: Vec<FleetTenantRow> = self
             .tenants
             .iter()
             .map(|ts| FleetTenantRow {
@@ -482,13 +466,10 @@ impl FleetMonitor {
                 qps: ts.completions.rate_per_sec(now, span),
                 shed_rate: ts.sheds.rate_per_sec(now, span),
                 drop_rate: ts.fault_drops.rate_per_sec(now, span),
-                p99_ms: ts.latency.merged_over(now, span).quantile(0.99),
-                burn_fast: ts.slo.burn_fast(now),
-                burn_slow: ts.slo.burn_slow(now),
-                firing: ts.slo.firing(),
+                latency: ts.latency.row(now, span),
             })
             .collect();
-        let any_firing = self.tenants.iter().any(|t| t.slo.firing());
+        let any_firing = tenants.iter().any(|t| t.latency.firing);
         let chips = self
             .chips
             .iter()
@@ -509,7 +490,7 @@ impl FleetMonitor {
                     p99_ms: cs.latency.merged_over(now, span).quantile(0.99),
                     burn,
                     dead: cs.dead,
-                    fire: cs.dead || (any_firing && burn >= self.min_threshold),
+                    fire: cs.dead || (any_firing && burn >= BURN_THRESHOLD),
                 }
             })
             .collect();
@@ -623,21 +604,22 @@ impl FleetMonitor {
                     .iter()
                     .filter(|a| a.tenant == Some(t) && a.event.kind == AlertKind::BurnRate)
                     .count();
+                let slo = ts.slo();
                 JsonObject::new()
                     .string("tenant", &ts.name)
-                    .string("slo", &ts.slo.spec.name)
-                    .int("completed", ts.slo.completed() as i64)
-                    .int("violated", ts.slo.violated() as i64)
-                    .raw("budget_consumed", &number(ts.slo.budget_consumed()))
+                    .string("slo", &slo.spec.name)
+                    .int("completed", slo.completed() as i64)
+                    .int("violated", slo.violated() as i64)
+                    .raw("budget_consumed", &number(slo.budget_consumed()))
                     .raw(
                         "compliant",
-                        if ts.slo.budget_consumed() <= 1.0 {
+                        if slo.budget_consumed() <= 1.0 {
                             "true"
                         } else {
                             "false"
                         },
                     )
-                    .raw("firing", if ts.slo.firing() { "true" } else { "false" })
+                    .raw("firing", if slo.firing() { "true" } else { "false" })
                     .int("burn_alerts", burn_alerts as i64)
                     .build()
             })
@@ -715,6 +697,7 @@ mod tests {
         fm.absorb_chip_epoch(0.0, 1, &[(0, 50.0)], 1000.0, &[], Some(&live1), false);
         let e = fm.tenants[0]
             .latency
+            .hist
             .exemplar_over(1e9, 2e9)
             .expect("merged exemplar survives");
         assert_eq!(e.span_id, trace_base(0, 1) + 9, "slowest chip wins");
@@ -787,7 +770,7 @@ mod tests {
         assert_eq!(trace_chip(live_id), Some(1));
         // Frames carry the burn and the FIRE marker.
         let last = fm.frames().last().expect("one frame per epoch");
-        assert!(last.tenants[0].firing);
+        assert!(last.tenants[0].latency.firing);
         assert!(last.chips[1].burn > last.chips[0].burn);
         assert!(last.chips[1].fire && !last.chips[0].fire);
         // The compliance report agrees.

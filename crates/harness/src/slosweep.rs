@@ -418,8 +418,12 @@ pub fn run_slo_scenario(
     // Everything graded comes from the monitor, so the point reads the
     // same whether or not the run survived to produce a report.
     let ten = &mon.tenants()[0];
-    let tracker = ten.slo.as_ref().expect("scenario always sets an SLO");
-    let hist = ten.latency_hist();
+    let tracker = ten
+        .latency
+        .slo
+        .as_ref()
+        .expect("scenario always sets an SLO");
+    let hist = ten.latency.hist.merged();
     let alerts_of = |kind: AlertKind| mon.alerts.iter().filter(|(_, a)| a.kind == kind).count();
     let point = SloPoint {
         model: model.name().to_string(),

@@ -11,18 +11,19 @@ use dtu_faults::{FaultPlan, FaultRng};
 /// waited `timeout_ms`. The default (`max_batch = 1`) disables
 /// batching, which reduces the engine to the classic per-tenant M/D/1
 /// the closed-form model describes.
+///
+/// The *compiled* batch is padded up to the next power of two, the way
+/// engine caches bucket their shapes: a dispatch of 5 runs the batch-8
+/// session. That bounds the session cache at `log2(max_batch)+1`
+/// entries per placement at the cost of some wasted slots.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchPolicy {
     /// Largest batch a single dispatch may carry.
     pub max_batch: usize,
-    /// Longest a request may wait for co-batching, ms. `0` dispatches
-    /// whatever is queued the moment the server frees up.
+    /// Longest a request may wait for co-batching, ms: finite and not
+    /// negative. `0` dispatches whatever is queued the moment the
+    /// server frees up.
     pub timeout_ms: f64,
-    /// Pad the *compiled* batch up to the next power of two, the way
-    /// engine caches bucket their shapes: a dispatch of 5 runs the
-    /// batch-8 session. Bounds the session cache at `log2(max_batch)+1`
-    /// entries per placement at the cost of some wasted slots.
-    pub pow2_buckets: bool,
 }
 
 impl Default for BatchPolicy {
@@ -30,7 +31,6 @@ impl Default for BatchPolicy {
         BatchPolicy {
             max_batch: 1,
             timeout_ms: 0.0,
-            pow2_buckets: false,
         }
     }
 }
@@ -41,23 +41,18 @@ impl BatchPolicy {
         BatchPolicy::default()
     }
 
-    /// Dynamic batching with power-of-two session bucketing.
+    /// Dynamic batching up to `max_batch` requests.
     pub fn dynamic(max_batch: usize, timeout_ms: f64) -> Self {
         BatchPolicy {
             max_batch: max_batch.max(1),
             timeout_ms,
-            pow2_buckets: true,
         }
     }
 
     /// The batch size the session is compiled at for an actual batch of
     /// `n` requests.
     pub fn compiled_batch(&self, n: usize) -> usize {
-        if self.pow2_buckets {
-            n.next_power_of_two()
-        } else {
-            n
-        }
+        n.next_power_of_two()
     }
 }
 
@@ -298,8 +293,7 @@ mod tests {
         assert_eq!(p.compiled_batch(1), 1);
         assert_eq!(p.compiled_batch(3), 4);
         assert_eq!(p.compiled_batch(5), 8);
-        let q = BatchPolicy::none();
-        assert_eq!(q.compiled_batch(3), 3);
+        assert_eq!(BatchPolicy::none().compiled_batch(1), 1);
     }
 
     #[test]

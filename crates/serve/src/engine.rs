@@ -19,7 +19,6 @@ use dtu_compiler::Placement;
 use dtu_faults::{FaultError, FaultRng, FaultSession};
 use dtu_sim::{ChipConfig, GroupId, SimError};
 use dtu_telemetry::clock::ms_to_ns;
-use dtu_telemetry::AlertEvent;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
@@ -155,10 +154,9 @@ struct Engine<'m, 's, 'l> {
     /// Jitter source for retry backoff; drawn from only when a retry
     /// is actually scheduled.
     rng: FaultRng,
-    /// Live observability sidecar. Strictly observational: every hook
-    /// call only reads engine state, so a monitored run computes the
-    /// exact same aggregates as a plain one (its trace additionally
-    /// carries [`ServeEventKind::Alert`] records).
+    /// Live observability sidecar. Strictly observational: hooks only
+    /// read engine state and write nothing back, so a monitored run
+    /// returns the exact same outcome as a plain one.
     live: Option<&'l mut LiveMonitor>,
 }
 
@@ -172,7 +170,8 @@ struct Engine<'m, 's, 'l> {
 ///
 /// Configuration problems (no tenants, bad model index, more groups
 /// requested than the chip has, an SLA deadline that is NaN or not
-/// positive, an arrival process or horizon that
+/// positive, a batch timeout that is NaN, negative or infinite, an
+/// arrival process or horizon that
 /// [`ArrivalProcess::validate`](crate::ArrivalProcess::validate)
 /// rejects) and compile/simulate failures from the service models
 /// surface as [`ServeError`].
@@ -190,10 +189,9 @@ pub fn run_serving(
 /// span flight recorder, all fed by in-engine hooks as events happen.
 ///
 /// The monitor is strictly observational — the returned
-/// [`ServeOutcome::report`] is identical to what [`run_serving`] would
-/// produce for the same configuration. The run's trace additionally
-/// carries a [`ServeEventKind::Alert`] record for every burn-rate
-/// alert transition.
+/// [`ServeOutcome`] is identical to what [`run_serving`] would produce
+/// for the same configuration; alerts land in
+/// [`LiveMonitor::alerts`].
 ///
 /// # Errors
 ///
@@ -230,9 +228,7 @@ fn drive(
             .last()
             .map_or(0.0, |e| e.t_ns)
             .max(ms_to_ns(cfg.duration_ms));
-        for (tenant, alert) in mon.finish(last_ns) {
-            engine.push_alert(tenant, &alert);
-        }
+        mon.finish(last_ns);
     }
     Ok(engine.finish(cfg))
 }
@@ -254,6 +250,13 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
                 &format!("tenant '{}' SLA deadline_ms", spec.name),
                 spec.sla.deadline_ms,
             )?;
+            let timeout = spec.batch.timeout_ms;
+            if !(timeout.is_finite() && timeout >= 0.0) {
+                return Err(ServeError::Config(format!(
+                    "tenant '{}' batch timeout_ms must be finite and not negative, got {timeout}",
+                    spec.name
+                )));
+            }
             if spec.model >= models.len() {
                 return Err(ServeError::Config(format!(
                     "tenant '{}' references model {} but only {} were provided",
@@ -363,21 +366,6 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
         })
     }
 
-    /// Appends an SLO alert transition to the trace.
-    fn push_alert(&mut self, tenant: usize, alert: &AlertEvent) {
-        self.trace.events.push(ServeEvent {
-            t_ns: alert.t_ns,
-            tenant,
-            kind: ServeEventKind::Alert {
-                slo: alert.slo.clone(),
-                alert: alert.kind.name().to_string(),
-                burn_fast: alert.burn_fast,
-                burn_slow: alert.burn_slow,
-                exemplar: alert.exemplar,
-            },
-        });
-    }
-
     fn push(&mut self, t: f64, kind: EvKind) {
         let seq = self.seq;
         self.seq += 1;
@@ -396,15 +384,8 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
     fn step(&mut self, ev: Ev, cfg: &ServeConfig) -> Result<(), ServeError> {
         // Run any SLO evaluation boundaries the clock just crossed
         // before handling the event at `ev.t`.
-        if self.live.is_some() {
-            let fired = self
-                .live
-                .as_deref_mut()
-                .expect("checked")
-                .advance(ms_to_ns(ev.t));
-            for (tenant, alert) in fired {
-                self.push_alert(tenant, &alert);
-            }
+        if let Some(mon) = self.live.as_deref_mut() {
+            mon.advance(ms_to_ns(ev.t));
         }
         match ev.kind {
             EvKind::Arrival { tenant } => self.on_arrival(ev.t, tenant, cfg)?,
@@ -456,9 +437,6 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
                         depth: depth + 1,
                     },
                 });
-                if let Some(mon) = self.live.as_deref_mut() {
-                    mon.on_arrival(ms_to_ns(t), tenant);
-                }
             }
         }
         self.try_dispatch(t, tenant)?;
@@ -625,12 +603,8 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
                     remaining,
                 },
             });
-            let alert = self
-                .live
-                .as_deref_mut()
-                .map(|mon| mon.on_group_lost(ms_to_ns(t), tenant, g.cluster, g.group));
-            if let Some(alert) = alert {
-                self.push_alert(tenant, &alert);
+            if let Some(mon) = self.live.as_deref_mut() {
+                mon.on_group_lost(ms_to_ns(t), tenant, g.cluster, g.group);
             }
             if remaining == 0 {
                 return Err(ServeError::Sim(SimError::Fault(e)));
@@ -656,12 +630,8 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
                 attempt,
             },
         });
-        let alert = self
-            .live
-            .as_deref_mut()
-            .map(|mon| mon.on_fault(ms_to_ns(t), tenant, label));
-        if let Some(alert) = alert {
-            self.push_alert(tenant, &alert);
+        if let Some(mon) = self.live.as_deref_mut() {
+            mon.on_fault(ms_to_ns(t), tenant, label);
         }
         if attempt > self.retry.max_attempts {
             let dropped = {
@@ -957,6 +927,24 @@ mod tests {
     }
 
     #[test]
+    fn bad_batch_timeout_is_a_config_error() {
+        for timeout_ms in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut cfg = one_tenant(10.0);
+            cfg.tenants[0].batch = BatchPolicy::dynamic(4, timeout_ms);
+            let mut m = AnalyticModel::new("m", 1.0);
+            let err = run_serving(&cfg, &ChipConfig::dtu20(), &mut [&mut m]).unwrap_err();
+            let want = format!(
+                "tenant 't0' batch timeout_ms must be finite and not negative, got {timeout_ms}"
+            );
+            assert_eq!(err, ServeError::Config(want));
+        }
+        // Zero dispatches at once.
+        let mut cfg = one_tenant(10.0);
+        cfg.tenants[0].batch = BatchPolicy::dynamic(4, 0.0);
+        assert!(run(&cfg, 1.0).report.completed > 0);
+    }
+
+    #[test]
     fn admission_sheds_when_queue_is_full() {
         let mut cfg = one_tenant(4000.0); // far beyond capacity
         cfg.tenants[0].sla = SlaPolicy::new(50.0, 4);
@@ -1061,7 +1049,6 @@ mod tests {
                 ServeEventKind::Retry { .. } => "retry",
                 ServeEventKind::GroupLost { .. } => "group-lost",
                 ServeEventKind::FaultDrop { .. } => "fault-drop",
-                ServeEventKind::Alert { .. } => "alert",
                 // Generative-engine kinds; the fixed-batch engine
                 // never emits them.
                 ServeEventKind::Prefill { .. } => "prefill",
@@ -1268,22 +1255,11 @@ mod tests {
     }
 
     use crate::live::{LiveConfig, LiveMonitor};
-    use dtu_telemetry::SloSpec;
+    use dtu_telemetry::{AlertKind, SloSpec};
 
     fn run_live(cfg: &ServeConfig, base_ms: f64, mon: &mut LiveMonitor) -> ServeOutcome {
         let mut m = AnalyticModel::new("m", base_ms);
         run_serving_live(cfg, &ChipConfig::dtu20(), &mut [&mut m], mon).unwrap()
-    }
-
-    /// Strip the live-only alert events so a monitored trace can be
-    /// compared against the plain engine's output.
-    fn without_alerts(out: &ServeOutcome) -> Vec<ServeEvent> {
-        out.trace
-            .events
-            .iter()
-            .filter(|e| !matches!(e.kind, ServeEventKind::Alert { .. }))
-            .cloned()
-            .collect()
     }
 
     #[test]
@@ -1295,13 +1271,12 @@ mod tests {
             ..LiveConfig::default()
         });
         let live = run_live(&cfg, 0.5, &mut mon);
-        assert_eq!(live.report, plain.report, "monitoring must not feed back");
-        assert_eq!(without_alerts(&live), plain.trace.events);
+        assert_eq!(live, plain, "monitoring must not feed back");
         assert_eq!(mon.burn_alerts().count(), 0, "clean run fires no alerts");
         assert!(mon.flight.dumps().is_empty());
         let row = mon.tenants()[0].row(mon.now_ns(), 60.0e9);
         assert!(row.qps > 0.0, "windowed QPS reflects traffic");
-        assert!(!row.firing);
+        assert!(!row.latency.firing);
     }
 
     #[test]
@@ -1313,15 +1288,10 @@ mod tests {
         let plain = run(&cfg, 1.0);
         let mut mon = LiveMonitor::with_defaults();
         let live = run_live(&cfg, 1.0, &mut mon);
-        assert_eq!(live.report, plain.report);
-        assert_eq!(without_alerts(&live), plain.trace.events);
+        assert_eq!(live, plain);
         // The core failure triggers a flight-recorder dump even without
-        // an SLO configured.
+        // an SLO configured, and pages as a fault alert.
         assert!(!mon.flight.dumps().is_empty(), "fault must dump the ring");
-        assert!(live
-            .trace
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, ServeEventKind::Alert { .. })));
+        assert!(mon.alerts.iter().any(|(_, a)| a.kind == AlertKind::Fault));
     }
 }

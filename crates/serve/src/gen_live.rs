@@ -4,23 +4,20 @@
 //!
 //! A [`GenMonitor`] rides along a generative run (see
 //! [`run_generative_live`](crate::run_generative_live)) as a
-//! [`GenObserver`]: it sees every admit, prefill, decode step,
-//! preemption, KV exhaustion, completion, and shed *at its simulated
-//! time*. It never feeds anything back into the engine — a monitored
-//! run's report and trace are byte-identical to a plain run's.
+//! [`GenObserver`]: it sees every prefill, decode step, preemption, KV
+//! exhaustion, completion, and shed *at its simulated time*. It never
+//! feeds anything back into the engine — a monitored run's report and
+//! trace are byte-identical to a plain run's.
 //!
 //! It maintains:
-//! * windowed [`TimeSeries`] rings — arrivals, sheds, completions,
-//!   violations, preemptions, KV exhaustions, decode steps, running
-//!   batch occupancy, KV pages in use, L2-resident KV pages, and L3
-//!   spill milliseconds;
-//! * windowed log-bucketed histograms for TTFT (recorded at
-//!   first-token time), TPOT, and end-to-end latency, each carrying
-//!   the slowest request's span id as the window's exemplar —
-//!   exemplars are keyed by request id, so they survive
-//!   preempt–resume;
-//! * optional TTFT and TPOT [`SloTracker`]s evaluated by the shared
-//!   multi-window burn-rate engine at every simulated-second boundary;
+//! * windowed [`TimeSeries`] rings — sheds, completions, preemptions,
+//!   KV exhaustions, decode steps, running batch occupancy, KV pages in
+//!   use, and L3 spill milliseconds;
+//! * TTFT (recorded at first-token time) and TPOT [`Objective`]s: each
+//!   a windowed histogram carrying the slowest request's span id as
+//!   the window's exemplar — keyed by request id, so exemplars survive
+//!   preempt–resume — and the optional SLO judged on it at every
+//!   simulated-second boundary;
 //! * a [`FlightRecorder`] whose ring holds the batch-level
 //!   prefill/decode spans *and* per-request token markers, prefill
 //!   spans, and preemption-gap spans. The first KV-pressure preemption
@@ -30,30 +27,27 @@
 use crate::generative::{GenDecodeStep, GenJoiner, GenObserver, GenerativeScenario};
 use crate::metrics::{event_to_span, ServeEvent};
 use dtu_telemetry::clock::ms_to_ns;
-use dtu_telemetry::slo::EVAL_WINDOW_NS;
+use dtu_telemetry::flight::DEFAULT_CAPACITY;
+use dtu_telemetry::monitor::series;
 use dtu_telemetry::{
-    AlertEvent, AlertKind, FlightRecorder, Layer, SloSpec, SloTracker, Span, SpanKind, TimeSeries,
-    WindowedHistogram,
+    AlertEvent, AlertKind, EvalClock, FlightRecorder, Layer, Objective, ObjectiveRow, SloSpec,
+    Span, SpanKind, TimeSeries,
 };
 use std::collections::BTreeMap;
+
+/// Flight-recorder ring capacity, spans. Token-level spans are roughly
+/// an order of magnitude denser than request-level ones (per-token
+/// markers every decode step), so the ring is 8x the request-serving
+/// recorder's.
+const FLIGHT_CAPACITY: usize = DEFAULT_CAPACITY * 8;
 
 /// How a [`GenMonitor`] is shaped.
 #[derive(Debug, Clone)]
 pub struct GenLiveConfig {
-    /// Dashboard window width, ns (default 1 s of simulated time).
-    pub window_ns: f64,
-    /// Windows retained per ring (default 128 → ~2 min of history).
-    pub ring_windows: usize,
     /// TTFT objective (`None` = metrics only, no TTFT alerts).
     pub ttft_slo: Option<SloSpec>,
     /// TPOT objective (`None` = metrics only, no TPOT alerts).
     pub tpot_slo: Option<SloSpec>,
-    /// Flight-recorder ring capacity, spans.
-    pub flight_capacity: usize,
-    /// Offset added to every request id in per-request span labels and
-    /// exemplars (default 0 = local ids), mirroring
-    /// [`LiveConfig::trace_base`](crate::LiveConfig).
-    pub trace_base: u64,
     /// Tenant label used in alerts and dump reasons.
     pub tenant: String,
 }
@@ -61,16 +55,8 @@ pub struct GenLiveConfig {
 impl Default for GenLiveConfig {
     fn default() -> Self {
         GenLiveConfig {
-            window_ns: EVAL_WINDOW_NS,
-            ring_windows: 128,
             ttft_slo: None,
             tpot_slo: None,
-            // Token-level spans are roughly an order of magnitude
-            // denser than request-level ones (per-token markers every
-            // decode step), so the gen ring defaults 8x deeper than
-            // the request-serving recorder.
-            flight_capacity: dtu_telemetry::flight::DEFAULT_CAPACITY * 8,
-            trace_base: 0,
             tenant: "gen".to_string(),
         }
     }
@@ -92,42 +78,20 @@ pub struct GenRow {
     pub kv_occupancy: f64,
     /// L3 spill milliseconds charged per simulated second.
     pub spill_ms_per_s: f64,
-    /// Windowed TTFT p50, ms.
-    pub ttft_p50_ms: f64,
-    /// Windowed TTFT p99, ms.
-    pub ttft_p99_ms: f64,
-    /// Windowed TPOT p50, ms.
-    pub tpot_p50_ms: f64,
-    /// Windowed TPOT p99, ms.
-    pub tpot_p99_ms: f64,
-    /// Fast/slow TTFT burn rates (0 without a TTFT SLO).
-    pub ttft_burn_fast: f64,
-    /// Slow-window TTFT burn rate.
-    pub ttft_burn_slow: f64,
-    /// Whether the TTFT burn-rate alert is firing.
-    pub ttft_firing: bool,
-    /// Fast-window TPOT burn rate (0 without a TPOT SLO).
-    pub tpot_burn_fast: f64,
-    /// Slow-window TPOT burn rate.
-    pub tpot_burn_slow: f64,
-    /// Whether the TPOT burn-rate alert is firing.
-    pub tpot_firing: bool,
-    /// Span id of the slowest-TTFT request in the window, when any.
-    pub ttft_exemplar: Option<u64>,
+    /// The TTFT objective's columns.
+    pub ttft: ObjectiveRow,
+    /// The TPOT objective's columns.
+    pub tpot: ObjectiveRow,
 }
 
 /// The live observability sidecar of one generative run.
 #[derive(Debug, Clone)]
 pub struct GenMonitor {
     cfg: GenLiveConfig,
-    /// Admitted arrivals per window.
-    pub arrivals: TimeSeries,
     /// Admission sheds per window.
     pub sheds: TimeSeries,
     /// Completed requests per window.
     pub completions: TimeSeries,
-    /// Deadline violations per window.
-    pub violations: TimeSeries,
     /// Preemptions per window.
     pub preempts: TimeSeries,
     /// Decode-path KV-page exhaustions per window.
@@ -139,20 +103,12 @@ pub struct GenMonitor {
     pub batch_occupancy: TimeSeries,
     /// Sum of KV pages in use at each decode step per window.
     pub kv_pages: TimeSeries,
-    /// Sum of L2-resident KV pages at each decode step per window.
-    pub kv_resident: TimeSeries,
     /// L3 spill milliseconds charged per window.
     pub spill_ms: TimeSeries,
-    /// Windowed TTFT histogram (recorded at first-token time).
-    pub ttft: WindowedHistogram,
-    /// Windowed TPOT histogram (recorded at completion).
-    pub tpot: WindowedHistogram,
-    /// Windowed end-to-end latency histogram.
-    pub e2e: WindowedHistogram,
-    /// TTFT burn-rate tracker, when configured.
-    pub ttft_slo: Option<SloTracker>,
-    /// TPOT burn-rate tracker, when configured.
-    pub tpot_slo: Option<SloTracker>,
+    /// Time to first token (recorded at first-token time) and its SLO.
+    pub ttft: Objective,
+    /// Time per output token (recorded at completion) and its SLO.
+    pub tpot: Objective,
     /// The black box.
     pub flight: FlightRecorder,
     /// Every alert emitted, in simulated-time order.
@@ -165,8 +121,7 @@ pub struct GenMonitor {
     kv_dumped: bool,
     /// KV pool size, pages (set by [`GenMonitor::begin`]).
     total_pages: usize,
-    /// Next evaluation boundary (multiples of [`EVAL_WINDOW_NS`]).
-    next_eval_ns: f64,
+    clock: EvalClock,
     now_ns: f64,
 }
 
@@ -175,40 +130,29 @@ impl GenMonitor {
     /// [`run_generative_live`](crate::run_generative_live), which resets
     /// it for the scenario before the run.
     pub fn new(cfg: GenLiveConfig) -> Self {
-        let series = || TimeSeries::new(cfg.window_ns, cfg.ring_windows);
-        let hist = || WindowedHistogram::new(cfg.window_ns, cfg.ring_windows);
-        let flight = FlightRecorder::new(cfg.flight_capacity);
-        let ttft_slo = cfg.ttft_slo.as_ref().map(|s| SloTracker::new(s.clone()));
-        let tpot_slo = cfg.tpot_slo.as_ref().map(|s| SloTracker::new(s.clone()));
         GenMonitor {
-            arrivals: series(),
             sheds: series(),
             completions: series(),
-            violations: series(),
             preempts: series(),
             exhausts: series(),
             decode_steps: series(),
             batch_occupancy: series(),
             kv_pages: series(),
-            kv_resident: series(),
             spill_ms: series(),
-            ttft: hist(),
-            tpot: hist(),
-            e2e: hist(),
-            ttft_slo,
-            tpot_slo,
-            flight,
+            ttft: Objective::new(cfg.ttft_slo.clone()),
+            tpot: Objective::new(cfg.tpot_slo.clone()),
+            flight: FlightRecorder::new(FLIGHT_CAPACITY),
             alerts: Vec::new(),
             preempted_at: BTreeMap::new(),
             kv_dumped: false,
             total_pages: 0,
-            next_eval_ns: EVAL_WINDOW_NS,
+            clock: EvalClock::default(),
             now_ns: 0.0,
             cfg,
         }
     }
 
-    /// A monitor with default windows and no SLOs.
+    /// A monitor with no SLOs.
     pub fn with_defaults() -> Self {
         GenMonitor::new(GenLiveConfig::default())
     }
@@ -233,42 +177,28 @@ impl GenMonitor {
         self.alerts.iter().filter(|a| a.kind == AlertKind::BurnRate)
     }
 
-    /// Advances simulated time to `t_ns`, running every pending SLO
-    /// evaluation boundary in order. Burn-rate alerts freeze a flight
-    /// dump. Hooks call this themselves, so external driving is only
-    /// needed for [`GenMonitor::finish`].
-    pub fn advance(&mut self, t_ns: f64) -> Vec<AlertEvent> {
+    /// Advances simulated time to `t_ns`, judging both objectives at
+    /// each evaluation boundary crossed, in order. Transitions land in
+    /// [`GenMonitor::alerts`]; a burn-rate page freezes a flight dump.
+    /// Hooks call this themselves, so external driving is only needed
+    /// for [`GenObserver::finish`].
+    pub fn advance(&mut self, t_ns: f64) {
         self.now_ns = self.now_ns.max(t_ns);
-        let mut fired = Vec::new();
-        while self.next_eval_ns <= t_ns {
-            let at = self.next_eval_ns;
-            for (hist, tracker) in [
-                (&self.ttft, &mut self.ttft_slo),
-                (&self.tpot, &mut self.tpot_slo),
-            ] {
-                if let Some(tracker) = tracker.as_mut() {
-                    let exemplar = hist
-                        .exemplar_over(at, tracker.spec.fast_window_ns)
-                        .map(|e| e.span_id);
-                    if let Some(alert) = tracker.evaluate(at, exemplar) {
-                        if alert.kind == AlertKind::BurnRate {
-                            self.flight
-                                .trigger(format!("alert {} ({})", alert.slo, self.cfg.tenant), at);
-                        }
-                        fired.push(alert);
+        while let Some(at) = self.clock.tick(t_ns) {
+            for objective in [&mut self.ttft, &mut self.tpot] {
+                if let Some(alert) = objective.evaluate(at) {
+                    if alert.kind == AlertKind::BurnRate {
+                        self.flight
+                            .trigger(format!("alert {} ({})", alert.slo, self.cfg.tenant), at);
                     }
+                    self.alerts.push(alert);
                 }
             }
-            self.next_eval_ns += EVAL_WINDOW_NS;
         }
-        self.alerts.extend(fired.iter().cloned());
-        fired
     }
 
     /// One dashboard row over the trailing `span_ns` at `now_ns`.
     pub fn row(&self, now_ns: f64, span_ns: f64) -> GenRow {
-        let ttft = self.ttft.merged_over(now_ns, span_ns);
-        let tpot = self.tpot.merged_over(now_ns, span_ns);
         let steps = self.decode_steps.sum_over(now_ns, span_ns);
         let mean = |series: &TimeSeries| {
             if steps > 0.0 {
@@ -288,17 +218,8 @@ impl GenMonitor {
                 0.0
             },
             spill_ms_per_s: self.spill_ms.rate_per_sec(now_ns, span_ns),
-            ttft_p50_ms: ttft.quantile(0.50),
-            ttft_p99_ms: ttft.quantile(0.99),
-            tpot_p50_ms: tpot.quantile(0.50),
-            tpot_p99_ms: tpot.quantile(0.99),
-            ttft_burn_fast: self.ttft_slo.as_ref().map_or(0.0, |s| s.burn_fast(now_ns)),
-            ttft_burn_slow: self.ttft_slo.as_ref().map_or(0.0, |s| s.burn_slow(now_ns)),
-            ttft_firing: self.ttft_slo.as_ref().is_some_and(|s| s.firing()),
-            tpot_burn_fast: self.tpot_slo.as_ref().map_or(0.0, |s| s.burn_fast(now_ns)),
-            tpot_burn_slow: self.tpot_slo.as_ref().map_or(0.0, |s| s.burn_slow(now_ns)),
-            tpot_firing: self.tpot_slo.as_ref().is_some_and(|s| s.firing()),
-            ttft_exemplar: self.ttft.exemplar_over(now_ns, span_ns).map(|e| e.span_id),
+            ttft: self.ttft.row(now_ns, span_ns),
+            tpot: self.tpot.row(now_ns, span_ns),
         }
     }
 
@@ -308,14 +229,13 @@ impl GenMonitor {
     pub fn compliance_json(&self) -> String {
         use dtu_telemetry::json::JsonObject;
         let mut objectives = Vec::new();
-        for tracker in [self.ttft_slo.as_ref(), self.tpot_slo.as_ref()]
+        for tracker in [&self.ttft, &self.tpot]
             .into_iter()
-            .flatten()
+            .filter_map(|o| o.slo.as_ref())
         {
             let pages = self
-                .alerts
-                .iter()
-                .filter(|a| a.kind == AlertKind::BurnRate && a.slo == tracker.spec.name)
+                .burn_alerts()
+                .filter(|a| a.slo == tracker.spec.name)
                 .count();
             objectives.push(
                 JsonObject::new()
@@ -336,10 +256,6 @@ impl GenMonitor {
             .raw("objectives", &dtu_telemetry::json::array(&objectives))
             .build()
     }
-
-    fn span_id(&self, req: u64) -> u64 {
-        self.cfg.trace_base + req
-    }
 }
 
 impl GenObserver for GenMonitor {
@@ -349,11 +265,10 @@ impl GenObserver for GenMonitor {
         self.total_pages = sc.kv.total_pages;
     }
 
-    /// Runs the remaining evaluation boundaries plus one final
-    /// evaluation past the end, so trailing windows are judged.
+    /// Runs the remaining evaluation boundaries plus at least one more,
+    /// so trailing windows are judged.
     fn finish(&mut self, drained_ns: f64) {
-        let last = (drained_ns / EVAL_WINDOW_NS).ceil() * EVAL_WINDOW_NS;
-        self.advance(last.max(self.next_eval_ns));
+        self.advance(self.clock.closing(drained_ns));
     }
 
     fn on_event(&mut self, event: &ServeEvent) {
@@ -363,10 +278,6 @@ impl GenObserver for GenMonitor {
         self.flight.record(event_to_span(event));
     }
 
-    fn on_admit(&mut self, t_ms: f64, _req: u64) {
-        self.arrivals.add(ms_to_ns(t_ms), 1.0);
-    }
-
     fn on_shed(&mut self, t_ms: f64, _req: u64) {
         self.sheds.add(ms_to_ns(t_ms), 1.0);
     }
@@ -374,8 +285,8 @@ impl GenObserver for GenMonitor {
     fn on_prefill(&mut self, t_ms: f64, end_ms: f64, joiners: &[GenJoiner]) {
         let (t_ns, end_ns) = (ms_to_ns(t_ms), ms_to_ns(end_ms));
         for j in joiners {
-            let id = self.span_id(j.req);
-            if let Some(preempt_ns) = self.preempted_at.remove(&j.req) {
+            let id = j.req;
+            if let Some(preempt_ns) = self.preempted_at.remove(&id) {
                 // The request sat preempted from eviction to this
                 // re-prefill: make the gap visible as a wait interval.
                 self.flight.record(Span::new(
@@ -400,12 +311,7 @@ impl GenObserver for GenMonitor {
     }
 
     fn on_first_token(&mut self, t_ms: f64, req: u64, ttft_ms: f64) {
-        let t_ns = ms_to_ns(t_ms);
-        let id = self.span_id(req);
-        self.ttft.record(t_ns, ttft_ms, Some(id));
-        if let Some(tracker) = self.ttft_slo.as_mut() {
-            tracker.observe(t_ns, ttft_ms);
-        }
+        self.ttft.observe(ms_to_ns(t_ms), ttft_ms, req);
     }
 
     fn on_decode(&mut self, step: &GenDecodeStep) {
@@ -413,15 +319,13 @@ impl GenObserver for GenMonitor {
         self.decode_steps.add(t_ns, 1.0);
         self.batch_occupancy.add(t_ns, step.batch as f64);
         self.kv_pages.add(t_ns, step.kv_pages_in_use as f64);
-        self.kv_resident.add(t_ns, step.kv_resident_pages as f64);
         self.spill_ms.add(t_ns, step.spill_ms);
         let end_ns = ms_to_ns(step.end_ms);
         for &(req, produced) in &step.reqs {
-            let id = self.span_id(req);
             self.flight.record(Span::marker(
                 Layer::Serving,
                 0,
-                format!("req {id} tok {produced}"),
+                format!("req {req} tok {produced}"),
                 end_ns,
             ));
         }
@@ -430,11 +334,10 @@ impl GenObserver for GenMonitor {
     fn on_exhaust(&mut self, t_ms: f64, req: u64) {
         let t_ns = ms_to_ns(t_ms);
         self.exhausts.add(t_ns, 1.0);
-        let id = self.span_id(req);
         self.flight.record(Span::marker(
             Layer::Serving,
             0,
-            format!("kv-exhausted req {id}"),
+            format!("kv-exhausted req {req}"),
             t_ns,
         ));
     }
@@ -449,9 +352,8 @@ impl GenObserver for GenMonitor {
             // evictions only count — the remaining dump slots are kept
             // for burn-rate pages.
             self.kv_dumped = true;
-            let id = self.span_id(req);
             self.flight.trigger(
-                format!("kv-exhaustion (req {id} preempted, {})", self.cfg.tenant),
+                format!("kv-exhaustion (req {req} preempted, {})", self.cfg.tenant),
                 t_ns,
             );
         }
@@ -467,22 +369,14 @@ impl GenObserver for GenMonitor {
         violated: bool,
     ) {
         let t_ns = ms_to_ns(t_ms);
-        let id = self.span_id(req);
         self.completions.add(t_ns, 1.0);
-        if violated {
-            self.violations.add(t_ns, 1.0);
-        }
-        self.tpot.record(t_ns, tpot_ms, Some(id));
-        self.e2e.record(t_ns, e2e_ms, Some(id));
-        if let Some(tracker) = self.tpot_slo.as_mut() {
-            tracker.observe(t_ns, tpot_ms);
-        }
+        self.tpot.observe(t_ns, tpot_ms, req);
         self.preempted_at.remove(&req);
         self.flight.record(Span::new(
             SpanKind::Request,
             Layer::Serving,
             0,
-            format!("req {id}{}", if violated { " (late)" } else { "" }),
+            format!("req {req}{}", if violated { " (late)" } else { "" }),
             ms_to_ns(t_ms - e2e_ms),
             t_ns,
         ));
@@ -530,12 +424,13 @@ mod tests {
         assert_eq!(plain.report.to_json(), live.report.to_json());
         // …and the monitor actually saw the run.
         assert_eq!(mon.completions.total(), live.report.completed as f64);
+        // The run drains, so every admitted request completes.
         assert_eq!(
-            mon.arrivals.total() + mon.sheds.total(),
+            mon.completions.total() + mon.sheds.total(),
             live.report.offered as f64
         );
         assert!(!mon.flight.is_empty());
-        assert!(mon.ttft.merged().count() >= live.report.completed);
+        assert!(mon.ttft.hist.merged().count() >= live.report.completed);
     }
 
     #[test]
@@ -575,12 +470,13 @@ mod tests {
         sc.arrival = ArrivalProcess::Poisson { qps: 2000.0 };
         sc.duration_ms = 100.0;
         sc.queue_depth = 512;
-        let mut mon = GenMonitor::new(GenLiveConfig {
-            flight_capacity: 1 << 16, // keep the whole run
-            ..GenLiveConfig::default()
-        });
+        let mut mon = GenMonitor::with_defaults();
         let out = run_generative_live(&sc, &mut AnalyticTokenModel::new("m"), &mut mon).unwrap();
         assert!(out.report.preemptions > 0);
+        assert!(
+            mon.flight.len() < mon.flight.capacity(),
+            "the ring kept the whole run"
+        );
         let gaps: Vec<&Span> = mon
             .flight
             .spans()
@@ -649,7 +545,7 @@ mod tests {
         assert!(row.qps > 0.0);
         assert!(row.active_batch > 0.0);
         assert!(row.kv_occupancy > 0.0 && row.kv_occupancy <= 1.0);
-        assert!(!row.ttft_firing && !row.tpot_firing);
+        assert!(!row.ttft.firing && !row.tpot.firing);
         let js = mon.compliance_json();
         assert!(js.contains("\"objectives\""));
         assert!(js.contains("ttft_p99<10s") && js.contains("tpot_p99<10s"));
@@ -664,11 +560,12 @@ mod tests {
         sc.arrival = ArrivalProcess::Poisson { qps: 2000.0 };
         sc.duration_ms = 100.0;
         sc.queue_depth = 512;
-        let mut mon = GenMonitor::new(GenLiveConfig {
-            flight_capacity: 1 << 16,
-            ..GenLiveConfig::default()
-        });
+        let mut mon = GenMonitor::with_defaults();
         let out = run_generative_live(&sc, &mut AnalyticTokenModel::new("m"), &mut mon).unwrap();
+        assert!(
+            mon.flight.len() < mon.flight.capacity(),
+            "the ring kept the whole run"
+        );
         let preempted: Vec<u64> = out
             .trace
             .events

@@ -51,8 +51,8 @@ use std::fmt;
 /// Observer of the engine's token boundaries.
 ///
 /// [`run_generative_live`] calls these hooks *as the run unfolds*, so a
-/// live monitor sees every admit / prefill / decode-step / preempt /
-/// exhaust / complete / shed at its simulated time instead of
+/// live monitor sees every prefill / decode-step / preempt / exhaust /
+/// complete / shed at its simulated time instead of
 /// reconstructing them afterwards. Every hook is pure observation: the
 /// engine never reads anything back, so an observed run's report and
 /// trace are byte-identical to a plain run's.
@@ -72,8 +72,6 @@ pub trait GenObserver {
     fn finish(&mut self, _drained_ns: f64) {}
     /// Every trace record, in order, the moment it is appended.
     fn on_event(&mut self, _event: &ServeEvent) {}
-    /// A request was admitted to the waiting queue.
-    fn on_admit(&mut self, _t_ms: f64, _req: u64) {}
     /// A request was shed at arrival (queue full or KV-impossible).
     fn on_shed(&mut self, _t_ms: f64, _req: u64) {}
     /// A prefill step ran over `joiners` from `t_ms` to `end_ms`.
@@ -82,7 +80,7 @@ pub trait GenObserver {
     /// recorded at first-token time — not at completion).
     fn on_first_token(&mut self, _t_ms: f64, _req: u64, _ttft_ms: f64) {}
     /// A decode step ran; `step` carries the batch composition and the
-    /// KV-allocator pressure around it.
+    /// KV pages in use after it.
     fn on_decode(&mut self, _step: &GenDecodeStep) {}
     /// A decode-path page reservation was refused on pool exhaustion
     /// (admission-path refusals are ordinary backpressure and are not
@@ -134,15 +132,11 @@ pub struct GenDecodeStep {
     pub end_ms: f64,
     /// Running batch size.
     pub batch: usize,
-    /// Longest context (tokens) in the batch.
-    pub context: usize,
     /// L3 spill charge folded into the step, ms.
     pub spill_ms: f64,
     /// KV pages reserved across all sequences after this step's
     /// reservations.
     pub kv_pages_in_use: usize,
-    /// The L2-resident share of those pages (the rest stream from L3).
-    pub kv_resident_pages: usize,
     /// `(request id, tokens produced after this step)` per running
     /// sequence, oldest first.
     pub reqs: Vec<(u64, usize)>,
@@ -568,7 +562,6 @@ impl<'m> GenEngine<'m> {
                 depth: self.waiting.len(),
             },
         );
-        self.obs.on_admit(t, id);
     }
 
     /// Completes a sequence at time `t`: frees pages, records samples,
@@ -715,15 +708,12 @@ impl<'m> GenEngine<'m> {
             },
         );
         if self.obs.enabled() {
-            let pages_in_use = self.kv.pages_in_use();
             let step = GenDecodeStep {
                 t_ms: t,
                 end_ms: end,
                 batch,
-                context,
                 spill_ms,
-                kv_pages_in_use: pages_in_use,
-                kv_resident_pages: pages_in_use.min(sc.kv.l2_pages),
+                kv_pages_in_use: self.kv.pages_in_use(),
                 reqs: self
                     .running
                     .iter()

@@ -256,22 +256,6 @@ pub enum ServeEventKind {
         /// KV pages it released.
         pages: usize,
     },
-    /// An SLO alert transitioned (emitted only by live-monitored runs,
-    /// see [`crate::run_serving_live`]); plain runs never produce it,
-    /// keeping their traces byte-identical to the pre-observability
-    /// path.
-    Alert {
-        /// The objective that transitioned.
-        slo: String,
-        /// Alert kind name (`burn-rate`, `resolved`).
-        alert: String,
-        /// Fast-window burn rate at evaluation time.
-        burn_fast: f64,
-        /// Slow-window burn rate at evaluation time.
-        burn_slow: f64,
-        /// Span id of the slowest recent request, when known.
-        exemplar: Option<u64>,
-    },
 }
 
 /// One trace record: time, tenant, event.
@@ -395,24 +379,6 @@ impl ServingTrace {
                     .string("kind", "preempt")
                     .int("req", *req as i64)
                     .int("pages", *pages as i64),
-                ServeEventKind::Alert {
-                    slo,
-                    alert,
-                    burn_fast,
-                    burn_slow,
-                    exemplar,
-                } => {
-                    let o = o
-                        .string("kind", "alert")
-                        .string("slo", slo)
-                        .string("alert", alert)
-                        .num("burn_fast", *burn_fast)
-                        .num("burn_slow", *burn_slow);
-                    match exemplar {
-                        Some(id) => o.int("exemplar", *id as i64),
-                        None => o,
-                    }
-                }
             };
             out.push_str(&o.build());
             out.push('\n');
@@ -557,22 +523,6 @@ pub fn event_to_span(e: &ServeEvent) -> Span {
             Layer::Serving,
             e.tenant as u32,
             format!("preempt {req} (-{pages} pages)"),
-            e.t_ns,
-        ),
-        ServeEventKind::Alert {
-            slo,
-            alert,
-            exemplar,
-            ..
-        } => Span::new(
-            SpanKind::Fault,
-            Layer::Serving,
-            e.tenant as u32,
-            match exemplar {
-                Some(id) => format!("alert {alert} {slo} (exemplar req {id})"),
-                None => format!("alert {alert} {slo}"),
-            },
-            e.t_ns,
             e.t_ns,
         ),
     }

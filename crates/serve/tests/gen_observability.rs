@@ -93,8 +93,8 @@ fn windowed_percentiles_match_exact_within_two_percent() {
         raw.ttft.sort_by(f64::total_cmp);
         raw.tpot.sort_by(f64::total_cmp);
         assert!(!raw.ttft.is_empty());
-        let ttft = mon.ttft.merged();
-        let tpot = mon.tpot.merged();
+        let ttft = mon.ttft.hist.merged();
+        let tpot = mon.tpot.hist.merged();
         assert_eq!(ttft.count() as usize, raw.ttft.len());
         assert_eq!(tpot.count() as usize, raw.tpot.len());
         for (metric, hist, exact) in [("ttft", &ttft, &raw.ttft), ("tpot", &tpot, &raw.tpot)] {
@@ -125,12 +125,13 @@ fn preempted_exemplar_resolves_in_flight_dump() {
     let mut sc = scenario(48);
     sc.arrival = ArrivalProcess::Poisson { qps: 1200.0 };
     sc.duration_ms = 150.0;
-    let mut mon = GenMonitor::new(GenLiveConfig {
-        flight_capacity: 1 << 16, // retain the full run
-        ..GenLiveConfig::default()
-    });
+    let mut mon = GenMonitor::with_defaults();
     let out = run_generative_live(&sc, &mut AnalyticTokenModel::new("m"), &mut mon).unwrap();
     assert!(out.report.preemptions > 0);
+    assert!(
+        mon.flight.len() < mon.flight.capacity(),
+        "the default ring retains the full run"
+    );
 
     // Independent trace replay names the preemption victims.
     let preempted: Vec<u64> = out
@@ -175,6 +176,7 @@ fn preempted_exemplar_resolves_in_flight_dump() {
     let end_ns = mon.now_ns();
     let exemplar = mon
         .ttft
+        .hist
         .exemplar_over(end_ns, end_ns)
         .expect("run-wide TTFT exemplar");
     mon.flight.trigger("end-of-run snapshot", end_ns);

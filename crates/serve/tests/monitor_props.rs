@@ -1,0 +1,123 @@
+//! Property tests for the live monitors: whatever the load, tenants,
+//! faults and SLO, a monitored run returns exactly what the plain run
+//! returns (errors included), and the alerts the monitor raised are in
+//! simulated-time order.
+
+use dtu_serve::faults::{FaultPlan, PRESETS};
+use dtu_serve::{
+    run_generative, run_generative_live, run_serving, run_serving_live, AnalyticModel,
+    AnalyticTokenModel, ArrivalProcess, BatchPolicy, GenLiveConfig, GenMonitor, GenerativeScenario,
+    KvCacheConfig, LiveConfig, LiveMonitor, ServeConfig, SlaPolicy, TenantSpec,
+};
+use dtu_sim::ChipConfig;
+use dtu_telemetry::SloSpec;
+use proptest::prelude::*;
+
+/// A p99 objective at `deadline_ms`, or none.
+fn slo(metric: &str, deadline_ms: Option<f64>) -> Option<SloSpec> {
+    deadline_ms.map(|d| SloSpec::new(format!("{metric}_p99<{d}ms"), 0.99, d))
+}
+
+/// SLO deadlines: none, or tight enough to page under load.
+fn deadlines() -> impl Strategy<Value = Option<f64>> {
+    prop::sample::select(vec![None, Some(0.5), Some(2.0), Some(10.0)])
+}
+
+proptest! {
+    #[test]
+    fn monitored_serving_returns_the_plain_outcome(
+        seed in 0u64..1_000_000,
+        qps in 50.0f64..1_500.0,
+        tenants in 1usize..3,
+        groups in 1usize..3,
+        plan in prop::sample::select(PRESETS.to_vec()),
+        severity in 0.0f64..1.0,
+        deadline_ms in deadlines(),
+    ) {
+        let chip = ChipConfig::dtu20();
+        let duration_ms = 2_500.0;
+        let cfg = ServeConfig {
+            duration_ms,
+            seed,
+            tenants: (0..tenants)
+                .map(|i| TenantSpec {
+                    batch: BatchPolicy::dynamic(4, 1.0),
+                    sla: SlaPolicy::new(20.0, 64),
+                    initial_groups: groups,
+                    ..TenantSpec::poisson(format!("t{i}"), 0, qps)
+                })
+                .collect(),
+            record_requests: true,
+            faults: FaultPlan::preset(
+                plan,
+                seed,
+                severity,
+                chip.clusters,
+                chip.groups_per_cluster,
+                duration_ms * 1e6,
+            )
+            .expect("known preset"),
+            ..ServeConfig::default()
+        };
+        let plain = run_serving(&cfg, &chip, &mut [&mut AnalyticModel::new("m", 0.5)]);
+        let mut mon = LiveMonitor::new(LiveConfig {
+            slo: slo("e2e", deadline_ms),
+            ..LiveConfig::default()
+        });
+        let live = run_serving_live(
+            &cfg,
+            &chip,
+            &mut [&mut AnalyticModel::new("m", 0.5)],
+            &mut mon,
+        );
+        // A fault that takes a tenant's last group fails both runs alike.
+        prop_assert_eq!(&live, &plain, "{} qps, plan {} s{:.2}", qps, plan, severity);
+        prop_assert!(
+            mon.alerts.windows(2).all(|w| w[0].1.t_ns <= w[1].1.t_ns),
+            "alerts out of order: {:?}",
+            mon.alerts
+        );
+    }
+
+    #[test]
+    fn monitored_generation_returns_the_plain_outcome(
+        seed in 0u64..1_000_000,
+        qps in 20.0f64..1_500.0,
+        total_pages in prop::sample::select(vec![40usize, 4096]),
+        ttft_deadline_ms in deadlines(),
+        tpot_deadline_ms in deadlines(),
+    ) {
+        let sc = GenerativeScenario {
+            duration_ms: 2_500.0,
+            seed,
+            arrival: ArrivalProcess::Poisson { qps },
+            prompt_tokens: 64,
+            min_new_tokens: 2,
+            max_new_tokens: 48,
+            max_concurrency: 8,
+            queue_depth: 128,
+            ttft_deadline_ms: ttft_deadline_ms.unwrap_or(f64::INFINITY),
+            tpot_deadline_ms: tpot_deadline_ms.unwrap_or(f64::INFINITY),
+            kv: KvCacheConfig {
+                page_tokens: 16,
+                bytes_per_token: 1024,
+                total_pages,
+                l2_pages: 16,
+                l3_gb_per_s: 100.0,
+            },
+        };
+        let plain = run_generative(&sc, &mut AnalyticTokenModel::new("m"));
+        let mut mon = GenMonitor::new(GenLiveConfig {
+            ttft_slo: slo("ttft", ttft_deadline_ms),
+            tpot_slo: slo("tpot", tpot_deadline_ms),
+            ..GenLiveConfig::default()
+        });
+        let live = run_generative_live(&sc, &mut AnalyticTokenModel::new("m"), &mut mon);
+        prop_assert_eq!(&live, &plain, "{} qps, {} pages", qps, total_pages);
+        prop_assert!(
+            mon.alerts.windows(2).all(|w| w[0].t_ns <= w[1].t_ns),
+            "alerts out of order: {:?}",
+            mon.alerts
+        );
+    }
+}

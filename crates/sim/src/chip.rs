@@ -279,21 +279,6 @@ impl Chip {
         self.run_inner(program, &mut NullRecorder, Some(faults))
     }
 
-    /// [`Chip::run_faulted`] with a telemetry [`Recorder`] attached;
-    /// injected faults additionally appear as `SpanKind::Fault` spans.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Chip::run_faulted`].
-    pub fn run_faulted_recorded(
-        &self,
-        program: &Program,
-        faults: &mut FaultSession,
-        rec: &mut dyn Recorder,
-    ) -> Result<RunReport, SimError> {
-        self.run_inner(program, rec, Some(faults))
-    }
-
     /// Runs a program with a telemetry [`Recorder`] attached. Every
     /// kernel, DMA, code-load, and sync-wait interval is recorded as a
     /// [`Span`] on the `Layer::Sim` clock (track = flat group index),
@@ -477,22 +462,6 @@ impl Chip {
                                     counters.faults_injected += u64::from(eff.newly_fired);
                                     counters.fault_stall_ns += extra;
                                     dma_ns += extra;
-                                    if rec.enabled() {
-                                        let mut cs = CounterSet::new();
-                                        cs.add(Counter::FaultsInjected, f64::from(eff.newly_fired));
-                                        cs.add(Counter::FaultStallNs, extra);
-                                        rec.record(
-                                            Span::new(
-                                                SpanKind::Fault,
-                                                Layer::Sim,
-                                                g as u32,
-                                                format!("dma-stall x{:.1}", eff.factor),
-                                                now,
-                                                now + extra,
-                                            )
-                                            .with_counters(cs),
-                                        );
-                                    }
                                 }
                             }
                             counters.dma_transfers += descriptor.repeat as u64;
@@ -561,21 +530,6 @@ impl Chip {
                                 if fs.take_icache_corruption(g, start) {
                                     groups[g].icache.invalidate();
                                     counters.faults_injected += 1;
-                                    if rec.enabled() {
-                                        let mut cs = CounterSet::new();
-                                        cs.add(Counter::FaultsInjected, 1.0);
-                                        rec.record(
-                                            Span::new(
-                                                SpanKind::Fault,
-                                                Layer::Sim,
-                                                g as u32,
-                                                "icache-corruption".to_string(),
-                                                start,
-                                                start,
-                                            )
-                                            .with_counters(cs),
-                                        );
-                                    }
                                 }
                             }
 
@@ -609,21 +563,6 @@ impl Chip {
                                 if th.factor > 1.0 {
                                     freq = freq.min(self.power_cfg.f_min_mhz);
                                     counters.faults_injected += u64::from(th.newly_fired);
-                                    if rec.enabled() {
-                                        let mut cs = CounterSet::new();
-                                        cs.add(Counter::FaultsInjected, f64::from(th.newly_fired));
-                                        rec.record(
-                                            Span::new(
-                                                SpanKind::Fault,
-                                                Layer::Sim,
-                                                g as u32,
-                                                format!("thermal-throttle @{freq}MHz"),
-                                                start,
-                                                start,
-                                            )
-                                            .with_counters(cs),
-                                        );
-                                    }
                                 }
                             }
                             let (busy_ns, intra_stall_ns, l2_ns, l3_ns) =
@@ -731,22 +670,6 @@ impl Chip {
                                     fs.add_stall_ns(scrub_ns);
                                     counters.faults_injected += u64::from(scrubs);
                                     counters.fault_stall_ns += scrub_ns;
-                                    if rec.enabled() {
-                                        let mut cs = CounterSet::new();
-                                        cs.add(Counter::FaultsInjected, f64::from(scrubs));
-                                        cs.add(Counter::FaultStallNs, scrub_ns);
-                                        rec.record(
-                                            Span::new(
-                                                SpanKind::Fault,
-                                                Layer::Sim,
-                                                g as u32,
-                                                format!("ecc-scrub x{scrubs}"),
-                                                start + code_stall + duration,
-                                                start + code_stall + duration + scrub_ns,
-                                            )
-                                            .with_counters(cs),
-                                        );
-                                    }
                                     duration += scrub_ns;
                                 }
                                 let end_ns = start + code_stall + duration;

@@ -102,6 +102,11 @@ impl FlightRecorder {
         self.ring.len()
     }
 
+    /// Spans the ring holds before it evicts the oldest.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Iterates the ring's spans, oldest first — the fleet aggregator
     /// uses this to absorb a per-chip ring into the fleet-time ring
     /// without waiting for a trigger.

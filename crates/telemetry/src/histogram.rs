@@ -204,11 +204,6 @@ impl WindowedHistogram {
         }
     }
 
-    /// Window width, ns.
-    pub fn window_ns(&self) -> f64 {
-        self.window_ns
-    }
-
     /// Records a sample completing at `t_ns`, optionally tagged with
     /// the span id that produced it (for exemplars).
     pub fn record(&mut self, t_ns: f64, value: f64, span_id: Option<u64>) {

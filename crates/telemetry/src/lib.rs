@@ -57,6 +57,7 @@ pub mod counters;
 pub mod flight;
 pub mod histogram;
 pub mod json;
+pub mod monitor;
 pub mod record;
 pub mod slo;
 pub mod span;
@@ -66,6 +67,7 @@ pub use attr::{AttributionReport, Bottleneck, Degradation, MachineSpec, OpRecord
 pub use counters::{Counter, CounterSet, CounterSnapshot, Unit};
 pub use flight::{FlightDump, FlightRecorder};
 pub use histogram::{Exemplar, HistogramWindow, LogHistogram, WindowedHistogram};
+pub use monitor::{EvalClock, Objective, ObjectiveRow};
 pub use record::{NullRecorder, Recorder, TraceBuffer};
 pub use slo::{AlertEvent, AlertKind, SloSpec, SloTracker};
 pub use span::{Layer, Span, SpanKind};

@@ -20,11 +20,11 @@ use crate::timeseries::TimeSeries;
 
 /// Evaluation-window width: trackers evaluate on 1 s boundaries.
 pub const EVAL_WINDOW_NS: f64 = 1e9;
-/// Default fast burn window (5 s of simulated time).
+/// Fast burn window (5 s of simulated time).
 pub const FAST_WINDOW_NS: f64 = 5e9;
-/// Default slow burn window (60 s of simulated time).
+/// Slow burn window (60 s of simulated time).
 pub const SLOW_WINDOW_NS: f64 = 60e9;
-/// Default burn-rate firing threshold.
+/// Burn rate at (or above) which an alert fires.
 pub const BURN_THRESHOLD: f64 = 10.0;
 /// Consecutive breaching (clearing) evaluations before a transition.
 pub const HYSTERESIS_EVALS: u32 = 2;
@@ -38,31 +38,22 @@ pub struct SloSpec {
     pub percentile: f64,
     /// Latency deadline the percentile must meet, ms.
     pub deadline_ms: f64,
-    /// Fraction of completions allowed to violate the deadline.
-    /// Defaults to `1 − percentile`.
-    pub error_budget: f64,
-    /// Fast burn window, simulated ns.
-    pub fast_window_ns: f64,
-    /// Slow burn window, simulated ns.
-    pub slow_window_ns: f64,
-    /// Burn rate at (or above) which the alert fires.
-    pub burn_threshold: f64,
 }
 
 impl SloSpec {
-    /// An objective with the default windows, threshold, and an error
-    /// budget of `1 − percentile`.
+    /// An objective over `percentile`, clamped into [0, 1].
     pub fn new(name: impl Into<String>, percentile: f64, deadline_ms: f64) -> Self {
-        let percentile = percentile.clamp(0.0, 1.0);
         SloSpec {
             name: name.into(),
-            percentile,
+            percentile: percentile.clamp(0.0, 1.0),
             deadline_ms,
-            error_budget: (1.0 - percentile).max(1e-6),
-            fast_window_ns: FAST_WINDOW_NS,
-            slow_window_ns: SLOW_WINDOW_NS,
-            burn_threshold: BURN_THRESHOLD,
         }
+    }
+
+    /// Fraction of completions allowed to violate the deadline:
+    /// `1 − percentile`.
+    pub fn error_budget(&self) -> f64 {
+        (1.0 - self.percentile).max(1e-6)
     }
 }
 
@@ -106,6 +97,21 @@ pub struct AlertEvent {
     pub exemplar: Option<u64>,
 }
 
+impl AlertEvent {
+    /// A fault landed at `t_ns`: `label` names it, `exemplar` is a
+    /// span id the dump it froze resolves, when known.
+    pub fn fault(t_ns: f64, label: impl Into<String>, exemplar: Option<u64>) -> Self {
+        AlertEvent {
+            t_ns,
+            slo: label.into(),
+            kind: AlertKind::Fault,
+            burn_fast: 0.0,
+            burn_slow: 0.0,
+            exemplar,
+        }
+    }
+}
+
 /// Evaluates one [`SloSpec`] over a completion stream.
 #[derive(Debug, Clone)]
 pub struct SloTracker {
@@ -124,7 +130,7 @@ impl SloTracker {
     /// Creates a tracker for `spec`. Ring capacity covers the slow
     /// window with slack.
     pub fn new(spec: SloSpec) -> Self {
-        let cap = ((spec.slow_window_ns / EVAL_WINDOW_NS).ceil() as usize + 8).max(16);
+        let cap = (SLOW_WINDOW_NS / EVAL_WINDOW_NS).ceil() as usize + 8;
         SloTracker {
             spec,
             completions: TimeSeries::new(EVAL_WINDOW_NS, cap),
@@ -174,17 +180,17 @@ impl SloTracker {
             return 0.0;
         }
         let viol = self.violations.sum_over(now_ns, window_ns);
-        (viol / done) / self.spec.error_budget
+        (viol / done) / self.spec.error_budget()
     }
 
     /// Fast-window burn rate at `now_ns`.
     pub fn burn_fast(&self, now_ns: f64) -> f64 {
-        self.burn(now_ns, self.spec.fast_window_ns)
+        self.burn(now_ns, FAST_WINDOW_NS)
     }
 
     /// Slow-window burn rate at `now_ns`.
     pub fn burn_slow(&self, now_ns: f64) -> f64 {
-        self.burn(now_ns, self.spec.slow_window_ns)
+        self.burn(now_ns, SLOW_WINDOW_NS)
     }
 
     /// Whether the burn-rate alert is currently firing.
@@ -198,7 +204,7 @@ impl SloTracker {
         if self.total_completed == 0 {
             return 0.0;
         }
-        (self.total_violated as f64 / self.total_completed as f64) / self.spec.error_budget
+        (self.total_violated as f64 / self.total_completed as f64) / self.spec.error_budget()
     }
 
     /// Completions observed over the whole run.
@@ -221,8 +227,8 @@ impl SloTracker {
         self.violations.advance(now_ns);
         let fast = self.burn_fast(now_ns);
         let slow = self.burn_slow(now_ns);
-        let breach = fast >= self.spec.burn_threshold && slow >= self.spec.burn_threshold;
-        let clear = fast < self.spec.burn_threshold / 2.0 && slow < self.spec.burn_threshold / 2.0;
+        let breach = fast >= BURN_THRESHOLD && slow >= BURN_THRESHOLD;
+        let clear = fast < BURN_THRESHOLD / 2.0 && slow < BURN_THRESHOLD / 2.0;
         if breach {
             self.breach_streak += 1;
             self.clear_streak = 0;
@@ -272,10 +278,8 @@ mod tests {
 
     #[test]
     fn defaults_derive_budget() {
-        let s = spec();
-        assert!((s.error_budget - 0.01).abs() < 1e-12);
-        assert_eq!(s.fast_window_ns, FAST_WINDOW_NS);
-        assert_eq!(s.burn_threshold, BURN_THRESHOLD);
+        assert!((spec().error_budget() - 0.01).abs() < 1e-12);
+        assert_eq!(SloSpec::new("all", 1.0, 1.0).error_budget(), 1e-6);
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl TimeSeries {
         }
     }
 
-    /// Window width, ns.
-    pub fn window_ns(&self) -> f64 {
-        self.window_ns
-    }
-
     /// The window index covering `t_ns`.
     fn index_of(&self, t_ns: f64) -> u64 {
         (t_ns.max(0.0) / self.window_ns) as u64
