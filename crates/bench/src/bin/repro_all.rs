@@ -24,6 +24,7 @@ const BINARIES: &[&str] = &[
 ];
 
 fn main() -> ExitCode {
+    dtu_bench::cli::parse_or_exit(&dtu_bench::cli::REPRO_FIXED, 1);
     // The repro binaries live next to this one.
     let me = std::env::current_exe().expect("own path");
     let dir = me.parent().expect("binary directory");

@@ -7,6 +7,7 @@
 use dtu_sim::{ChipConfig, DmaDescriptor, DmaEngine, DmaPath, MemLevel};
 
 fn main() {
+    dtu_bench::cli::parse_or_exit(&dtu_bench::cli::REPRO_FIXED, 1);
     let cfg = ChipConfig::dtu20();
     let mut engine = DmaEngine::new(&cfg);
 

@@ -13,6 +13,7 @@ use dtu_models::Model;
 use dtu_sim::GroupId;
 
 fn main() {
+    dtu_bench::cli::parse_or_exit(&dtu_bench::cli::REPRO_FIXED, 1);
     let accel = Accelerator::cloudblazer_i20();
     let model = Model::Resnet50;
     let graph = model.build(1);

@@ -18,6 +18,7 @@ fn run(cfg: ChipConfig, model: Model) -> (f64, f64, f64) {
 }
 
 fn main() {
+    dtu_bench::cli::parse_or_exit(&dtu_bench::cli::REPRO_FIXED, 1);
     println!("== Power management ON vs OFF (ResNet-50 v1.5, BERT-Large) ==");
     println!(
         "{:<16} {:>10} {:>10} {:>11} {:>12} {:>12}",

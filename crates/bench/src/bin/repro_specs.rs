@@ -6,6 +6,7 @@ use dtu_sim::ChipConfig;
 use gpu_baseline::{a10_spec, i10_spec, i20_spec, t4_spec};
 
 fn main() {
+    dtu_bench::cli::parse_or_exit(&dtu_bench::cli::REPRO_FIXED, 1);
     println!("== Table I: technical specifications of the Cloudblazer i20 ==");
     let i20 = i20_spec();
     println!(

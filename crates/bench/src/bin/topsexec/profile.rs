@@ -177,21 +177,27 @@ pub fn run(args: &Args) -> Outcome {
     let trace_out: String = args.get("--trace-out");
     write_file(&trace_out, buf.to_chrome_trace(true))?;
 
-    println!("=== topsexec profile ===");
-    println!("accelerator : {accel}");
-    println!("model       : {graph}");
-    println!(
-        "run         : {:.3} ms, {} operator segments, {} spans",
+    let header = format!(
+        "=== topsexec profile ===\n\
+         accelerator : {accel}\n\
+         model       : {graph}\n\
+         run         : {:.3} ms, {} operator segments, {} spans\n\
+         trace       : {trace_out} (open in Perfetto / chrome://tracing)\n",
         report.latency_ms(),
         attr.ops.len(),
         buf.len()
     );
-    println!("trace       : {trace_out} (open in Perfetto / chrome://tracing)");
-    println!();
+    // A machine format is all of stdout, so its header goes to stderr.
     match args.get::<String>("--format").as_str() {
-        "prometheus" => print!("{}", attr.to_prometheus()),
-        "json" => println!("{}", attr.to_json()),
-        _ => print!("{}", attr.to_table()),
+        "prometheus" => {
+            eprint!("{header}");
+            print!("{}", attr.to_prometheus());
+        }
+        "json" => {
+            eprint!("{header}");
+            println!("{}", attr.to_json());
+        }
+        _ => print!("{header}\n{}", attr.to_table()),
     }
     Ok(())
 }

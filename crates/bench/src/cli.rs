@@ -857,10 +857,31 @@ pub static REPRO: Command = Command {
     groups: &[&[JOBS], CACHE],
 };
 
+/// The `repro_*` binaries that neither run the experiment engine nor
+/// compile through the session cache, and `repro_all`: no flags.
+pub static REPRO_FIXED: Command = Command {
+    name: "repro_* (fixed)",
+    args: "[-h]",
+    about: "Regenerate tables or figures of the paper's evaluation from fixed inputs.",
+    positional: None,
+    groups: &[],
+};
+
 /// Every command, in usage order.
-pub static COMMANDS: [&Command; 12] = [
-    &RUN, &PROFILE, &SERVE, &GEN_SERVE, &SWEEP, &FAULTS, &TOP, &GEN_TOP, &SLO, &FLEET, &FLEET_TOP,
+pub static COMMANDS: [&Command; 13] = [
+    &RUN,
+    &PROFILE,
+    &SERVE,
+    &GEN_SERVE,
+    &SWEEP,
+    &FAULTS,
+    &TOP,
+    &GEN_TOP,
+    &SLO,
+    &FLEET,
+    &FLEET_TOP,
     &REPRO,
+    &REPRO_FIXED,
 ];
 
 #[cfg(test)]

@@ -132,6 +132,19 @@ fn repro_binaries_reject_zero_jobs() {
 }
 
 #[test]
+fn repro_binaries_without_options_reject_flags() {
+    let bins = [
+        env!("CARGO_BIN_EXE_repro_specs"),
+        env!("CARGO_BIN_EXE_repro_power_mgmt"),
+        env!("CARGO_BIN_EXE_repro_multitenancy"),
+        env!("CARGO_BIN_EXE_repro_dma_repeat"),
+        env!("CARGO_BIN_EXE_repro_all"),
+    ];
+    let reject = |bin| common::rejected(bin, &["--bogus"], "--bogus", "repro_* (fixed)").err();
+    common::assert_all_rejected(bins.into_iter().filter_map(reject).collect());
+}
+
+#[test]
 fn help_prints_the_usage_on_stdout_and_succeeds() {
     let topsexec = env!("CARGO_BIN_EXE_topsexec");
     let cases: &[(&str, &[&str])] = &[

@@ -34,7 +34,8 @@ const TOPSEXEC: &[(&str, u64)] = &[
     ("--model vgg16 --batch 4 --chip i10 --groups 2 --profile --no-power-management", 0x5f5cbe8c66ff0cb7),
     // The trace file itself differs between two runs of one binary, so
     // only stdout is pinned.
-    ("profile resnet50 --trace-out t.json --format json", 0xbaa73502fc892ce0),
+    ("profile resnet50 --trace-out t.json --format json", 0xd5a962d406453b97),
+    ("profile resnet50 --format prometheus", 0xbdab0155930a0682),
     ("serve --duration 200 --trace-out s.json --no-disk-cache", 0x7ed85d6e5b399372),
     ("serve --models vgg16 --bursty --no-autoscale --max-batch 1 --duration 200 --no-disk-cache", 0xaac06797b68c4f17),
     ("serve --generative --gen-model tiny --seed 7 --jobs 1 --no-disk-cache", 0xbf3834835e84a0ea),
@@ -55,7 +56,7 @@ const TOPSEXEC: &[(&str, u64)] = &[
     ("fleet resnet50 --chips 4 --qps 4000 --duration 2000 --seed 7 --jobs 1 --no-disk-cache", 0x6e63ad9c36c15391),
     ("fleet resnet50 --chips 4 --qps 4000 --duration 2000 --seed 7 --jobs 1 --format table --no-disk-cache", 0x59e0402fd6b93dce),
     ("fleet resnet50 --chips 4 --qps 4000 --duration 2000 --seed 7 --jobs 1 --format prom --no-disk-cache", 0x49d69d27116f48c8),
-    ("fleet top --once resnet50 --chips 4 --qps 4000 --duration 2000 --seed 7 --jobs 1 --no-disk-cache", 0x28fd5d65369c0716),
+    ("fleet top --once resnet50 --chips 4 --qps 4000 --duration 2000 --seed 7 --jobs 1 --no-disk-cache", 0x574d4a3c6c3da72e),
     ("fleet resnet50 --chips 4 --qps 2000 --duration 2000 --seed 7 --kill-chip 1 --kill-at 900 --slo --flight-out fl.json --jobs 1 --no-disk-cache", 0xf5acb9a183ecfb9b),
 ];
 
@@ -77,20 +78,25 @@ const WRITTEN: &[(&str, u64)] = &[
     ("fl.json", 0x7ed8e7aa7ddf9929),
 ];
 
-/// Every `repro_*` binary (run with `--no-disk-cache`) and the digest
-/// of its stdout.
+/// Every `repro_*` binary that takes the cache flags (run with
+/// `--no-disk-cache`) and the digest of its stdout.
 const REPRO: &[(&str, u64)] = &[
-    (env!("CARGO_BIN_EXE_repro_specs"), 0x5939c9bd38203e82),
     (env!("CARGO_BIN_EXE_repro_fig12"), 0xd66617842ac343c1),
     (env!("CARGO_BIN_EXE_repro_fig13"), 0x1244499af0149fcf),
     (env!("CARGO_BIN_EXE_repro_fig14"), 0xc93da049434d4e64),
     (env!("CARGO_BIN_EXE_repro_fig15"), 0xec2d7a9d3f624217),
     (env!("CARGO_BIN_EXE_repro_batch"), 0x80a014605b8f47a3),
+    (env!("CARGO_BIN_EXE_repro_opmix"), 0x17cca9cd5d7a9381),
+    (env!("CARGO_BIN_EXE_repro_ablation"), 0x0713572451d7e882),
+];
+
+/// Every `repro_*` binary that takes no flags and the digest of its
+/// stdout.
+const REPRO_FIXED: &[(&str, u64)] = &[
+    (env!("CARGO_BIN_EXE_repro_specs"), 0x5939c9bd38203e82),
     (env!("CARGO_BIN_EXE_repro_power_mgmt"), 0xc216f078a49c0c48),
     (env!("CARGO_BIN_EXE_repro_multitenancy"), 0x5024307156e80f3a),
     (env!("CARGO_BIN_EXE_repro_dma_repeat"), 0x3c4f5ea010d45a3a),
-    (env!("CARGO_BIN_EXE_repro_opmix"), 0x17cca9cd5d7a9381),
-    (env!("CARGO_BIN_EXE_repro_ablation"), 0x0713572451d7e882),
 ];
 
 fn digest(bytes: &[u8]) -> u64 {
@@ -152,10 +158,12 @@ fn topsexec_stdout_and_written_files_are_pinned() {
 fn repro_stdout_is_pinned() {
     let dir = scratch("cli_pinned_repro");
     let mut got = Vec::new();
-    for (bin, want) in REPRO {
-        let (have, _) = output_digests(bin, &dir, &["--no-disk-cache"]);
-        let name = Path::new(bin).file_name().expect("binary name");
-        got.push((name.to_string_lossy().into_owned(), *want, have));
+    for (args, table) in [(&["--no-disk-cache"][..], REPRO), (&[], REPRO_FIXED)] {
+        for (bin, want) in table {
+            let (have, _) = output_digests(bin, &dir, args);
+            let name = Path::new(bin).file_name().expect("binary name");
+            got.push((name.to_string_lossy().into_owned(), *want, have));
+        }
     }
     check("repro output", &got);
 }

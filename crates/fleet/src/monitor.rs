@@ -477,9 +477,7 @@ impl FleetMonitor {
             .map(|(c, cs)| {
                 let done = cs.completions.sum_over(now, span);
                 let burn = if done > 0.0 {
-                    // max guards the tiny negative residue float
-                    // accumulation can leave in an all-zero window.
-                    (cs.violations.sum_over(now, span).max(0.0) / done) / self.min_budget
+                    (cs.violations.sum_over(now, span) / done) / self.min_budget
                 } else {
                     0.0
                 };

@@ -13,6 +13,7 @@
 
 use dtu_harness::CacheStats;
 use dtu_telemetry::json::{array, number, JsonObject};
+use dtu_telemetry::prometheus::{self, Declared, Family, MetricType};
 use dtu_telemetry::{Counter, CounterSet};
 
 /// How the run's price table answered its chip-epochs.
@@ -286,120 +287,25 @@ impl FleetReport {
         out
     }
 
-    /// Prometheus text exposition for the run: the fleet counters
-    /// (HELP/TYPE via the telemetry registry) followed by per-tenant
-    /// (`{tenant="..."}`) and per-chip (`{chip="N"}`) labeled series.
-    /// Deterministic like [`FleetReport::to_json`]: tenant and chip
-    /// order is fixed, no wall-clock, no cache provenance.
+    /// Prometheus text exposition for the run: the fleet counters, then
+    /// `TENANT_FAMILIES` (`{tenant="..."}`) and `CHIP_FAMILIES`
+    /// (`{chip="N"}`). Deterministic like [`FleetReport::to_json`]:
+    /// tenant and chip order is fixed, no wall-clock, no cache provenance.
     pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write;
-        let mut out = self.counters().to_prometheus(&[]);
-        fn series<T, F: Fn(&T) -> (String, f64)>(
-            out: &mut String,
-            name: &str,
-            help: &str,
-            kind: &str,
-            rows: &[T],
-            f: F,
-        ) {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            for row in rows {
-                let (labels, v) = f(row);
-                let _ = writeln!(out, "{name}{{{labels}}} {v}");
-            }
+        let mut families = self.counters().families(&[]);
+        for &(name, help, kind, value) in &TENANT_FAMILIES {
+            let tenants = self.tenants.iter();
+            families.push(tenants.fold(Family::new(name, help, kind), |f, t| {
+                f.sample(&[("tenant", &t.name)], value(t))
+            }));
         }
-        let tl = |t: &FleetTenantReport| format!("tenant=\"{}\"", t.name);
-        series(
-            &mut out,
-            "dtu_fleet_tenant_offered_total",
-            "Requests offered to a tenant fleet-wide",
-            "counter",
-            &self.tenants,
-            |t| (tl(t), t.offered as f64),
-        );
-        series(
-            &mut out,
-            "dtu_fleet_tenant_completed_total",
-            "Requests a tenant completed fleet-wide",
-            "counter",
-            &self.tenants,
-            |t| (tl(t), t.completed as f64),
-        );
-        series(
-            &mut out,
-            "dtu_fleet_tenant_shed_total",
-            "Requests shed by admission control for a tenant",
-            "counter",
-            &self.tenants,
-            |t| (tl(t), t.shed as f64),
-        );
-        series(
-            &mut out,
-            "dtu_fleet_tenant_violations_total",
-            "Completions past a tenant's SLA deadline",
-            "counter",
-            &self.tenants,
-            |t| (tl(t), t.violations as f64),
-        );
-        series(
-            &mut out,
-            "dtu_fleet_tenant_p99_ms",
-            "Tenant p99 latency over the run, ms",
-            "gauge",
-            &self.tenants,
-            |t| (tl(t), t.p99_ms),
-        );
-        series(
-            &mut out,
-            "dtu_fleet_tenant_availability",
-            "Tenant completed/offered over the run",
-            "gauge",
-            &self.tenants,
-            |t| (tl(t), t.availability),
-        );
-        let cl = |c: &FleetChipReport| format!("chip=\"{}\"", c.chip);
-        series(
-            &mut out,
-            "dtu_fleet_chip_offered_total",
-            "Requests routed to a chip",
-            "counter",
-            &self.chips_detail,
-            |c| (cl(c), c.offered as f64),
-        );
-        series(
-            &mut out,
-            "dtu_fleet_chip_completed_total",
-            "Requests a chip completed",
-            "counter",
-            &self.chips_detail,
-            |c| (cl(c), c.completed as f64),
-        );
-        series(
-            &mut out,
-            "dtu_fleet_chip_shed_total",
-            "Requests a chip shed",
-            "counter",
-            &self.chips_detail,
-            |c| (cl(c), c.shed as f64),
-        );
-        series(
-            &mut out,
-            "dtu_fleet_chip_dead",
-            "Whether the chip died during the run (1 = dead)",
-            "gauge",
-            &self.chips_detail,
-            |c| (cl(c), if c.dead { 1.0 } else { 0.0 }),
-        );
-        series(
-            &mut out,
-            "dtu_fleet_chip_ewma_delay_ms",
-            "Router EWMA of the chip's queueing delay, ms",
-            "gauge",
-            &self.chips_detail,
-            |c| (cl(c), c.ewma_delay_ms),
-        );
-        out
+        for &(name, help, kind, value) in &CHIP_FAMILIES {
+            let chips = self.chips_detail.iter();
+            families.push(chips.fold(Family::new(name, help, kind), |f, c| {
+                f.sample(&[("chip", &c.chip.to_string())], value(c))
+            }));
+        }
+        prometheus::render(&families)
     }
 
     /// The run's fleet counters for the telemetry registry.
@@ -411,6 +317,27 @@ impl FleetReport {
         set
     }
 }
+
+/// The per-tenant metric families.
+#[rustfmt::skip]
+const TENANT_FAMILIES: [Declared<FleetTenantReport>; 6] = [
+    ("dtu_fleet_tenant_offered_total", "Requests offered to a tenant fleet-wide", MetricType::Counter, |t| t.offered as f64),
+    ("dtu_fleet_tenant_completed_total", "Requests a tenant completed fleet-wide", MetricType::Counter, |t| t.completed as f64),
+    ("dtu_fleet_tenant_shed_total", "Requests shed by admission control for a tenant", MetricType::Counter, |t| t.shed as f64),
+    ("dtu_fleet_tenant_violations_total", "Completions past a tenant's SLA deadline", MetricType::Counter, |t| t.violations as f64),
+    ("dtu_fleet_tenant_p99_ms", "Tenant p99 latency over the run, ms", MetricType::Gauge, |t| t.p99_ms),
+    ("dtu_fleet_tenant_availability", "Tenant completed/offered over the run", MetricType::Gauge, |t| t.availability),
+];
+
+/// The per-chip metric families.
+#[rustfmt::skip]
+const CHIP_FAMILIES: [Declared<FleetChipReport>; 5] = [
+    ("dtu_fleet_chip_offered_total", "Requests routed to a chip", MetricType::Counter, |c| c.offered as f64),
+    ("dtu_fleet_chip_completed_total", "Requests a chip completed", MetricType::Counter, |c| c.completed as f64),
+    ("dtu_fleet_chip_shed_total", "Requests a chip shed", MetricType::Counter, |c| c.shed as f64),
+    ("dtu_fleet_chip_dead", "Whether the chip died during the run (1 = dead)", MetricType::Gauge, |c| if c.dead { 1.0 } else { 0.0 }),
+    ("dtu_fleet_chip_ewma_delay_ms", "Router EWMA of the chip's queueing delay, ms", MetricType::Gauge, |c| c.ewma_delay_ms),
+];
 
 fn tenant_json(t: &FleetTenantReport) -> String {
     let obj = JsonObject::new()
@@ -572,10 +499,6 @@ mod tests {
         assert!(text.contains("dtu_fleet_chip_dead{chip=\"0\"} 1"));
         assert!(text.contains("dtu_fleet_chip_dead{chip=\"1\"} 0"));
         assert!(text.contains("dtu_fleet_chip_ewma_delay_ms{chip=\"1\"} 0.5"));
-        // Every HELP line has a matching TYPE line.
-        let helps = text.matches("# HELP ").count();
-        let types = text.matches("# TYPE ").count();
-        assert_eq!(helps, types);
     }
 
     #[test]

@@ -60,11 +60,6 @@ pub enum CacheOutcome {
 }
 
 impl CacheOutcome {
-    /// Whether the lookup avoided compilation.
-    pub fn is_hit(self) -> bool {
-        !matches!(self, CacheOutcome::Miss)
-    }
-
     /// Short lowercase label (`memory` / `disk` / `miss`).
     pub fn label(self) -> &'static str {
         match self {
@@ -313,11 +308,10 @@ impl ProgramSource for SessionCache {
         placement: &Placement,
         compiler: &CompilerConfig,
         batch: usize,
-    ) -> Result<(Program, bool), ServeError> {
-        let (program, outcome) = self
-            .lookup_or_compile(graph, chip, placement, compiler, batch)
-            .map_err(ServeError::Compile)?;
-        Ok(((*program).clone(), outcome.is_hit()))
+    ) -> Result<Arc<Program>, ServeError> {
+        self.lookup_or_compile(graph, chip, placement, compiler, batch)
+            .map(|(program, _)| program)
+            .map_err(ServeError::Compile)
     }
 }
 

@@ -44,6 +44,7 @@ use crate::stats::{LatencyStats, Sample};
 use crate::token_model::TokenModel;
 use crate::ServeError;
 use dtu_telemetry::clock::ms_to_ns;
+use dtu_telemetry::prometheus::{self, Declared, Family, MetricType};
 use dtu_telemetry::{Counter, CounterSet};
 use std::collections::VecDeque;
 use std::fmt;
@@ -343,117 +344,34 @@ impl GenReport {
     }
 
     /// Renders the report as Prometheus text exposition: the registry
-    /// token/KV counters plus hand-labelled `{tenant=}` series for the
-    /// request accounting, TTFT/TPOT/e2e percentiles, throughput, and
-    /// KV peak occupancy. Mirrors `FleetReport::to_prometheus`.
+    /// token/KV counters, then `GEN_FAMILIES`, every sample labelled
+    /// `tenant="<tenant>"`.
     pub fn to_prometheus(&self, tenant: &str) -> String {
-        let mut out = self.counters().to_prometheus(&[("tenant", tenant)]);
-        let label = format!("tenant=\"{tenant}\"");
-        fn series(out: &mut String, name: &str, help: &str, kind: &str, label: &str, v: f64) {
-            use std::fmt::Write;
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            let _ = writeln!(out, "{name}{{{label}}} {v}");
+        let labels = [("tenant", tenant)];
+        let mut families = self.counters().families(&labels);
+        for &(name, help, kind, value) in &GEN_FAMILIES {
+            families.push(Family::new(name, help, kind).sample(&labels, value(self)));
         }
-        series(
-            &mut out,
-            "dtu_gen_offered_total",
-            "Generative requests offered within the horizon",
-            "counter",
-            &label,
-            self.offered as f64,
-        );
-        series(
-            &mut out,
-            "dtu_gen_completed_total",
-            "Generative requests that completed their full answer",
-            "counter",
-            &label,
-            self.completed as f64,
-        );
-        series(
-            &mut out,
-            "dtu_gen_shed_total",
-            "Generative requests shed at arrival",
-            "counter",
-            &label,
-            self.shed as f64,
-        );
-        series(
-            &mut out,
-            "dtu_gen_violations_total",
-            "Completions that violated the TTFT or TPOT deadline",
-            "counter",
-            &label,
-            self.violations as f64,
-        );
-        series(
-            &mut out,
-            "dtu_gen_preemptions_total",
-            "Running sequences preempted on KV exhaustion",
-            "counter",
-            &label,
-            self.preemptions as f64,
-        );
-        series(
-            &mut out,
-            "dtu_gen_ttft_p50_ms",
-            "Median time-to-first-token",
-            "gauge",
-            &label,
-            self.ttft.p50_ms,
-        );
-        series(
-            &mut out,
-            "dtu_gen_ttft_p99_ms",
-            "99th-percentile time-to-first-token",
-            "gauge",
-            &label,
-            self.ttft.p99_ms,
-        );
-        series(
-            &mut out,
-            "dtu_gen_tpot_p50_ms",
-            "Median time-per-output-token",
-            "gauge",
-            &label,
-            self.tpot.p50_ms,
-        );
-        series(
-            &mut out,
-            "dtu_gen_tpot_p99_ms",
-            "99th-percentile time-per-output-token",
-            "gauge",
-            &label,
-            self.tpot.p99_ms,
-        );
-        series(
-            &mut out,
-            "dtu_gen_e2e_p99_ms",
-            "99th-percentile end-to-end latency",
-            "gauge",
-            &label,
-            self.e2e.p99_ms,
-        );
-        series(
-            &mut out,
-            "dtu_gen_tokens_per_s",
-            "Sustained generated-token throughput",
-            "gauge",
-            &label,
-            self.tokens_per_s,
-        );
-        series(
-            &mut out,
-            "dtu_gen_kv_peak_pages",
-            "Peak KV pages reserved at once",
-            "gauge",
-            &label,
-            self.kv.peak_pages as f64,
-        );
-        out
+        prometheus::render(&families)
     }
 }
+
+/// The report's own metric families.
+#[rustfmt::skip]
+const GEN_FAMILIES: [Declared<GenReport>; 12] = [
+    ("dtu_gen_offered_total", "Generative requests offered within the horizon", MetricType::Counter, |r| r.offered as f64),
+    ("dtu_gen_completed_total", "Generative requests that completed their full answer", MetricType::Counter, |r| r.completed as f64),
+    ("dtu_gen_shed_total", "Generative requests shed at arrival", MetricType::Counter, |r| r.shed as f64),
+    ("dtu_gen_violations_total", "Completions that violated the TTFT or TPOT deadline", MetricType::Counter, |r| r.violations as f64),
+    ("dtu_gen_preemptions_total", "Running sequences preempted on KV exhaustion", MetricType::Counter, |r| r.preemptions as f64),
+    ("dtu_gen_ttft_p50_ms", "Median time-to-first-token", MetricType::Gauge, |r| r.ttft.p50_ms),
+    ("dtu_gen_ttft_p99_ms", "99th-percentile time-to-first-token", MetricType::Gauge, |r| r.ttft.p99_ms),
+    ("dtu_gen_tpot_p50_ms", "Median time-per-output-token", MetricType::Gauge, |r| r.tpot.p50_ms),
+    ("dtu_gen_tpot_p99_ms", "99th-percentile time-per-output-token", MetricType::Gauge, |r| r.tpot.p99_ms),
+    ("dtu_gen_e2e_p99_ms", "99th-percentile end-to-end latency", MetricType::Gauge, |r| r.e2e.p99_ms),
+    ("dtu_gen_tokens_per_s", "Sustained generated-token throughput", MetricType::Gauge, |r| r.tokens_per_s),
+    ("dtu_gen_kv_peak_pages", "Peak KV pages reserved at once", MetricType::Gauge, |r| r.kv.peak_pages as f64),
+];
 
 impl fmt::Display for GenReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -1064,54 +982,6 @@ mod tests {
         let r = &live.report;
         assert_eq!(set.get(Counter::DecodeTokens), r.decode_tokens as f64);
         assert_eq!(set.get(Counter::PrefillTokens), r.prefill_tokens as f64);
-    }
-
-    #[test]
-    fn prometheus_exposition_is_conformant() {
-        use std::collections::HashSet;
-        // Constrained KV pool so the sparse registry counters
-        // (preemptions, exhaustions, spill) are nonzero and exposed.
-        let mut sc = scenario(40);
-        sc.arrival = ArrivalProcess::Poisson { qps: 2000.0 };
-        sc.duration_ms = 100.0;
-        sc.queue_depth = 512;
-        let out = run_generative(&sc, &mut AnalyticTokenModel::new("m")).unwrap();
-        assert!(out.report.preemptions > 0);
-        let text = out.report.to_prometheus("tiny");
-        assert!(text.ends_with('\n'));
-        let (mut helped, mut typed) = (HashSet::new(), HashSet::new());
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("# HELP ") {
-                let name = rest.split_whitespace().next().unwrap();
-                assert!(helped.insert(name.to_string()), "duplicate HELP {name}");
-            } else if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut it = rest.split_whitespace();
-                let name = it.next().unwrap();
-                let kind = it.next().unwrap();
-                assert!(helped.contains(name), "TYPE before HELP for {name}");
-                assert!(matches!(kind, "counter" | "gauge"), "bad type {kind}");
-                assert!(typed.insert(name.to_string()), "duplicate TYPE {name}");
-            } else {
-                let name = line.split(['{', ' ']).next().unwrap();
-                assert!(name.starts_with("dtu_"), "unprefixed series {name}");
-                assert!(typed.contains(name), "sample before TYPE for {name}");
-                assert!(line.contains("tenant=\"tiny\""), "unlabelled: {line}");
-                let value = line.rsplit(' ').next().unwrap();
-                assert!(value.parse::<f64>().is_ok(), "bad value in {line}");
-            }
-        }
-        for series in [
-            "dtu_gen_offered_total",
-            "dtu_gen_completed_total",
-            "dtu_gen_ttft_p99_ms",
-            "dtu_gen_tpot_p99_ms",
-            "dtu_gen_tokens_per_s",
-            "dtu_gen_kv_peak_pages",
-            "dtu_kv_preemptions_total",
-            "dtu_kv_exhaustions_total",
-        ] {
-            assert!(typed.contains(series), "missing series {series}");
-        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use dtu_compiler::{compile, CompilerConfig, Mode, Placement};
 use dtu_graph::Graph;
 use dtu_sim::{Chip, ChipConfig, Program};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dtu_sim::GroupId;
 
@@ -24,9 +25,7 @@ use dtu_sim::GroupId;
 /// warm-up can reuse what a sweep already compiled — across binaries,
 /// when the source has a disk tier.
 pub trait ProgramSource {
-    /// Returns the compiled program for the given compilation inputs,
-    /// plus whether it was recalled from cache (`true`) or compiled
-    /// fresh (`false`).
+    /// Returns the compiled program for the given compilation inputs.
     ///
     /// # Errors
     ///
@@ -38,7 +37,7 @@ pub trait ProgramSource {
         placement: &Placement,
         compiler: &CompilerConfig,
         batch: usize,
-    ) -> Result<(Program, bool), ServeError>;
+    ) -> Result<Arc<Program>, ServeError>;
 }
 
 /// A model the serving engine can dispatch batches against.
@@ -118,16 +117,6 @@ struct SessionKey {
     groups: Vec<GroupId>,
 }
 
-/// One cached compiled session.
-#[derive(Debug)]
-struct CachedSession {
-    /// Kept so a future PR can replay the program (timelines, energy);
-    /// the serving engine itself only needs the measured latency.
-    #[allow(dead_code)]
-    program: Program,
-    service_ms: f64,
-}
-
 /// Hit/miss accounting for the session cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
@@ -141,12 +130,13 @@ pub struct CacheStats {
 ///
 /// Holds a graph builder (batch size → graph), compiles one session
 /// per distinct (batch, placement) it is asked about, simulates it once
-/// to measure the deterministic service latency, and caches the result.
+/// to measure the deterministic service latency, and caches that
+/// latency: the program itself is dropped once priced.
 pub struct CompiledModel<'c> {
     chip: &'c Chip,
     name: String,
     build: Box<dyn Fn(usize) -> Result<Graph, ServeError> + 'c>,
-    cache: HashMap<SessionKey, CachedSession>,
+    cache: HashMap<SessionKey, f64>,
     source: Option<&'c dyn ProgramSource>,
     stats: CacheStats,
 }
@@ -209,9 +199,9 @@ impl ServiceModel for CompiledModel<'_> {
         let mut groups = placement.groups().to_vec();
         groups.sort_unstable();
         let key = SessionKey { batch, groups };
-        if let Some(hit) = self.cache.get(&key) {
+        if let Some(&service_ms) = self.cache.get(&key) {
             self.stats.hits += 1;
-            return Ok(hit.service_ms);
+            return Ok(service_ms);
         }
         self.stats.misses += 1;
         let graph = (self.build)(batch)?;
@@ -222,20 +212,12 @@ impl ServiceModel for CompiledModel<'_> {
         }
         let program = match self.source {
             Some(source) => {
-                source
-                    .compiled_program(&graph, chip_cfg, placement, &compiler, batch)?
-                    .0
+                source.compiled_program(&graph, chip_cfg, placement, &compiler, batch)?
             }
-            None => compile(&graph, chip_cfg, placement, &compiler)?,
+            None => Arc::new(compile(&graph, chip_cfg, placement, &compiler)?),
         };
         let service_ms = self.chip.run(&program)?.latency_ms();
-        self.cache.insert(
-            key,
-            CachedSession {
-                program,
-                service_ms,
-            },
-        );
+        self.cache.insert(key, service_ms);
         Ok(service_ms)
     }
 }

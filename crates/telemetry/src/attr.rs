@@ -11,7 +11,9 @@
 
 use crate::counters::{Counter, CounterSet};
 use crate::json::{array, JsonObject};
+use crate::prometheus::{self, Family, MetricType};
 use crate::span::{Layer, Span, SpanKind};
+use std::collections::BTreeSet;
 
 /// The peak capabilities attribution measures operators against.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -456,28 +458,31 @@ impl AttributionReport {
         out
     }
 
-    /// Renders the report as Prometheus-style text exposition, one
-    /// sample set per operator (labelled `op="<name>"`).
+    /// Renders the report as Prometheus text exposition: `dtu_op_latency_ns`,
+    /// then one family per counter any operator recorded. Each family has
+    /// one sample per operator, in order, labelled `op="<name>"` and, as
+    /// fused operators share names, `op_id="<id>"` where there is one.
     pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# HELP dtu_op_latency_ns Attributed per-operator latency"
+        let per_op = |family: Family, value: &dyn Fn(&OpRecord) -> f64| {
+            self.ops.iter().fold(family, |f, o| match o.op {
+                Some(id) => f.sample(&[("op", &o.name), ("op_id", &id.to_string())], value(o)),
+                None => f.sample(&[("op", &o.name)], value(o)),
+            })
+        };
+        let latency = Family::new(
+            "dtu_op_latency_ns",
+            "Attributed per-operator latency",
+            MetricType::Gauge,
         );
-        let _ = writeln!(out, "# TYPE dtu_op_latency_ns gauge");
+        let mut families = vec![per_op(latency, &|o| o.latency_ns())];
+        let mut recorded = BTreeSet::new();
         for o in &self.ops {
-            let _ = writeln!(
-                out,
-                "dtu_op_latency_ns{} {}",
-                crate::counters::render_labels(&[("op", &o.name)]),
-                o.latency_ns()
-            );
+            recorded.extend(o.counters.iter().map(|(c, _)| c));
         }
-        for o in &self.ops {
-            out.push_str(&o.counters.to_prometheus(&[("op", &o.name)]));
+        for c in recorded {
+            families.push(per_op(c.family(), &|o| o.counters.get(c)));
         }
-        out
+        prometheus::render(&families)
     }
 
     /// Renders the report as a JSON document.
@@ -674,7 +679,7 @@ mod tests {
         assert!(table.contains("conv"));
         assert!(table.contains("bound"));
         let prom = r.to_prometheus();
-        assert!(prom.contains("dtu_op_latency_ns{op=\"conv\"} 100"));
+        assert!(prom.contains("dtu_op_latency_ns{op=\"conv\",op_id=\"1\"} 100"));
         let json = r.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"operators\""));

@@ -7,6 +7,7 @@
 //! sorted map from counter to value used both for chip-wide snapshots
 //! and for the per-span deltas the attribution pass consumes.
 
+use crate::prometheus::{Family, MetricType};
 use std::fmt;
 
 /// Unit of a counter's value.
@@ -293,6 +294,11 @@ impl Counter {
             Counter::KvExhaustions => "KV-page reservations refused on pool exhaustion",
         }
     }
+
+    /// The counter's exposition family, with no samples yet.
+    pub fn family(self) -> Family {
+        Family::new(self.metric_name(), self.help(), MetricType::Counter)
+    }
 }
 
 impl fmt::Display for Counter {
@@ -369,50 +375,13 @@ impl CounterSet {
         self.entries.iter().copied()
     }
 
-    /// Renders the set as Prometheus-style text exposition. `labels`
-    /// are attached to every sample, e.g. `&[("chip", "i20")]`.
-    pub fn to_prometheus(&self, labels: &[(&str, &str)]) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let label_str = render_labels(labels);
-        for (c, v) in self.iter() {
-            let name = c.metric_name();
-            let _ = writeln!(out, "# HELP {name} {}", c.help());
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name}{label_str} {v}");
-        }
-        out
+    /// One `counter` family per recorded counter, each with one
+    /// sample labelled `labels`, e.g. `&[("chip", "i20")]`.
+    pub fn families(&self, labels: &[(&str, &str)]) -> Vec<Family> {
+        self.iter()
+            .map(|(c, v)| c.family().sample(labels, v))
+            .collect()
     }
-
-    /// Renders the *full registry* as Prometheus text exposition:
-    /// every [`Counter`] gets its `# HELP`/`# TYPE` lines and a sample
-    /// (0 when the counter was never touched). Scrapers therefore see
-    /// a stable series set run-over-run, instead of metrics appearing
-    /// only once their first event lands.
-    pub fn to_prometheus_all(&self, labels: &[(&str, &str)]) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let label_str = render_labels(labels);
-        for c in Counter::ALL {
-            let name = c.metric_name();
-            let _ = writeln!(out, "# HELP {name} {}", c.help());
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name}{label_str} {}", self.get(c));
-        }
-        out
-    }
-}
-
-/// Renders a Prometheus label set (`{a="x",b="y"}`, empty when none).
-pub(crate) fn render_labels(labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let body: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", crate::json::escape(v)))
-        .collect();
-    format!("{{{}}}", body.join(","))
 }
 
 /// A full counter snapshot taken at a span boundary.
@@ -429,6 +398,7 @@ pub struct CounterSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prometheus::render;
 
     #[test]
     fn add_get_merge() {
@@ -489,91 +459,16 @@ mod tests {
         assert_eq!(names.len(), Counter::ALL.len());
     }
 
-    /// Prometheus metric-name charset: `[a-zA-Z_:][a-zA-Z0-9_:]*`.
-    fn valid_metric_name(name: &str) -> bool {
-        let mut chars = name.chars();
-        match chars.next() {
-            Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}
-            _ => return false,
-        }
-        chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-    }
-
-    #[test]
-    fn full_registry_exposition_conformance() {
-        let mut set = CounterSet::new();
-        set.add(Counter::Macs, 7.0);
-        let text = set.to_prometheus_all(&[("chip", "i20")]);
-        let mut help = 0usize;
-        let mut typ = 0usize;
-        let mut names = Vec::new();
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("# HELP ") {
-                help += 1;
-                let name = rest.split_whitespace().next().unwrap();
-                assert!(valid_metric_name(name), "invalid metric name {name:?}");
-                names.push(name.to_string());
-            } else if let Some(rest) = line.strip_prefix("# TYPE ") {
-                typ += 1;
-                assert!(rest.ends_with(" counter"), "bad TYPE line: {line}");
-            } else {
-                // Sample line: name{labels} value
-                let name = line.split('{').next().unwrap();
-                assert!(valid_metric_name(name), "invalid sample name {name:?}");
-            }
-        }
-        // Every counter in the registry is covered exactly once.
-        assert_eq!(help, Counter::ALL.len());
-        assert_eq!(typ, Counter::ALL.len());
-        let mut deduped = names.clone();
-        deduped.sort();
-        deduped.dedup();
-        assert_eq!(deduped.len(), names.len(), "duplicate metric names");
-        // Touched counters carry their value, untouched ones render 0.
-        assert!(text.contains("dtu_macs_total{chip=\"i20\"} 7"));
-        assert!(text.contains("dtu_sync_ops_total{chip=\"i20\"} 0"));
-        // The fleet counters are first-class registry members: each one
-        // gets HELP/TYPE metadata and a (zero-default) sample.
-        for name in [
-            "dtu_fleet_routed_cells_total",
-            "dtu_fleet_replica_moves_total",
-            "dtu_fleet_chips_lost_total",
-        ] {
-            assert!(text.contains(&format!("# HELP {name} ")), "{name} HELP");
-            assert!(
-                text.contains(&format!("# TYPE {name} counter")),
-                "{name} TYPE"
-            );
-            assert!(
-                text.contains(&format!("{name}{{chip=\"i20\"}} 0")),
-                "{name} sample"
-            );
-        }
-    }
-
-    #[test]
-    fn fleet_counters_export_through_sparse_exposition() {
-        let mut set = CounterSet::new();
-        set.add(Counter::FleetRoutedCells, 320.0);
-        set.add(Counter::FleetReplicaMoves, 2.0);
-        set.add(Counter::FleetChipsLost, 1.0);
-        let text = set.to_prometheus(&[]);
-        assert!(text.contains(
-            "# HELP dtu_fleet_routed_cells_total Routing cells assigned by the fleet router"
-        ));
-        assert!(text.contains("# TYPE dtu_fleet_routed_cells_total counter"));
-        assert!(text.contains("dtu_fleet_routed_cells_total 320"));
-        assert!(text.contains("dtu_fleet_replica_moves_total 2"));
-        assert!(text.contains("dtu_fleet_chips_lost_total 1"));
-    }
-
     #[test]
     fn prometheus_exposition_shape() {
         let mut a = CounterSet::new();
         a.add(Counter::Macs, 42.0);
-        let text = a.to_prometheus(&[("chip", "i20")]);
-        assert!(text.contains("# HELP dtu_macs_total"));
-        assert!(text.contains("# TYPE dtu_macs_total counter"));
-        assert!(text.contains("dtu_macs_total{chip=\"i20\"} 42"));
+        let text = render(&a.families(&[("chip", "i20")]));
+        assert_eq!(
+            text,
+            "# HELP dtu_macs_total Multiply-accumulate operations retired\n\
+             # TYPE dtu_macs_total counter\n\
+             dtu_macs_total{chip=\"i20\"} 42\n"
+        );
     }
 }

@@ -58,6 +58,7 @@ pub mod flight;
 pub mod histogram;
 pub mod json;
 pub mod monitor;
+pub mod prometheus;
 pub mod record;
 pub mod slo;
 pub mod span;

@@ -83,12 +83,13 @@ impl TimeSeries {
         }
     }
 
-    /// Sum over every retained window.
+    /// Sum over every retained window; +0.0 when there is none.
     pub fn total(&self) -> f64 {
-        self.windows.iter().map(|&(_, v)| v).sum()
+        self.windows.iter().fold(0.0, |sum, &(_, v)| sum + v)
     }
 
-    /// Sum over windows whose *start* lies in `[now_ns − span_ns, now_ns]`.
+    /// Sum over windows whose *start* lies in `[now_ns − span_ns, now_ns]`;
+    /// +0.0 when none does.
     ///
     /// The range is clamped to retained history; pair this with
     /// [`covered_ns`](Self::covered_ns) when the clamp matters.
@@ -98,8 +99,7 @@ impl TimeSeries {
         self.windows
             .iter()
             .filter(|&&(i, _)| i >= from && i <= to)
-            .map(|&(_, v)| v)
-            .sum()
+            .fold(0.0, |sum, &(_, v)| sum + v)
     }
 
     /// How much history (ns) actually backs a `sum_over(now, span)`
@@ -198,6 +198,10 @@ mod tests {
         // A 1 s span at t=1.9 s covers windows 0 and 1 (window starts
         // within the range), not less.
         assert_eq!(ts.sum_over(1.9e9, 1e9), 6.0);
+        // No window in range sums to +0.0 (an `Iterator::sum` of no f64
+        // is -0.0, which prints as "-0.00").
+        assert!(ts.sum_over(90e9, 1e9).is_sign_positive());
+        assert!(TimeSeries::new(1e9, 8).total().is_sign_positive());
     }
 
     #[test]
