@@ -19,9 +19,8 @@ fn row(
 }
 
 fn main() {
-    let run = cli::parse_or_exit(&cli::REPRO, 1);
-    let jobs = cli::jobs(&run);
-    let (i10, i20, t4, a10) = platform_specs(jobs);
+    cli::parse_or_exit(&cli::REPRO_FIXED, 1);
+    let (i10, i20, t4, a10) = platform_specs();
 
     println!("== Fig. 12(a): Cloudblazer i20 vs i10 (normalised with i10) ==");
     println!("{:<14} {:>15} {:>15}", "", "i10", "i20");

@@ -37,9 +37,8 @@ fn table(title: &str, specs: &[&PlatformSpec], base: &PlatformSpec) {
 }
 
 fn main() {
-    let run = cli::parse_or_exit(&cli::REPRO, 1);
-    let jobs = cli::jobs(&run);
-    let (i10, i20, t4, a10) = platform_specs(jobs);
+    cli::parse_or_exit(&cli::REPRO_FIXED, 1);
+    let (i10, i20, t4, a10) = platform_specs();
     table(
         "== Fig. 14(a): i20 vs i10 (normalised with i10) ==",
         &[&i10, &i20],

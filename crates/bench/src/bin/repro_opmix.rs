@@ -5,9 +5,7 @@
 //! than 2x larger."
 
 use dtu_bench::cli;
-use dtu_compiler::Fnv1a;
 use dtu_graph::{characterize, fuse, FusionConfig, OpCost};
-use dtu_harness::{ExperimentPlan, HarnessError};
 use dtu_models::Model;
 
 /// Share of operator instances that are high-density (conv / matmul /
@@ -15,11 +13,8 @@ use dtu_models::Model;
 /// algebra saturates every DNN) — plus total GFLOPs. Epilogues that fuse
 /// into their anchor (BN, activations, residual adds) are attributed to
 /// it, as a deployment-level operator census would see them.
-fn matrix_share_and_flops(model: Model) -> Result<(f64, f64), HarnessError> {
-    let err = |message: String| HarnessError::Job {
-        label: model.name().to_string(),
-        message,
-    };
+fn matrix_share_and_flops(model: Model) -> Result<(f64, f64), String> {
+    let err = |message: String| format!("{}: {message}", model.name());
     let g = model.build(1);
     let shapes = g
         .infer_shapes()
@@ -55,24 +50,7 @@ fn matrix_share_and_flops(model: Model) -> Result<(f64, f64), HarnessError> {
 }
 
 fn main() {
-    let run = cli::parse_or_exit(&cli::REPRO, 1);
-    let jobs = cli::jobs(&run);
-    // Pure graph analysis — no sessions to cache, but the per-model
-    // census points still fan out over the experiment plan's workers.
-    let mut plan: ExperimentPlan<'_, (f64, f64)> = ExperimentPlan::new();
-    let ids: Vec<_> = Model::ALL
-        .iter()
-        .map(|&m| {
-            let mut key = Fnv1a::new();
-            key.write_str("opmix/");
-            key.write_str(m.name());
-            plan.add_point(key.finish(), m.name().to_string(), &[], move |_| {
-                matrix_share_and_flops(m)
-            })
-        })
-        .collect();
-    let results = plan.run(jobs);
-
+    cli::parse_or_exit(&cli::REPRO_FIXED, 1);
     println!("== §VI-D operator-mix profile: matrix-dense share of operators ==");
     println!(
         "{:<16} {:<22} {:>14} {:>10}",
@@ -80,11 +58,9 @@ fn main() {
     );
     let mut det = Vec::new();
     let mut cls = Vec::new();
-    for (model, id) in Model::ALL.into_iter().zip(&ids) {
-        let (share, gflops) = match &results[id.index()] {
-            Ok(r) => *r,
-            Err(e) => panic!("operator census failed: {e}"),
-        };
+    for model in Model::ALL {
+        let (share, gflops) =
+            matrix_share_and_flops(model).unwrap_or_else(|e| panic!("operator census failed: {e}"));
         println!(
             "{:<16} {:<22} {:>13.1}% {:>10.1}",
             model.name(),

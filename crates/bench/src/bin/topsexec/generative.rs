@@ -67,10 +67,9 @@ pub fn live_config(args: &Args, scenario: &GenerativeScenario) -> GenLiveConfig 
 pub fn serve(args: &Args) -> Outcome {
     let (accel, gen_cfg, scenario) = setup(args)?;
     let gen_model: String = args.get("--gen-model");
-    let jobs = cli::jobs(args);
     eprintln!(
         "[serve --generative] {gen_model} ({} prompt tokens, {}..{} new), {:.0} qps{} over \
-         {:.0} ms, concurrency {}, KV pool {} pages ({} L2-resident) on {jobs} warm-up workers",
+         {:.0} ms, concurrency {}, KV pool {} pages ({} L2-resident)",
         scenario.prompt_tokens,
         scenario.min_new_tokens,
         scenario.max_new_tokens,
@@ -96,14 +95,13 @@ pub fn serve(args: &Args) -> Outcome {
     let started = std::time::Instant::now();
     // The monitor is observational, so stdout stays byte-identical to
     // the plain run.
-    let out =
-        dtu_harness::run_generative_serve(&accel, &gen_cfg, &scenario, &cache, jobs, mon.as_mut())
-            .map_err(harness_failure)?;
+    let out = dtu_harness::run_generative_serve(&accel, &gen_cfg, &scenario, &cache, mon.as_mut())
+        .map_err(harness_failure)?;
     let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
 
-    // The stdout payload is schedule-independent so two runs (any
-    // --jobs, warm or cold cache, monitored or not) compare
-    // byte-for-byte; wall-clock chatter stays on stderr.
+    // The stdout payload is schedule-independent so two runs (warm or
+    // cold cache, monitored or not) compare byte-for-byte; wall-clock
+    // chatter stays on stderr.
     match (&mon, args.get::<String>("--format").as_str()) {
         (Some(mon), _) if slo => println!("{}", mon.compliance_json()),
         (_, "prom") => print!("{}", out.report.to_prometheus(&gen_model)),

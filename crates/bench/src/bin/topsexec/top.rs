@@ -189,8 +189,7 @@ pub fn generative(args: &Args) -> Outcome {
     );
     let cache = cli::session_cache(args);
     let mut mon = GenMonitor::new(live_config(args, &scenario));
-    let jobs = cli::jobs(args);
-    dtu_harness::run_generative_serve(&accel, &gen_cfg, &scenario, &cache, jobs, Some(&mut mon))
+    dtu_harness::run_generative_serve(&accel, &gen_cfg, &scenario, &cache, Some(&mut mon))
         .map_err(harness_failure)?;
 
     let span_ns = args.get::<f64>("--span") * 1e9;

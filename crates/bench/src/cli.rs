@@ -691,7 +691,6 @@ const GENERATING: &[Flag] = &[
     BURSTY,
     SEED.or("7"),
     CHIP,
-    JOBS,
 ];
 const DASHBOARD: &[Flag] = &[ONCE, SPAN, REFRESH_MS];
 const GRID: &[Flag] = &[GRID_MODELS, SEED.or("7"), CHIP, JOBS, GRID_FORMAT];

@@ -138,7 +138,7 @@ pub fn figures_json(cache: &SessionCache, jobs: usize) -> String {
     use dtu_telemetry::json::{array, number, JsonObject};
     use gpu_baseline::PlatformSpec;
 
-    let (i10, i20, t4, a10) = platform_specs(jobs);
+    let (i10, i20, t4, a10) = platform_specs();
     let rows = evaluate_suite_with(cache, jobs);
 
     let spec_ratios = |num: &PlatformSpec, base: &PlatformSpec| {

@@ -1,7 +1,7 @@
 //! Harness-backed evaluation: deduplicated parallel grid evaluation for
-//! the `repro_*` binaries.
+//! the `repro_*` binaries that simulate.
 //!
-//! Every binary parses the same three flags through [`crate::cli::REPRO`]
+//! Each of them parses the same three flags through [`crate::cli::REPRO`]
 //! (`--jobs`, `--cache-dir`, `--no-disk-cache`), builds one
 //! [`SessionCache`], and routes its experiment points through an
 //! `ExperimentPlan` so identical (chip, model, batch) points are
@@ -144,37 +144,15 @@ pub fn evaluate_suite_with(cache: &SessionCache, jobs: usize) -> Vec<LatencyRow>
         .collect()
 }
 
-/// The four Table IV platform sheets as plan points, in the order the
-/// spec-table binaries destructure them: (i10, i20, T4, A10).
-///
-/// The grid is tiny, but running it through the plan keeps the
-/// spec-table binaries on the same engine — and the same `--jobs`
-/// flag — as the simulation-heavy ones.
-///
-/// # Panics
-///
-/// As for [`chip_latencies`].
-pub fn platform_specs(jobs: usize) -> (PlatformSpec, PlatformSpec, PlatformSpec, PlatformSpec) {
-    type SpecFn = fn() -> PlatformSpec;
-    let sheets: [(&str, SpecFn); 4] = [
-        ("i10", gpu_baseline::i10_spec),
-        ("i20", gpu_baseline::i20_spec),
-        ("t4", gpu_baseline::t4_spec),
-        ("a10", gpu_baseline::a10_spec),
-    ];
-    let mut plan: ExperimentPlan<'_, PlatformSpec> = ExperimentPlan::new();
-    let ids = sheets.map(|(name, build)| {
-        let mut key = Fnv1a::new();
-        key.write_str("platform-spec/");
-        key.write_str(name);
-        plan.add_point(key.finish(), name.to_string(), &[], move |_| Ok(build()))
-    });
-    let results = plan.run(jobs);
-    let spec = |i: usize| match &results[ids[i].index()] {
-        Ok(s) => s.clone(),
-        Err(e) => panic!("platform spec failed: {e}"),
-    };
-    (spec(0), spec(1), spec(2), spec(3))
+/// The four Table IV platform sheets, in the order the spec-table
+/// binaries destructure them: (i10, i20, T4, A10).
+pub fn platform_specs() -> (PlatformSpec, PlatformSpec, PlatformSpec, PlatformSpec) {
+    (
+        gpu_baseline::i10_spec(),
+        gpu_baseline::i20_spec(),
+        gpu_baseline::t4_spec(),
+        gpu_baseline::a10_spec(),
+    )
 }
 
 #[cfg(test)]

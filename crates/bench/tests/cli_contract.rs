@@ -97,26 +97,22 @@ const IDENTICAL: &[(&str, &[&[&[&str]]])] = &[
         ],
     ),
     (
-        "generative reports across --jobs",
+        "generative reports across runs",
+        &[&[GEN, &["--no-disk-cache"]], &[GEN, &["--no-disk-cache"]]],
+    ),
+    (
+        "generative monitor is observational, cold to warm",
         &[
-            &[GEN, &["--jobs", "1", "--no-disk-cache"]],
-            &[GEN, &["--jobs", "4", "--no-disk-cache"]],
+            &[GEN, &["--cache-dir", "gocache"]],
+            &[GEN, &["--monitor", "--cache-dir", "gocache"]],
         ],
     ),
     (
-        "generative monitor is observational across --jobs, cold to warm",
+        "generative reports across cache temperature",
         &[
-            &[GEN, &["--jobs", "1", "--cache-dir", "gocache"]],
-            &[GEN, &["--jobs", "1", "--monitor", "--cache-dir", "gocache"]],
-            &[GEN, &["--jobs", "4", "--monitor", "--cache-dir", "gocache"]],
-        ],
-    ),
-    (
-        "generative reports across --jobs and cache temperature",
-        &[
-            &[GEN, &["--jobs", "1", "--cache-dir", "gcache"]],
-            &[GEN, &["--jobs", "4", "--cache-dir", "gcache"]],
-            &[GEN, &["--jobs", "4", "--monitor", "--cache-dir", "gcache"]],
+            &[GEN, &["--cache-dir", "gcache"]],
+            &[GEN, &["--cache-dir", "gcache"]],
+            &[GEN, &["--monitor", "--cache-dir", "gcache"]],
         ],
     ),
 ];
@@ -313,11 +309,8 @@ fn fleet_chip_kill_pages_with_a_loadable_flight_dump() {
 #[test]
 fn generative_runs_balance_with_real_token_work() {
     let dir = scratch("cli_contract_gen");
-    let r = json(&dir, &[GEN, &["--jobs", "1", "--no-disk-cache"]].concat());
-    let disk = json(
-        &dir,
-        &[GEN, &["--jobs", "1", "--cache-dir", "gcache"]].concat(),
-    );
+    let r = json(&dir, &[GEN, &["--no-disk-cache"]].concat());
+    let disk = json(&dir, &[GEN, &["--cache-dir", "gcache"]].concat());
     assert_eq!(r, disk, "the disk tier changed the report");
     assert!(balanced(&r), "generative accounting leaked: {r:?}");
     assert!(r["completed"].num() > 0.0 && r["decode_tokens"].num() > 0.0);
@@ -341,8 +334,6 @@ fn generative_runs_balance_with_real_token_work() {
             "0.0001",
             "--max-new",
             "128",
-            "--jobs",
-            "1",
             "--no-disk-cache",
         ],
     ]

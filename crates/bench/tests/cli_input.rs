@@ -61,10 +61,11 @@ const CASES: &[Case] = &[
     ("topsexec top", TOP, &["--span", "nan"], "--span"),
     ("topsexec top", TOP, &["--span", "0"], "--span"),
     ("topsexec top", TOP, &["--max-batch", "0"], "--max-batch"),
+    // A generative run has no work to share among workers.
     (
         "topsexec top --generative",
         GEN_TOP,
-        &["--jobs", "0"],
+        &["--jobs", "2"],
         "--jobs",
     ),
     (
@@ -115,12 +116,9 @@ fn bad_input_fails_with_the_command_usage() {
 #[test]
 fn repro_binaries_reject_zero_jobs() {
     let bins = [
-        env!("CARGO_BIN_EXE_repro_fig12"),
         env!("CARGO_BIN_EXE_repro_fig13"),
-        env!("CARGO_BIN_EXE_repro_fig14"),
         env!("CARGO_BIN_EXE_repro_fig15"),
         env!("CARGO_BIN_EXE_repro_batch"),
-        env!("CARGO_BIN_EXE_repro_opmix"),
         env!("CARGO_BIN_EXE_repro_ablation"),
     ];
     let mut failures = Vec::new();
@@ -134,14 +132,29 @@ fn repro_binaries_reject_zero_jobs() {
 #[test]
 fn repro_binaries_without_options_reject_flags() {
     let bins = [
+        env!("CARGO_BIN_EXE_repro_fig12"),
+        env!("CARGO_BIN_EXE_repro_fig14"),
+        env!("CARGO_BIN_EXE_repro_opmix"),
         env!("CARGO_BIN_EXE_repro_specs"),
         env!("CARGO_BIN_EXE_repro_power_mgmt"),
         env!("CARGO_BIN_EXE_repro_multitenancy"),
         env!("CARGO_BIN_EXE_repro_dma_repeat"),
         env!("CARGO_BIN_EXE_repro_all"),
     ];
-    let reject = |bin| common::rejected(bin, &["--bogus"], "--bogus", "repro_* (fixed)").err();
-    common::assert_all_rejected(bins.into_iter().filter_map(reject).collect());
+    // An unknown flag, and the flags of the binaries that simulate.
+    let flags: [&[&str]; 4] = [
+        &["--bogus"],
+        &["--jobs", "2"],
+        &["--no-disk-cache"],
+        &["--cache-dir", "x"],
+    ];
+    let mut failures = Vec::new();
+    for bin in bins {
+        for args in flags {
+            failures.extend(common::rejected(bin, args, args[0], "repro_* (fixed)").err());
+        }
+    }
+    common::assert_all_rejected(failures);
 }
 
 #[test]

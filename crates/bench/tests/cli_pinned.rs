@@ -24,7 +24,7 @@ const TOP_CORE_FAILURE: &str = "top --once --models resnet50 --plan core-failure
 const TOP_BURN: &str =
     "top --once --models resnet50 --qps 600 --deadline 2 --duration 4000 --seed 7 --no-disk-cache";
 const TOP_GENERATIVE: &str =
-    "top --generative --gen-model tiny --seed 7 --duration 4000 --once --jobs 1 --no-disk-cache";
+    "top --generative --gen-model tiny --seed 7 --duration 4000 --once --no-disk-cache";
 
 /// `topsexec` command lines (arguments split at spaces) and the digest
 /// of their stdout.
@@ -36,12 +36,12 @@ const TOPSEXEC: &[(&str, u64)] = &[
     // only stdout is pinned.
     ("profile resnet50 --trace-out t.json --format json", 0xd5a962d406453b97),
     ("profile resnet50 --format prometheus", 0xbdab0155930a0682),
-    ("serve --duration 200 --trace-out s.json --no-disk-cache", 0x7ed85d6e5b399372),
-    ("serve --models vgg16 --bursty --no-autoscale --max-batch 1 --duration 200 --no-disk-cache", 0xaac06797b68c4f17),
-    ("serve --generative --gen-model tiny --seed 7 --jobs 1 --no-disk-cache", 0xbf3834835e84a0ea),
-    ("serve --generative --gen-model tiny --seed 7 --jobs 1 --trace-out gt.json --no-disk-cache", 0xbf3834835e84a0ea),
-    ("serve --generative --gen-model tiny --seed 7 --jobs 1 --format prom --no-disk-cache", 0x2206fcaa48f11009),
-    ("serve --generative --gen-model tiny --seed 7 --qps 800 --kv-budget 0.0001 --max-new 128 --duration 4000 --ttft-deadline 1 --monitor --slo --flight-out g.json --jobs 1 --no-disk-cache", 0x5746804a261a5424),
+    ("serve --duration 200 --trace-out s.json --no-disk-cache", 0xd3bdcbcb98f2f33b),
+    ("serve --models vgg16 --bursty --no-autoscale --max-batch 1 --duration 200 --no-disk-cache", 0xa313ff37e747702a),
+    ("serve --generative --gen-model tiny --seed 7 --no-disk-cache", 0xbf3834835e84a0ea),
+    ("serve --generative --gen-model tiny --seed 7 --trace-out gt.json --no-disk-cache", 0xbf3834835e84a0ea),
+    ("serve --generative --gen-model tiny --seed 7 --format prom --no-disk-cache", 0x2206fcaa48f11009),
+    ("serve --generative --gen-model tiny --seed 7 --qps 800 --kv-budget 0.0001 --max-new 128 --duration 4000 --ttft-deadline 1 --monitor --slo --flight-out g.json --no-disk-cache", 0x5746804a261a5424),
     (TOP, 0xfcf06f9ba210fbd8),
     (TOP_CORE_FAILURE, 0x0c7069a74b083c96),
     (TOP_BURN, 0xda5384ad2f21bb5b),
@@ -81,18 +81,18 @@ const WRITTEN: &[(&str, u64)] = &[
 /// Every `repro_*` binary that takes the cache flags (run with
 /// `--no-disk-cache`) and the digest of its stdout.
 const REPRO: &[(&str, u64)] = &[
-    (env!("CARGO_BIN_EXE_repro_fig12"), 0xd66617842ac343c1),
     (env!("CARGO_BIN_EXE_repro_fig13"), 0x1244499af0149fcf),
-    (env!("CARGO_BIN_EXE_repro_fig14"), 0xc93da049434d4e64),
     (env!("CARGO_BIN_EXE_repro_fig15"), 0xec2d7a9d3f624217),
     (env!("CARGO_BIN_EXE_repro_batch"), 0x80a014605b8f47a3),
-    (env!("CARGO_BIN_EXE_repro_opmix"), 0x17cca9cd5d7a9381),
     (env!("CARGO_BIN_EXE_repro_ablation"), 0x0713572451d7e882),
 ];
 
 /// Every `repro_*` binary that takes no flags and the digest of its
 /// stdout.
 const REPRO_FIXED: &[(&str, u64)] = &[
+    (env!("CARGO_BIN_EXE_repro_fig12"), 0xd66617842ac343c1),
+    (env!("CARGO_BIN_EXE_repro_fig14"), 0xc93da049434d4e64),
+    (env!("CARGO_BIN_EXE_repro_opmix"), 0x17cca9cd5d7a9381),
     (env!("CARGO_BIN_EXE_repro_specs"), 0x5939c9bd38203e82),
     (env!("CARGO_BIN_EXE_repro_power_mgmt"), 0xc216f078a49c0c48),
     (env!("CARGO_BIN_EXE_repro_multitenancy"), 0x5024307156e80f3a),

@@ -125,7 +125,7 @@ fn operators_sharing_a_counter_share_one_family() {
 fn cli_expositions_are_the_document_alone_and_conform() {
     let dir = scratch("exposition");
     // A constrained KV pool, so the sparse registry counters show up.
-    let gen = "serve --generative --gen-model tiny --seed 7 --qps 800 --kv-budget 0.0001 --max-new 128 --jobs 1 --format prom --no-disk-cache";
+    let gen = "serve --generative --gen-model tiny --seed 7 --qps 800 --kv-budget 0.0001 --max-new 128 --format prom --no-disk-cache";
     let fleet = "fleet resnet50 --chips 4 --qps 4000 --duration 2000 --seed 7 --jobs 1 --format prom --no-disk-cache";
     let [gen, _] = [gen, fleet].map(|line| {
         let (prom, _) = topsexec(&dir, &line.split(' ').collect::<Vec<_>>());

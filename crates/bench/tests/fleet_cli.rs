@@ -8,8 +8,16 @@ mod common;
 fn bad_fleet_input_fails_with_the_fleet_usage() {
     // (command words, extra arguments, what the error must mention)
     let cases: &[(&[&str], &[&str], &str)] = &[
-        (&["fleet"], &["--qps", "-5"], "positive, finite QPS"),
-        (&["fleet"], &["--qps", "nan"], "positive, finite QPS"),
+        (
+            &["fleet"],
+            &["--qps", "-5"],
+            "tenant resnet50: serving config error: arrival qps must be positive and finite, got -5",
+        ),
+        (
+            &["fleet"],
+            &["--qps", "nan"],
+            "tenant resnet50: serving config error: arrival qps must be positive and finite, got NaN",
+        ),
         (&["fleet"], &["--jobs", "0"], "--jobs"),
         (&["fleet"], &["--chips", "0"], "--chips"),
         (&["fleet"], &["--cards", "0"], "--cards"),

@@ -41,8 +41,6 @@ fn bad_arrival_rates_fail_before_the_run() {
             "--generative",
             "--gen-model",
             "tiny",
-            "--jobs",
-            "1",
             "--no-disk-cache",
         ],
     ];
@@ -77,7 +75,8 @@ fn bad_serve_flags_fail_with_the_command_usage() {
     // (command, extra arguments, what the error must mention)
     let cases: &[(&str, &[&str], &str)] = &[
         ("serve", &["--max-batch", "0"], "--max-batch"),
-        ("serve --generative", &["--jobs", "0"], "--jobs"),
+        // A generative run has no work to share among workers.
+        ("serve --generative", &["--jobs", "2"], "--jobs"),
         // Flags another mode of the command takes.
         ("serve --generative", &["--once"], "--once"),
         ("serve --generative", &["--span", "5"], "--span"),
@@ -98,20 +97,19 @@ fn bad_serve_flags_fail_with_the_command_usage() {
             &["--deadline", "0"],
             "deadline_ms must be positive (inf for none), got 0",
         ),
-        // Rejected before the warm-up compiles the session grid.
         (
             "serve --generative",
-            &["--jobs", "2", "--ttft-deadline", "-1"],
+            &["--ttft-deadline", "-1"],
             "ttft_deadline_ms must be positive (inf for none), got -1",
         ),
         (
             "serve --generative",
-            &["--jobs", "2", "--tpot-deadline", "nan"],
+            &["--tpot-deadline", "nan"],
             "tpot_deadline_ms must be positive (inf for none), got NaN",
         ),
         (
             "serve --generative",
-            &["--jobs", "2", "--max-concurrency", "0"],
+            &["--max-concurrency", "0"],
             "max_concurrency must be at least 1",
         ),
         // Batch timeouts must be finite and not negative; 0 dispatches

@@ -560,12 +560,10 @@ fn run_fleet_inner(
         )));
     }
     let epochs = epochs as usize;
-    if let Some(t) = tenants.iter().find(|t| !positive_finite(t.qps)) {
-        return Err(FleetError::Config(format!(
-            "tenant {} needs a positive, finite QPS, got {}",
-            t.model.name(),
-            t.qps
-        )));
+    for t in tenants {
+        ArrivalProcess::Poisson { qps: t.qps }
+            .validate(cfg.duration_ms)
+            .map_err(|e| FleetError::Config(format!("tenant {}: {e}", t.model.name())))?;
     }
     // `+inf` is a tenant without an SLO.
     if let Some(t) = tenants
@@ -1176,7 +1174,12 @@ mod tests {
         for qps in [-5.0, 0.0, f64::NAN, f64::INFINITY] {
             let tenants = vec![FleetTenant::new(toy_model(), qps)];
             match run_fleet(&topo, &tenants, &small_cfg(), &cache, 1) {
-                Err(FleetError::Config(msg)) => assert!(msg.contains("QPS"), "{msg}"),
+                Err(FleetError::Config(msg)) => {
+                    assert!(
+                        msg.contains(&format!("qps must be positive and finite, got {qps}")),
+                        "{msg}"
+                    )
+                }
                 other => panic!("qps {qps} must be a config error, got {other:?}"),
             }
         }

@@ -298,7 +298,7 @@ impl SessionCache {
 }
 
 /// Lets the serving engine's `CompiledModel::with_source` compile
-/// through this cache, so serving warm-up reuses what sweeps already
+/// through this cache, so a serving run reuses what sweeps already
 /// built (and vice versa, across processes when a disk tier is set).
 impl ProgramSource for SessionCache {
     fn compiled_program(

@@ -6,11 +6,12 @@
 //! a long single-core walk with heavy recompilation of identical
 //! sessions. This crate factors the shape out once:
 //!
-//! * [`ExperimentPlan`] — a deduplicated DAG of experiment points with
-//!   declared dependencies, executed either inline (`jobs = 1`) or by
-//!   a work-stealing pool of `std::thread` workers. Results come back
-//!   in *insertion order*, independent of the thread schedule, so
-//!   parallel runs are byte-for-byte reproducible.
+//! * [`ExperimentPlan`] — a deduplicated list of experiment points,
+//!   each of which may depend on earlier ones, run by `jobs` workers
+//!   that claim the points in insertion order (the calling thread
+//!   alone when `jobs = 1`). Results come back in *insertion order*,
+//!   independent of the thread schedule, so parallel runs are
+//!   byte-for-byte reproducible.
 //! * [`SessionCache`] — a compiled-session artifact cache keyed by a
 //!   content hash of (graph, chip config, placement, compiler config,
 //!   batch, compiler version). An in-memory tier serves repeats within
@@ -26,11 +27,10 @@
 //!   derived from content keys so reports are byte-identical across
 //!   `--jobs`.
 //! * [`run_generative_serve`] — the continuous-batching generative
-//!   scenario behind `topsexec serve --generative`: pre-warms the
-//!   prefill/decode session grid on `--jobs` workers through the
-//!   shared cache, then runs `dtu-serve`'s deterministic token-level
-//!   engine, so TTFT/TPOT reports are byte-identical across `--jobs`
-//!   and cache temperature.
+//!   scenario behind `topsexec serve --generative`: runs `dtu-serve`'s
+//!   deterministic token-level engine on a token model that compiles
+//!   each session it meets through the shared cache, so TTFT/TPOT
+//!   reports are byte-identical across cache temperature.
 //! * [`compare_golden`] — the golden-figure comparator behind
 //!   `topsexec sweep --check-golden` and the CI regression gate:
 //!   structural JSON equality with relative tolerance on the numbers.
@@ -64,7 +64,7 @@ mod sweep;
 pub use cache::{CacheOutcome, CacheStats, SessionCache, CACHE_FORMAT_VERSION};
 pub use error::HarnessError;
 pub use faultsweep::{run_fault_sweep, FaultPoint, FaultSweepReport};
-pub use genserve::{gen_session_grid, run_generative_serve};
+pub use genserve::run_generative_serve;
 pub use golden::{compare_golden, GOLDEN_RTOL};
 pub use plan::{available_jobs, ExperimentPlan, PlanCtx, PointId};
 pub use slosweep::{

@@ -1,5 +1,6 @@
-//! The experiment plan: a deduplicated DAG of points run by a
-//! work-stealing worker pool.
+//! The experiment plan: a deduplicated list of experiment points, each
+//! of which may depend on points planned before it, run by workers that
+//! claim the points in insertion order.
 //!
 //! A *point* is one unit of experiment work (typically: compile a
 //! session — usually through the [`SessionCache`] — run it, reduce the
@@ -11,13 +12,12 @@
 //!
 //! Execution is deterministic *in its results*: [`ExperimentPlan::run`]
 //! returns one result slot per point in insertion order, whatever the
-//! thread schedule did. With `jobs = 1` the plan runs inline on the
-//! calling thread with no pool at all.
+//! thread schedule did. With `jobs = 1` the calling thread runs every
+//! point and nothing is spawned.
 //!
 //! [`SessionCache`]: crate::SessionCache
 
 use crate::HarnessError;
-use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
 /// Handle to one planned point, also its index into the result vector.
@@ -68,10 +68,11 @@ struct Point<'env, R> {
     key: u64,
     label: String,
     deps: Vec<PointId>,
-    job: Option<Job<'env, R>>,
+    job: Job<'env, R>,
 }
 
-/// A deduplicated DAG of experiment points.
+/// A deduplicated list of experiment points, each depending only on
+/// points planned before it.
 ///
 /// `R` is the per-point result type; it must be `Clone` so dependency
 /// results can be handed to dependent jobs without keeping the
@@ -128,12 +129,16 @@ impl<'env, R: Clone + Send> ExperimentPlan<'env, R> {
     /// determines the point's result (e.g. a session fingerprint from
     /// `dtu_compiler::session_fingerprint`, possibly folded with a
     /// workload discriminant). If `key` is already planned, the
-    /// existing point's id is returned and `job` is dropped — the DAG
-    /// stays deduplicated. `deps` must already be planned (ids from
-    /// earlier `add_point` calls), which keeps the graph acyclic by
-    /// construction; a job may read only its declared deps via
+    /// existing point's id is returned and `job` is dropped — the plan
+    /// stays deduplicated. A job may read only its declared deps via
     /// [`PlanCtx`]. A failed dependency fails this point with
     /// [`HarnessError::DependencyFailed`] without running its job.
+    ///
+    /// # Panics
+    ///
+    /// When a dependency is not an earlier point of this plan (an id
+    /// from another plan): workers claim points in insertion order and
+    /// would wait for it forever.
     pub fn add_point(
         &mut self,
         key: u64,
@@ -141,6 +146,12 @@ impl<'env, R: Clone + Send> ExperimentPlan<'env, R> {
         deps: &[PointId],
         job: impl FnOnce(&PlanCtx<R>) -> Result<R, HarnessError> + Send + 'env,
     ) -> PointId {
+        if let Some(late) = deps.iter().find(|d| d.0 >= self.points.len()) {
+            panic!(
+                "dependency #{} is not an earlier point of this plan",
+                late.0
+            );
+        }
         if let Some(existing) = self.points.iter().position(|p| p.key == key) {
             return PointId(existing);
         }
@@ -149,187 +160,107 @@ impl<'env, R: Clone + Send> ExperimentPlan<'env, R> {
             key,
             label: label.into(),
             deps: deps.to_vec(),
-            job: Some(Box::new(job)),
+            job: Box::new(job),
         });
         id
     }
 
     /// Runs every point and returns one result per point, in insertion
-    /// order regardless of schedule. `jobs` is clamped to at least 1
-    /// and at most the number of points; `jobs = 1` runs inline on the
-    /// calling thread.
+    /// order regardless of schedule.
+    ///
+    /// `jobs` workers (clamped to at least 1 and at most the number of
+    /// points) each claim the next unclaimed point in insertion order;
+    /// the calling thread is one of them, so `jobs = 1` spawns nothing.
+    /// A point whose dependencies are still running waits for them.
+    /// Since every dependency was planned, and so claimed, before its
+    /// dependents, the earliest unfinished point never waits.
     pub fn run(self, jobs: usize) -> Vec<Result<R, HarnessError>> {
-        let jobs = jobs.max(1).min(self.points.len().max(1));
-        if jobs <= 1 {
-            return self.run_inline();
-        }
-        self.run_pool(jobs)
-    }
-
-    /// Serial execution. Dependencies always precede dependents in
-    /// index order (enforced by `add_point`), so one forward pass is a
-    /// topological order.
-    fn run_inline(self) -> Vec<Result<R, HarnessError>> {
-        let mut results: Vec<Result<R, HarnessError>> = Vec::with_capacity(self.points.len());
-        let mut labels: Vec<String> = Vec::with_capacity(self.points.len());
-        for point in self.points {
-            labels.push(point.label.clone());
-            let outcome = match failed_dep(&point.deps, &results, &labels) {
-                Some(err) => Err(err),
-                None => {
-                    let ctx = PlanCtx {
-                        deps: point
-                            .deps
-                            .iter()
-                            .map(|d| (*d, results[d.0].clone().expect("dep checked ok")))
-                            .collect(),
-                    };
-                    run_job(
-                        point.job.expect("job present before run"),
-                        &ctx,
-                        &point.label,
-                    )
-                }
-            };
-            results.push(outcome);
-        }
-        results
-    }
-
-    /// Parallel execution on a work-stealing pool: each worker owns a
-    /// ready deque, pushes points it unblocks onto its own deque
-    /// (locality), and steals from the longest other deque when idle.
-    /// One mutex guards the scheduler state; jobs run unlocked.
-    fn run_pool(mut self, jobs: usize) -> Vec<Result<R, HarnessError>> {
         let n = self.points.len();
-        let waiting: Vec<usize> = self.points.iter().map(|p| p.deps.len()).collect();
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, p) in self.points.iter().enumerate() {
-            for d in &p.deps {
-                dependents[d.0].push(i);
-            }
+        let (mut labels, mut deps, mut pending) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
+        for point in self.points {
+            labels.push(point.label);
+            deps.push(point.deps);
+            pending.push(Some(point.job));
         }
-        let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); jobs];
-        for (seed, i) in (0..n).filter(|&i| waiting[i] == 0).enumerate() {
-            queues[seed % jobs].push_back(i);
-        }
-        let jobs_vec: Vec<Option<Job<'env, R>>> =
-            self.points.iter_mut().map(|p| p.job.take()).collect();
-        let labels: Vec<String> = self.points.iter().map(|p| p.label.clone()).collect();
-        let deps: Vec<Vec<PointId>> = self.points.iter().map(|p| p.deps.clone()).collect();
-
-        struct Sched<'env, R> {
-            queues: Vec<VecDeque<usize>>,
-            jobs: Vec<Option<Job<'env, R>>>,
-            results: Vec<Option<Result<R, HarnessError>>>,
-            waiting: Vec<usize>,
-            completed: usize,
-        }
-        let sched = Mutex::new(Sched {
-            queues,
-            jobs: jobs_vec,
+        let claims = Mutex::new(Claims {
+            next: 0,
+            pending,
             results: (0..n).map(|_| None).collect(),
-            waiting,
-            completed: 0,
+            waiting: 0,
         });
-        let ready = Condvar::new();
-
-        std::thread::scope(|scope| {
-            for worker in 0..jobs {
-                let sched = &sched;
-                let ready = &ready;
-                let labels = &labels;
-                let deps = &deps;
-                let dependents = &dependents;
-                scope.spawn(move || loop {
-                    // Claim a point: own deque first, then steal.
-                    let mut guard = sched.lock().expect("scheduler lock");
-                    let idx = loop {
-                        if let Some(idx) = guard.queues[worker].pop_front() {
-                            break idx;
-                        }
-                        let victim = (0..guard.queues.len())
-                            .filter(|&w| w != worker)
-                            .max_by_key(|&w| guard.queues[w].len())
-                            .filter(|&w| !guard.queues[w].is_empty());
-                        if let Some(v) = victim {
-                            let idx = guard.queues[v].pop_back().expect("victim non-empty");
-                            break idx;
-                        }
-                        if guard.completed == guard.results.len() {
-                            return;
-                        }
-                        guard = ready.wait(guard).expect("scheduler wait");
-                    };
-                    // Build the context (dep results are complete) and
-                    // take the job out of the shared state.
-                    let dep_err = deps[idx].iter().find_map(|d| {
-                        match guard.results[d.0].as_ref().expect("dep completed") {
-                            Ok(_) => None,
-                            Err(_) => Some(HarnessError::DependencyFailed {
-                                dep: labels[d.0].clone(),
-                            }),
-                        }
-                    });
-                    let outcome = match dep_err {
-                        Some(err) => Err(err),
-                        None => {
-                            let ctx = PlanCtx {
-                                deps: deps[idx]
-                                    .iter()
-                                    .map(|d| {
-                                        let r = guard.results[d.0]
-                                            .as_ref()
-                                            .expect("dep completed")
-                                            .clone()
-                                            .expect("dep checked ok");
-                                        (*d, r)
-                                    })
-                                    .collect(),
-                            };
-                            let job = guard.jobs[idx].take().expect("job present before run");
-                            drop(guard);
-                            let outcome = run_job(job, &ctx, &labels[idx]);
-                            guard = sched.lock().expect("scheduler lock");
-                            outcome
-                        }
-                    };
-                    // Publish and unblock dependents onto our deque.
-                    guard.results[idx] = Some(outcome);
-                    guard.completed += 1;
-                    for &dep in &dependents[idx] {
-                        guard.waiting[dep] -= 1;
-                        if guard.waiting[dep] == 0 {
-                            guard.queues[worker].push_back(dep);
-                        }
+        let finished = Condvar::new();
+        let work = || {
+            let mut state = claims.lock().expect("plan lock");
+            while state.next < n {
+                let idx = state.next;
+                state.next += 1;
+                while deps[idx].iter().any(|d| state.results[d.0].is_none()) {
+                    state.waiting += 1;
+                    state = finished.wait(state).expect("plan lock");
+                    state.waiting -= 1;
+                }
+                let failed = deps[idx]
+                    .iter()
+                    .find(|d| matches!(state.results[d.0], Some(Err(_))));
+                let outcome = match failed {
+                    Some(d) => Err(HarnessError::DependencyFailed {
+                        dep: labels[d.0].clone(),
+                    }),
+                    None => {
+                        let ctx = PlanCtx {
+                            deps: deps[idx]
+                                .iter()
+                                .map(|&d| {
+                                    let r =
+                                        state.results[d.0].as_ref().and_then(|r| r.as_ref().ok());
+                                    (d, r.expect("dependency finished without error").clone())
+                                })
+                                .collect(),
+                        };
+                        let job = state.pending[idx]
+                            .take()
+                            .expect("each point is claimed once");
+                        drop(state);
+                        let outcome = run_job(job, &ctx, &labels[idx]);
+                        state = claims.lock().expect("plan lock");
+                        outcome
                     }
-                    drop(guard);
-                    ready.notify_all();
-                });
+                };
+                state.results[idx] = Some(outcome);
+                if state.waiting > 0 {
+                    finished.notify_all();
+                }
             }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..jobs.clamp(1, n.max(1)) {
+                scope.spawn(work);
+            }
+            work();
         });
-
-        sched
+        claims
             .into_inner()
-            .expect("scheduler lock")
+            .expect("plan lock")
             .results
             .into_iter()
-            .map(|r| r.expect("all points completed"))
+            .map(|r| r.expect("every point ran"))
             .collect()
     }
 }
 
-fn failed_dep<R>(
-    deps: &[PointId],
-    results: &[Result<R, HarnessError>],
-    labels: &[String],
-) -> Option<HarnessError> {
-    deps.iter().find_map(|d| match &results[d.0] {
-        Ok(_) => None,
-        Err(_) => Some(HarnessError::DependencyFailed {
-            dep: labels[d.0].clone(),
-        }),
-    })
+/// The shared state of a run: the next point to claim, the jobs not yet
+/// claimed, each finished point's result, and how many workers wait for
+/// a dependency (notifying is a system call, so it is skipped when none
+/// waits).
+struct Claims<'env, R> {
+    next: usize,
+    pending: Vec<Option<Job<'env, R>>>,
+    results: Vec<Option<Result<R, HarnessError>>>,
+    waiting: usize,
 }
 
 fn run_job<'env, R>(job: Job<'env, R>, ctx: &PlanCtx<R>, label: &str) -> Result<R, HarnessError> {
@@ -360,6 +291,7 @@ impl From<dtu::DtuError> for HarnessError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -484,5 +416,98 @@ mod tests {
     #[test]
     fn available_jobs_is_positive() {
         assert!(available_jobs() >= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "dependency #1 is not an earlier point of this plan")]
+    fn a_dependency_from_another_plan_is_refused() {
+        let mut other = ExperimentPlan::new();
+        other.add_point(1, "a", &[], |_| Ok(1u64));
+        let foreign = other.add_point(2, "b", &[], |_| Ok(2u64));
+        let mut plan = ExperimentPlan::new();
+        plan.add_point(3, "c", &[], |_| Ok(3u64));
+        plan.add_point(4, "d", &[foreign], |_| Ok(4u64));
+    }
+
+    /// A generated point: its key (few distinct, so keys repeat), picks
+    /// among the ids the points before it got, and whether its job
+    /// fails (when 0, one in five).
+    type Shape = (u64, Vec<usize>, u8);
+
+    /// The dependencies `picks` names among the ids handed out so far.
+    fn picked(ids: &[PointId], picks: &[usize]) -> Vec<PointId> {
+        if ids.is_empty() {
+            return Vec::new();
+        }
+        picks.iter().map(|p| ids[p % ids.len()]).collect()
+    }
+
+    fn random_plan(shapes: &[Shape]) -> ExperimentPlan<'static, u64> {
+        let mut plan = ExperimentPlan::new();
+        let mut ids = Vec::new();
+        for (i, (key, picks, fail)) in shapes.iter().enumerate() {
+            let deps = picked(&ids, picks);
+            let (key, fails, reads) = (*key, *fail == 0, deps.clone());
+            ids.push(plan.add_point(key, format!("p{i}"), &deps, move |ctx| {
+                if fails {
+                    return Err(HarnessError::Job {
+                        label: String::new(),
+                        message: "boom".into(),
+                    });
+                }
+                reads
+                    .iter()
+                    .try_fold(key, |sum, &d| Ok(sum.wrapping_add(*ctx.require(d)?)))
+            }));
+        }
+        plan
+    }
+
+    /// The serial reference: a point's value is its key plus its
+    /// dependencies' values, a failing job gives its own error, and a
+    /// failed dependency gives `DependencyFailed` naming the first one
+    /// declared.
+    fn serial_results(shapes: &[Shape]) -> Vec<Result<u64, HarnessError>> {
+        let (mut keys, mut labels, mut ids) = (Vec::new(), Vec::<String>::new(), Vec::new());
+        let mut results: Vec<Result<u64, HarnessError>> = Vec::new();
+        for (i, (key, picks, fail)) in shapes.iter().enumerate() {
+            let deps = picked(&ids, picks);
+            if let Some(existing) = keys.iter().position(|k| k == key) {
+                ids.push(PointId(existing));
+                continue;
+            }
+            let label = format!("p{i}");
+            results.push(match deps.iter().find(|d| results[d.0].is_err()) {
+                Some(d) => Err(HarnessError::DependencyFailed {
+                    dep: labels[d.0].clone(),
+                }),
+                None if *fail == 0 => Err(HarnessError::Job {
+                    label: label.clone(),
+                    message: "boom".into(),
+                }),
+                None => Ok(deps.iter().fold(*key, |sum, d| {
+                    sum.wrapping_add(*results[d.0].as_ref().expect("checked ok"))
+                })),
+            });
+            ids.push(PointId(keys.len()));
+            keys.push(*key);
+            labels.push(label);
+        }
+        results
+    }
+
+    proptest! {
+        #[test]
+        fn random_plans_match_a_serial_evaluation(
+            shapes in prop::collection::vec(
+                (0u64..24, prop::collection::vec(0usize..64, 0..4), 0u8..5),
+                1..=40,
+            ),
+        ) {
+            let want = serial_results(&shapes);
+            for jobs in [1, 2, 4, 8] {
+                prop_assert_eq!(&random_plan(&shapes).run(jobs), &want, "jobs {}", jobs);
+            }
+        }
     }
 }

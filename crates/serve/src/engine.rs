@@ -120,6 +120,8 @@ struct Tenant {
     latencies: Sample,
     queue_delay_sum: f64,
     busy_ms: f64,
+    /// When the last batch completed, ms (0 before any).
+    last_done_ms: f64,
     batch_hist: BTreeMap<usize, u64>,
     groups_initial: usize,
     scale_ups: u64,
@@ -328,6 +330,7 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
                 latencies: Sample::new(),
                 queue_delay_sum: 0.0,
                 busy_ms: 0.0,
+                last_done_ms: 0.0,
                 batch_hist: BTreeMap::new(),
                 groups_initial,
                 scale_ups: 0,
@@ -740,6 +743,7 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
             }
             ten.busy = false;
             ten.attempt = 0;
+            ten.last_done_ms = t;
             let depth = ten.queue.len();
             self.trace.events.push(ServeEvent {
                 t_ns: ms_to_ns(t),
@@ -831,7 +835,7 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
                 } else {
                     ten.queue_delay_sum / stats.count as f64
                 },
-                utilization: ten.busy_ms / horizon,
+                utilization: ten.busy_ms / horizon.max(ten.last_done_ms),
                 latency: stats,
                 batch_histogram: ten.batch_hist,
                 groups_initial: ten.groups_initial,
@@ -958,6 +962,15 @@ mod tests {
             out.report.completed + out.report.shed,
             "every request either completes or is shed"
         );
+    }
+
+    #[test]
+    fn utilization_counts_the_drain_past_the_horizon() {
+        // Far beyond capacity: the queue is still full at the horizon,
+        // so the server stays busy well after it.
+        let out = run(&one_tenant(4000.0), 20.0);
+        let u = out.report.tenants[0].utilization;
+        assert!(u > 0.9 && u <= 1.0, "utilization {u}");
     }
 
     #[test]

@@ -37,7 +37,9 @@ pub struct TenantReport {
     pub latency: LatencyStats,
     /// Mean queueing delay (dispatch − arrival), ms.
     pub mean_queue_delay_ms: f64,
-    /// Fraction of the horizon the tenant's server was busy.
+    /// Fraction of the span the tenant ran that its server was busy.
+    /// The span runs from 0 to the later of the horizon and the
+    /// tenant's last completion, so the drain past the horizon counts.
     pub utilization: f64,
     /// Dispatched batch sizes (actual, not padded) → count.
     pub batch_histogram: BTreeMap<usize, u64>,

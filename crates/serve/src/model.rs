@@ -22,7 +22,7 @@ use dtu_sim::GroupId;
 /// within one engine. A `ProgramSource` lets the *programs* underneath
 /// come from a wider artifact cache shared with sweeps and repro runs
 /// (`dtu-harness`'s `SessionCache` implements this), so a serving
-/// warm-up can reuse what a sweep already compiled — across binaries,
+/// run can reuse what a sweep already compiled — across binaries,
 /// when the source has a disk tier.
 pub trait ProgramSource {
     /// Returns the compiled program for the given compilation inputs.

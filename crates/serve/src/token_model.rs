@@ -204,12 +204,6 @@ impl<'c, W: Workload + Clone + 'c> CompiledTokenModel<'c, W> {
                 .map(|m| m.cached_sessions())
                 .sum::<usize>()
     }
-
-    /// The (batch, context) buckets a step resolves to — exposed so
-    /// warm-up code can pre-compile exactly the sessions a run will use.
-    pub fn buckets(batch: usize, context: usize) -> (usize, usize) {
-        (bucket(batch), bucket(context))
-    }
 }
 
 impl<'c, W: Workload + Clone + 'c> TokenModel for CompiledTokenModel<'c, W> {
@@ -323,10 +317,7 @@ mod tests {
         // A new context bucket compiles a new session.
         m.decode_ms(3, 100).unwrap();
         assert_eq!(m.cached_sessions(), 2);
-        assert_eq!(
-            CompiledTokenModel::<GenerativeModel>::buckets(3, 100),
-            (4, 128)
-        );
+        assert_eq!((bucket(3), bucket(100)), (4, 128));
     }
 
     #[test]

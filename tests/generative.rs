@@ -1,7 +1,7 @@
 //! Generative-serving integration tests: the continuous batcher's
 //! accounting identity under KV pressure, schedule-independence of the
-//! offered workload, determinism of the compiled path across `--jobs`
-//! and cache temperature, and the report's TTFT/TPOT/e2e percentiles
+//! offered workload, determinism of the compiled path across cache
+//! temperature, and the report's TTFT/TPOT/e2e percentiles
 //! cross-checked against `dtu_serve::percentile` over samples
 //! reconstructed from the event trace by an independent replay.
 
@@ -203,7 +203,7 @@ fn report_percentiles_match_exact_percentile_over_replayed_samples() {
 }
 
 #[test]
-fn compiled_path_is_byte_identical_across_jobs_and_cache_temperature() {
+fn compiled_path_is_byte_identical_across_cache_temperature() {
     let accel = Accelerator::cloudblazer_i20();
     let cfg = GenerativeConfig::tiny();
     let sc = GenerativeScenario {
@@ -219,14 +219,11 @@ fn compiled_path_is_byte_identical_across_jobs_and_cache_temperature() {
         tpot_deadline_ms: f64::INFINITY,
         kv: KvCacheConfig::for_chip(&ChipConfig::dtu20(), cfg.kv_bytes_per_token()),
     };
-    let cold = SessionCache::memory_only();
-    let serial = run_generative_serve(&accel, &cfg, &sc, &cold, 1, None).unwrap();
-    let warm = SessionCache::memory_only();
-    let first = run_generative_serve(&accel, &cfg, &sc, &warm, 4, None).unwrap();
-    let rerun = run_generative_serve(&accel, &cfg, &sc, &warm, 4, None).unwrap();
-    assert_eq!(serial.report.to_json(), first.report.to_json());
-    assert_eq!(serial.report.to_json(), rerun.report.to_json());
-    assert_eq!(serial.trace, rerun.trace);
-    assert!(serial.report.completed > 0);
-    assert!(serial.report.decode_tokens > 0);
+    let cache = SessionCache::memory_only();
+    let cold = run_generative_serve(&accel, &cfg, &sc, &cache, None).unwrap();
+    let warm = run_generative_serve(&accel, &cfg, &sc, &cache, None).unwrap();
+    assert_eq!(cold.report.to_json(), warm.report.to_json());
+    assert_eq!(cold.trace, warm.trace);
+    assert!(cold.report.completed > 0);
+    assert!(cold.report.decode_tokens > 0);
 }

@@ -9,6 +9,6 @@ cd "$(dirname "$0")"
 cargo fmt --all --check
 cargo build --release
 cargo test -q
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "tier1 OK"
