@@ -19,14 +19,18 @@
 //! byte-identical to an unmonitored one (asserted by the engine
 //! tests), exactly like the per-chip `LiveMonitor` contract.
 //!
-//! On a burn-rate transition or a [`ChipKill`](crate::ChipKill) the
-//! monitor freezes the offending chip's fleet-time span ring together
-//! with the retained routing-decision markers into one [`FlightDump`],
-//! loadable in Perfetto like any other dump — the cross-chip "black
-//! box" of what the fleet was doing leading up to the incident.
+//! Both of its rings hold typed records, not spans: each chip's ring
+//! takes the per-chip monitor's [`ServeRecord`]s shifted onto the fleet
+//! clock, and the route ring one small record per routing decision. On
+//! a burn-rate transition or a [`ChipKill`](crate::ChipKill) the
+//! monitor renders the offending chip's ring together with the
+//! retained routing decisions into one [`FlightDump`], loadable in
+//! Perfetto like any other dump — the cross-chip "black box" of what
+//! the fleet was doing leading up to the incident. Only then are
+//! labels built.
 
 use crate::route::EpochRoutes;
-use dtu_serve::LiveMonitor;
+use dtu_serve::{LiveMonitor, ServeRecord};
 use dtu_telemetry::clock::NS_PER_MS;
 use dtu_telemetry::flight::MAX_DUMPS;
 use dtu_telemetry::json::{array, number, JsonObject};
@@ -37,11 +41,24 @@ use dtu_telemetry::{
     SloSpec, SloTracker, Span, TimeSeries, WindowedHistogram,
 };
 use std::collections::VecDeque;
+use std::fmt;
 
-/// Spans retained per chip in the fleet-time rings.
+/// Records retained per chip in the fleet-time rings.
 pub const CHIP_RING_CAPACITY: usize = 4096;
-/// Routing-decision markers retained for dumps.
+/// Routing decisions retained for dumps.
 pub const ROUTE_RING_CAPACITY: usize = 512;
+
+/// One routing decision: `qps` of `tenant` sent to `chip` from the
+/// start of `epoch`. A dump renders it as a `route e{epoch}
+/// {tenant}->chip{chip} {qps}qps` marker.
+#[derive(Debug, Clone, Copy)]
+struct RouteRecord {
+    epoch: usize,
+    tenant: usize,
+    chip: usize,
+    qps: f64,
+    at_ns: f64,
+}
 
 /// One tenant's fleet-scope rollup.
 #[derive(Debug, Clone)]
@@ -88,8 +105,8 @@ struct ChipScope {
     violations: TimeSeries,
     sheds: TimeSeries,
     latency: WindowedHistogram,
-    /// The chip's spans on the fleet clock (absorbed every epoch).
-    ring: FlightRecorder,
+    /// The chip's records on the fleet clock (absorbed every epoch).
+    ring: FlightRecorder<ServeRecord>,
     dead: bool,
 }
 
@@ -199,7 +216,7 @@ pub(crate) struct SliceStats {
 pub struct FleetMonitor {
     tenants: Vec<TenantScope>,
     chips: Vec<ChipScope>,
-    route_ring: VecDeque<Span>,
+    route_ring: VecDeque<RouteRecord>,
     alerts: Vec<FleetAlert>,
     frames: Vec<FleetFrame>,
     dumps: Vec<FlightDump>,
@@ -247,34 +264,27 @@ impl FleetMonitor {
 
     // ---- engine hooks (routing-epoch sync points) ----------------------
 
-    /// Records one epoch's routing decisions as marker spans — the
-    /// context a flight dump wraps around the offending chip's ring.
+    /// Records one epoch's routing decisions — the context a flight
+    /// dump wraps around the offending chip's ring.
     pub(crate) fn on_route(&mut self, epoch: usize, epoch_start_ms: f64, routes: &EpochRoutes) {
         let at_ns = epoch_start_ms * NS_PER_MS;
         for cell in &routes.assignments {
-            let name = self
-                .tenants
-                .get(cell.tenant)
-                .map_or("?", |t| t.name.as_str());
-            let span = Span::marker(
-                Layer::Serving,
-                cell.tenant as u32,
-                format!(
-                    "route e{epoch} {name}->chip{} {:.0}qps",
-                    cell.chip, cell.qps
-                ),
-                at_ns,
-            );
             if self.route_ring.len() == ROUTE_RING_CAPACITY {
                 self.route_ring.pop_front();
             }
-            self.route_ring.push_back(span);
+            self.route_ring.push_back(RouteRecord {
+                epoch,
+                tenant: cell.tenant,
+                chip: cell.chip,
+                qps: cell.qps,
+                at_ns,
+            });
         }
     }
 
     /// Absorbs one chip's epoch at the barrier: merges the per-chip
-    /// monitor's windows and spans onto the fleet clock (offset by the
-    /// epoch start) and updates (chip, tenant) attribution from the
+    /// monitor's windows and records onto the fleet clock (offset by
+    /// the epoch start) and updates (chip, tenant) attribution from the
     /// engine's authoritative slice accounting.
     // One argument per fact the barrier knows; bundling them into a
     // struct would just move the field list one hop away.
@@ -308,11 +318,9 @@ impl FleetMonitor {
                 cs.sheds.merge_offset(&tl.sheds, offset_ns);
                 cs.latency.merge_offset(&tl.latency.hist, offset_ns);
             }
-            for s in live.flight.spans() {
-                let mut shifted = s.clone();
-                shifted.start_ns += offset_ns;
-                shifted.end_ns += offset_ns;
-                self.chips[chip].ring.record(shifted);
+            let ring = &mut self.chips[chip].ring;
+            for r in live.flight.records() {
+                ring.record(r.shifted(offset_ns));
             }
             self.max_seen_ns = self.max_seen_ns.max(offset_ns + live.now_ns());
         }
@@ -353,18 +361,15 @@ impl FleetMonitor {
                 self.bad[chip][t] += self.last_offered[chip][t];
             }
         }
-        let event = AlertEvent::fault(
-            at_ns,
-            format!("chip{chip} killed"),
-            self.resolving_exemplar(chip),
-        );
+        let reason = format!("chip{chip} killed");
+        self.dump_chip(&reason, at_ns, chip);
+        let exemplar = self.resolving_exemplar(chip);
         self.alerts.push(FleetAlert {
             epoch,
             tenant: None,
             chip: Some(chip),
-            event,
+            event: AlertEvent::fault(at_ns, reason, exemplar),
         });
-        self.dump_chip(format!("chip{chip} killed"), at_ns, chip);
     }
 
     /// Closes one routing epoch: folds every completed 1 s window into
@@ -401,7 +406,7 @@ impl FleetMonitor {
                     let chip = self.top_offender_chip(t);
                     if event.kind == AlertKind::BurnRate {
                         if let Some(c) = chip {
-                            self.dump_chip(format!("alert {} (chip{c})", event.slo), at, c);
+                            self.dump_chip(format_args!("alert {} (chip{c})", event.slo), at, c);
                         }
                     }
                     self.alerts.push(FleetAlert {
@@ -434,14 +439,16 @@ impl FleetMonitor {
         best.map(|(_, chip)| chip)
     }
 
-    fn dump_chip(&mut self, reason: String, at_ns: f64, chip: usize) {
+    /// Renders the route ring and `chip`'s ring into one dump, in
+    /// start order (routing decisions first among equal starts).
+    fn dump_chip(&mut self, reason: impl fmt::Display, at_ns: f64, chip: usize) {
         self.triggers += 1;
         if self.dumps.len() >= MAX_DUMPS {
             return;
         }
-        let mut spans: Vec<Span> = self.route_ring.iter().cloned().collect();
+        let mut spans: Vec<Span> = self.route_ring.iter().map(|r| self.route_span(r)).collect();
         if let Some(cs) = self.chips.get(chip) {
-            spans.extend(cs.ring.spans().cloned());
+            spans.extend(cs.ring.spans());
         }
         spans.sort_by(|a, b| {
             a.start_ns
@@ -449,10 +456,21 @@ impl FleetMonitor {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         self.dumps.push(FlightDump {
-            reason,
+            reason: reason.to_string(),
             at_ns,
             spans,
         });
+    }
+
+    /// A routing decision as the marker a dump shows.
+    fn route_span(&self, r: &RouteRecord) -> Span {
+        let name = self.tenants.get(r.tenant).map_or("?", |t| t.name.as_str());
+        Span::marker(
+            Layer::Serving,
+            r.tenant as u32,
+            format!("route e{} {name}->chip{} {:.0}qps", r.epoch, r.chip, r.qps),
+            r.at_ns,
+        )
     }
 
     fn frame_at(&self, epoch: usize, t_ms: f64) -> FleetFrame {
@@ -555,23 +573,17 @@ impl FleetMonitor {
             .collect()
     }
 
-    /// The newest exemplar of `chip` whose request span is still held
-    /// in the chip's fleet-time ring — a trace id guaranteed to resolve
-    /// in a dump of that ring.
+    /// The newest exemplar of `chip` whose completed request is still
+    /// held in the chip's fleet-time ring — a trace id guaranteed to
+    /// resolve in a dump of that ring.
     pub fn resolving_exemplar(&self, chip: usize) -> Option<u64> {
         let cs = self.chips.get(chip)?;
-        let windows: Vec<_> = cs.latency.windows().collect();
-        for w in windows.iter().rev() {
-            let Some(e) = w.exemplar else {
-                continue;
-            };
-            let label = format!("req {}", e.span_id);
-            let late = format!("{label} (late)");
-            if cs.ring.spans().any(|s| s.label == label || s.label == late) {
-                return Some(e.span_id);
-            }
-        }
-        None
+        cs.latency
+            .windows()
+            .rev()
+            .filter_map(|w| w.exemplar)
+            .map(|e| e.span_id)
+            .find(|&id| cs.ring.records().any(|r| r.completed_req() == Some(id)))
     }
 
     /// Forces a flight dump of `chip`'s ring plus the routing context,
@@ -580,7 +592,7 @@ impl FleetMonitor {
     /// always produces a loadable trace.
     pub fn snapshot_chip(&mut self, chip: usize, reason: &str) {
         let at_ns = self.max_seen_ns;
-        self.dump_chip(reason.to_string(), at_ns, chip);
+        self.dump_chip(reason, at_ns, chip);
     }
 
     /// Whether the monitor marked `chip` dead.
@@ -676,6 +688,34 @@ mod tests {
                 .collect(),
             cells: cells.len() as u64,
         }
+    }
+
+    #[test]
+    fn routes_and_shifted_chip_records_render_their_spans() {
+        let mut fm = FleetMonitor::new(2, &[("resnet50", 50.0)]);
+        fm.on_route(0, 0.0, &routes_for(&[(0, 1, 2000.0)]));
+        fm.on_route(3, 1500.0, &routes_for(&[(0, 1, 419.6)]));
+        let mut live = chip_live(3, 1);
+        live.on_complete_request(0.3e9, 0, 4, 6.0, true);
+        fm.absorb_chip_epoch(1500.0, 1, &[(0, 419.6)], 500.0, &[], Some(&live), false);
+        fm.snapshot_chip(1, "end-of-run snapshot");
+        let id = trace_base(3, 1) + 4;
+        assert_eq!(
+            fm.dumps()[0].spans,
+            [
+                Span::marker(Layer::Serving, 0, "route e0 resnet50->chip1 2000qps", 0.0),
+                Span::marker(Layer::Serving, 0, "route e3 resnet50->chip1 420qps", 1.5e9),
+                Span::new(
+                    dtu_telemetry::SpanKind::Request,
+                    Layer::Serving,
+                    0,
+                    format!("req {id} (late)"),
+                    1.5e9 + (0.3e9 - 6e6),
+                    1.8e9,
+                ),
+            ]
+        );
+        assert_eq!(fm.resolving_exemplar(1), Some(id));
     }
 
     #[test]

@@ -103,17 +103,29 @@ mod tests {
         assert_eq!(cache.stats().misses, 0, "nothing compiled");
     }
 
+    /// The disk-tier twin of `tests/generative.rs`'s memory-tier check:
+    /// the warm run loads every session from its JSON artifact.
     #[test]
     fn outcome_is_byte_identical_across_cache_temperature() {
+        let dir = std::env::temp_dir().join(format!("dtu-genserve-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let accel = Accelerator::cloudblazer_i20();
         let sc = scenario();
         let cfg = GenerativeConfig::tiny();
-        let cold = SessionCache::memory_only();
-        let a = run_generative_serve(&accel, &cfg, &sc, &cold, None).unwrap();
-        let b = run_generative_serve(&accel, &cfg, &sc, &cold, None).unwrap();
-        assert_eq!(a.report.to_json(), b.report.to_json());
-        assert_eq!(a.trace, b.trace);
-        assert!(a.report.completed > 0);
-        assert!(a.report.balanced());
+        let cache = SessionCache::with_disk(&dir);
+        let cold = run_generative_serve(&accel, &cfg, &sc, &cache, None).unwrap();
+        let compiled = cache.stats();
+        assert!(compiled.misses > 0);
+        // A fresh process: memory gone, disk intact.
+        cache.clear_memory();
+        let warm = run_generative_serve(&accel, &cfg, &sc, &cache, None).unwrap();
+        let reloaded = cache.stats().delta_since(compiled);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(reloaded.misses, 0, "warm run compiled nothing");
+        assert!(reloaded.disk_hits > 0, "warm run read the disk tier");
+        assert_eq!(cold.report.to_json(), warm.report.to_json());
+        assert_eq!(cold.trace, warm.trace);
+        assert!(cold.report.completed > 0);
+        assert!(cold.report.balanced());
     }
 }

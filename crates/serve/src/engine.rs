@@ -619,7 +619,12 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
     /// A transient fault failed the current attempt: either schedule a
     /// retry after jittered exponential backoff, or — with the budget
     /// exhausted — drop the batch and move on to the next one.
-    fn fail_attempt(&mut self, t: f64, tenant: usize, label: &str) -> Result<(), ServeError> {
+    fn fail_attempt(
+        &mut self,
+        t: f64,
+        tenant: usize,
+        label: &'static str,
+    ) -> Result<(), ServeError> {
         let attempt = {
             let ten = &mut self.tenants[tenant];
             ten.attempt += 1;
@@ -1290,6 +1295,28 @@ mod tests {
         let row = mon.tenants()[0].row(mon.now_ns(), 60.0e9);
         assert!(row.qps > 0.0, "windowed QPS reflects traffic");
         assert!(!row.latency.firing);
+    }
+
+    #[test]
+    fn reused_live_monitor_ends_in_a_fresh_monitors_state() {
+        let mut cfg = one_tenant(200.0);
+        cfg.duration_ms = 2_500.0;
+        // Every completion misses 0.1 ms, so the run pages and dumps.
+        let paging = || {
+            LiveMonitor::new(LiveConfig {
+                slo: Some(SloSpec::new("p99<0.1ms", 0.99, 0.1)),
+                ..LiveConfig::default()
+            })
+        };
+        let mut fresh = paging();
+        run_live(&cfg, 0.5, &mut fresh);
+        assert_eq!(fresh.burn_alerts().count(), 1);
+        assert_eq!(fresh.flight.triggers(), 1);
+        let mut reused = paging();
+        run_live(&cfg, 0.5, &mut reused);
+        run_live(&cfg, 0.5, &mut reused);
+        assert_eq!(reused.flight.dumps().len(), 1);
+        assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
     }
 
     #[test]

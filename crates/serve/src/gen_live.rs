@@ -18,11 +18,17 @@
 //!   the window's exemplar — keyed by request id, so exemplars survive
 //!   preempt–resume — and the optional SLO judged on it at every
 //!   simulated-second boundary;
-//! * a [`FlightRecorder`] whose ring holds the batch-level
-//!   prefill/decode spans *and* per-request token markers, prefill
-//!   spans, and preemption-gap spans. The first KV-pressure preemption
-//!   and every burn-rate page freeze a dump, so the black box names
-//!   the offending request.
+//! * a [`FlightRecorder`] of [`GenRecord`]s: every trace event (the
+//!   batch-level prefill/decode steps among them) *and* per-request
+//!   token counts, prefills, preemption gaps, KV exhaustions and
+//!   completions. A record holds ids and times, not a label; it is
+//!   rendered into a [`Span`] only when a dump is taken, so the
+//!   per-token records that are evicted unread cost no string. The
+//!   first KV-pressure preemption and every burn-rate page freeze a
+//!   dump, so the black box names the offending request. A page's dump
+//!   holds its exemplar request even after the ring has evicted it:
+//!   the monitor keeps the prefill behind each recent window's slowest
+//!   first token and each window's slowest completion.
 
 use crate::generative::{GenDecodeStep, GenJoiner, GenObserver, GenerativeScenario};
 use crate::metrics::{event_to_span, ServeEvent};
@@ -30,16 +36,156 @@ use dtu_telemetry::clock::ms_to_ns;
 use dtu_telemetry::flight::DEFAULT_CAPACITY;
 use dtu_telemetry::monitor::series;
 use dtu_telemetry::{
-    AlertEvent, AlertKind, EvalClock, FlightRecorder, Layer, Objective, ObjectiveRow, SloSpec,
-    Span, SpanKind, TimeSeries,
+    AlertEvent, AlertKind, EvalClock, FlightRecord, FlightRecorder, Layer, Objective, ObjectiveRow,
+    SloSpec, SlowestRecords, Span, SpanKind, TimeSeries,
 };
 use std::collections::BTreeMap;
 
-/// Flight-recorder ring capacity, spans. Token-level spans are roughly
-/// an order of magnitude denser than request-level ones (per-token
-/// markers every decode step), so the ring is 8x the request-serving
-/// recorder's.
+/// Flight-recorder ring capacity, records. Token-level records are
+/// roughly an order of magnitude denser than request-level ones (one
+/// per running sequence every decode step), so the ring is 8x the
+/// request-serving recorder's.
 const FLIGHT_CAPACITY: usize = DEFAULT_CAPACITY * 8;
+
+/// One entry of a [`GenMonitor`]'s flight ring. Everything but
+/// [`GenRecord::Event`] renders on track 0 of the serving layer.
+#[derive(Debug, Clone, PartialEq)]
+pub enum GenRecord {
+    /// A trace record, rendered as the trace export renders it
+    /// ([`event_to_span`]).
+    Event(ServeEvent),
+    /// A sequence's token count after a decode step (`req {req} tok
+    /// {produced}`), at the step's end.
+    Token {
+        /// Request id.
+        req: u64,
+        /// Tokens produced so far.
+        produced: usize,
+        /// The decode step's end, ns.
+        at_ns: f64,
+    },
+    /// One sequence's share of a prefill step (`req {req} prefill @
+    /// {tokens} tok`, with ` (resume)` after a preemption).
+    Prefill {
+        /// Request id.
+        req: u64,
+        /// Prompt + already-produced tokens recomputed.
+        tokens: usize,
+        /// Whether the sequence was preempted earlier.
+        resumed: bool,
+        /// Step start, ns.
+        start_ns: f64,
+        /// Step end, ns.
+        end_ns: f64,
+    },
+    /// A preempted sequence's wait, from eviction to re-prefill (`req
+    /// {req} preempted`).
+    PreemptGap {
+        /// Request id.
+        req: u64,
+        /// Preemption time, ns.
+        start_ns: f64,
+        /// Re-prefill start, ns.
+        end_ns: f64,
+    },
+    /// A decode-path KV page reservation refused (`kv-exhausted req
+    /// {req}`).
+    KvExhausted {
+        /// Request id.
+        req: u64,
+        /// When, ns.
+        at_ns: f64,
+    },
+    /// A completed request (`req {req}`, plus ` (late)` when it
+    /// violated its SLO).
+    Request {
+        /// Request id.
+        req: u64,
+        /// Whether the request violated its SLO.
+        late: bool,
+        /// Arrival, ns.
+        start_ns: f64,
+        /// Completion, ns.
+        end_ns: f64,
+    },
+}
+
+impl GenRecord {
+    /// The request the record names (`None` for a trace event).
+    pub fn req(&self) -> Option<u64> {
+        match *self {
+            GenRecord::Event(_) => None,
+            GenRecord::Token { req, .. }
+            | GenRecord::Prefill { req, .. }
+            | GenRecord::PreemptGap { req, .. }
+            | GenRecord::KvExhausted { req, .. }
+            | GenRecord::Request { req, .. } => Some(req),
+        }
+    }
+}
+
+impl FlightRecord for GenRecord {
+    fn to_span(&self) -> Span {
+        let span = |kind, label, start_ns, end_ns| {
+            Span::new(kind, Layer::Serving, 0, label, start_ns, end_ns)
+        };
+        match *self {
+            GenRecord::Event(ref event) => event_to_span(event),
+            GenRecord::Token {
+                req,
+                produced,
+                at_ns,
+            } => span(
+                SpanKind::Marker,
+                format!("req {req} tok {produced}"),
+                at_ns,
+                at_ns,
+            ),
+            GenRecord::Prefill {
+                req,
+                tokens,
+                resumed,
+                start_ns,
+                end_ns,
+            } => {
+                let tag = if resumed { " (resume)" } else { "" };
+                span(
+                    SpanKind::Prefill,
+                    format!("req {req} prefill{tag} @ {tokens} tok"),
+                    start_ns,
+                    end_ns,
+                )
+            }
+            GenRecord::PreemptGap {
+                req,
+                start_ns,
+                end_ns,
+            } => span(
+                SpanKind::SyncWait,
+                format!("req {req} preempted"),
+                start_ns,
+                end_ns,
+            ),
+            GenRecord::KvExhausted { req, at_ns } => span(
+                SpanKind::Marker,
+                format!("kv-exhausted req {req}"),
+                at_ns,
+                at_ns,
+            ),
+            GenRecord::Request {
+                req,
+                late,
+                start_ns,
+                end_ns,
+            } => span(
+                SpanKind::Request,
+                format!("req {req}{}", if late { " (late)" } else { "" }),
+                start_ns,
+                end_ns,
+            ),
+        }
+    }
+}
 
 /// How a [`GenMonitor`] is shaped.
 #[derive(Debug, Clone)]
@@ -110,7 +256,15 @@ pub struct GenMonitor {
     /// Time per output token (recorded at completion) and its SLO.
     pub tpot: Objective,
     /// The black box.
-    pub flight: FlightRecorder,
+    pub flight: FlightRecorder<GenRecord>,
+    /// Each recent window's slowest first token, as the prefill that
+    /// produced it (the TTFT exemplars), for a page's dump.
+    ttft_exemplars: SlowestRecords<GenRecord>,
+    /// Each recent window's slowest completion (the TPOT exemplars).
+    tpot_exemplars: SlowestRecords<GenRecord>,
+    /// The latest prefill step's records, one per joiner: what a first
+    /// token's TTFT sample names.
+    step_prefills: Vec<GenRecord>,
     /// Every alert emitted, in simulated-time order.
     pub alerts: Vec<AlertEvent>,
     /// Preempted-and-not-yet-resumed requests → preemption time, ns
@@ -142,6 +296,9 @@ impl GenMonitor {
             ttft: Objective::new(cfg.ttft_slo.clone()),
             tpot: Objective::new(cfg.tpot_slo.clone()),
             flight: FlightRecorder::new(FLIGHT_CAPACITY),
+            ttft_exemplars: SlowestRecords::default(),
+            tpot_exemplars: SlowestRecords::default(),
+            step_prefills: Vec::new(),
             alerts: Vec::new(),
             preempted_at: BTreeMap::new(),
             kv_dumped: false,
@@ -185,11 +342,20 @@ impl GenMonitor {
     pub fn advance(&mut self, t_ns: f64) {
         self.now_ns = self.now_ns.max(t_ns);
         while let Some(at) = self.clock.tick(t_ns) {
-            for objective in [&mut self.ttft, &mut self.tpot] {
+            for (objective, exemplars) in [
+                (&mut self.ttft, &self.ttft_exemplars),
+                (&mut self.tpot, &self.tpot_exemplars),
+            ] {
                 if let Some(alert) = objective.evaluate(at) {
                     if alert.kind == AlertKind::BurnRate {
-                        self.flight
-                            .trigger(format!("alert {} ({})", alert.slo, self.cfg.tenant), at);
+                        let exemplar = alert
+                            .exemplar
+                            .and_then(|id| exemplars.find(|r| r.req() == Some(id)));
+                        self.flight.trigger_page(
+                            format_args!("alert {} ({})", alert.slo, self.cfg.tenant),
+                            at,
+                            exemplar,
+                        );
                     }
                     self.alerts.push(alert);
                 }
@@ -273,9 +439,10 @@ impl GenObserver for GenMonitor {
 
     fn on_event(&mut self, event: &ServeEvent) {
         self.advance(event.t_ns);
-        // The full event stream lands in the ring via the same mapping
-        // the trace export uses, so a frozen dump reads like the trace.
-        self.flight.record(event_to_span(event));
+        // The full event stream lands in the ring and renders through
+        // the mapping the trace export uses, so a dump reads like the
+        // trace.
+        self.flight.record(GenRecord::Event(event.clone()));
     }
 
     fn on_shed(&mut self, t_ms: f64, _req: u64) {
@@ -284,34 +451,36 @@ impl GenObserver for GenMonitor {
 
     fn on_prefill(&mut self, t_ms: f64, end_ms: f64, joiners: &[GenJoiner]) {
         let (t_ns, end_ns) = (ms_to_ns(t_ms), ms_to_ns(end_ms));
+        self.step_prefills.clear();
         for j in joiners {
-            let id = j.req;
-            if let Some(preempt_ns) = self.preempted_at.remove(&id) {
+            let req = j.req;
+            if let Some(preempt_ns) = self.preempted_at.remove(&req) {
                 // The request sat preempted from eviction to this
                 // re-prefill: make the gap visible as a wait interval.
-                self.flight.record(Span::new(
-                    SpanKind::SyncWait,
-                    Layer::Serving,
-                    0,
-                    format!("req {id} preempted"),
-                    preempt_ns,
-                    t_ns,
-                ));
+                self.flight.record(GenRecord::PreemptGap {
+                    req,
+                    start_ns: preempt_ns,
+                    end_ns: t_ns,
+                });
             }
-            let tag = if j.resumed { " (resume)" } else { "" };
-            self.flight.record(Span::new(
-                SpanKind::Prefill,
-                Layer::Serving,
-                0,
-                format!("req {id} prefill{tag} @ {} tok", j.tokens),
-                t_ns,
+            let prefill = GenRecord::Prefill {
+                req,
+                tokens: j.tokens,
+                resumed: j.resumed,
+                start_ns: t_ns,
                 end_ns,
-            ));
+            };
+            self.step_prefills.push(prefill.clone());
+            self.flight.record(prefill);
         }
     }
 
     fn on_first_token(&mut self, t_ms: f64, req: u64, ttft_ms: f64) {
-        self.ttft.observe(ms_to_ns(t_ms), ttft_ms, req);
+        let t_ns = ms_to_ns(t_ms);
+        self.ttft.observe(t_ns, ttft_ms, req);
+        if let Some(prefill) = self.step_prefills.iter().find(|r| r.req() == Some(req)) {
+            self.ttft_exemplars.note(t_ns, ttft_ms, prefill.clone());
+        }
     }
 
     fn on_decode(&mut self, step: &GenDecodeStep) {
@@ -320,26 +489,21 @@ impl GenObserver for GenMonitor {
         self.batch_occupancy.add(t_ns, step.batch as f64);
         self.kv_pages.add(t_ns, step.kv_pages_in_use as f64);
         self.spill_ms.add(t_ns, step.spill_ms);
-        let end_ns = ms_to_ns(step.end_ms);
+        let at_ns = ms_to_ns(step.end_ms);
         for &(req, produced) in &step.reqs {
-            self.flight.record(Span::marker(
-                Layer::Serving,
-                0,
-                format!("req {req} tok {produced}"),
-                end_ns,
-            ));
+            self.flight.record(GenRecord::Token {
+                req,
+                produced,
+                at_ns,
+            });
         }
     }
 
     fn on_exhaust(&mut self, t_ms: f64, req: u64) {
         let t_ns = ms_to_ns(t_ms);
         self.exhausts.add(t_ns, 1.0);
-        self.flight.record(Span::marker(
-            Layer::Serving,
-            0,
-            format!("kv-exhausted req {req}"),
-            t_ns,
-        ));
+        self.flight
+            .record(GenRecord::KvExhausted { req, at_ns: t_ns });
     }
 
     fn on_preempt(&mut self, t_ms: f64, req: u64, _pages: usize) {
@@ -353,7 +517,7 @@ impl GenObserver for GenMonitor {
             // for burn-rate pages.
             self.kv_dumped = true;
             self.flight.trigger(
-                format!("kv-exhaustion (req {req} preempted, {})", self.cfg.tenant),
+                format_args!("kv-exhaustion (req {req} preempted, {})", self.cfg.tenant),
                 t_ns,
             );
         }
@@ -372,14 +536,14 @@ impl GenObserver for GenMonitor {
         self.completions.add(t_ns, 1.0);
         self.tpot.observe(t_ns, tpot_ms, req);
         self.preempted_at.remove(&req);
-        self.flight.record(Span::new(
-            SpanKind::Request,
-            Layer::Serving,
-            0,
-            format!("req {req}{}", if violated { " (late)" } else { "" }),
-            ms_to_ns(t_ms - e2e_ms),
-            t_ns,
-        ));
+        let record = GenRecord::Request {
+            req,
+            late: violated,
+            start_ns: ms_to_ns(t_ms - e2e_ms),
+            end_ns: t_ns,
+        };
+        self.tpot_exemplars.note(t_ns, tpot_ms, record.clone());
+        self.flight.record(record);
     }
 }
 
@@ -388,6 +552,7 @@ mod tests {
     use super::*;
     use crate::arrival::ArrivalProcess;
     use crate::kv::KvCacheConfig;
+    use crate::metrics::ServeEventKind;
     use crate::token_model::AnalyticTokenModel;
     use crate::{run_generative, run_generative_live};
 
@@ -411,6 +576,58 @@ mod tests {
                 l3_gb_per_s: 100.0,
             },
         }
+    }
+
+    #[test]
+    fn each_record_renders_its_span() {
+        let mut mon = GenMonitor::with_defaults();
+        mon.begin(&scenario(64));
+        mon.on_preempt(1.0, 5, 4);
+        let joiner = GenJoiner {
+            req: 5,
+            tokens: 64,
+            resumed: true,
+        };
+        mon.on_prefill(2.0, 3.0, &[joiner]);
+        mon.on_decode(&GenDecodeStep {
+            t_ms: 3.0,
+            end_ms: 4.0,
+            batch: 1,
+            spill_ms: 0.0,
+            kv_pages_in_use: 4,
+            reqs: vec![(5, 3)],
+        });
+        mon.on_exhaust(4.5, 5);
+        mon.on_complete(6.0, 5, 2.0, 1.0, 5.0, true);
+        let event = ServeEvent {
+            t_ns: 7e6,
+            tenant: 0,
+            kind: ServeEventKind::Preempt { req: 5, pages: 4 },
+        };
+        mon.on_event(&event);
+        let spans: Vec<Span> = mon.flight.spans().collect();
+        let serving =
+            |kind, label: &str, start, end| Span::new(kind, Layer::Serving, 0, label, start, end);
+        assert_eq!(
+            spans,
+            [
+                serving(SpanKind::SyncWait, "req 5 preempted", 1e6, 2e6),
+                serving(
+                    SpanKind::Prefill,
+                    "req 5 prefill (resume) @ 64 tok",
+                    2e6,
+                    3e6
+                ),
+                serving(SpanKind::Marker, "req 5 tok 3", 4e6, 4e6),
+                serving(SpanKind::Marker, "kv-exhausted req 5", 4.5e6, 4.5e6),
+                serving(SpanKind::Request, "req 5 (late)", 1e6, 6e6),
+                event_to_span(&event),
+            ]
+        );
+        assert_eq!(spans[5].label, "preempt 5 (-4 pages)");
+        let dump = mon.flight.latest().expect("the first preemption dumps");
+        assert_eq!(dump.reason, "kv-exhaustion (req 5 preempted, gen)");
+        assert!(dump.spans.is_empty(), "frozen before any record");
     }
 
     #[test]
@@ -477,7 +694,7 @@ mod tests {
             mon.flight.len() < mon.flight.capacity(),
             "the ring kept the whole run"
         );
-        let gaps: Vec<&Span> = mon
+        let gaps: Vec<Span> = mon
             .flight
             .spans()
             .filter(|s| s.kind == SpanKind::SyncWait && s.label.contains("preempted"))
@@ -518,6 +735,47 @@ mod tests {
         assert!(
             dump.resolves_label(&format!("req {id}")),
             "exemplar {id} resolves in the dump"
+        );
+    }
+
+    #[test]
+    fn a_page_dump_holds_its_evicted_exemplar() {
+        // 3000 requests/s of up to 128 tokens fill the ring in well
+        // under the 2 s before the first TPOT page, which names a
+        // request that completed before the ring's oldest record.
+        let mut sc = scenario(4096);
+        sc.seed = 8;
+        sc.arrival = ArrivalProcess::Poisson { qps: 3000.0 };
+        sc.duration_ms = 2_500.0;
+        sc.max_new_tokens = 128;
+        sc.max_concurrency = 16;
+        sc.queue_depth = 128;
+        let mut mon = GenMonitor::new(GenLiveConfig {
+            tpot_slo: Some(SloSpec::new("tpot_p99<0.01ms", 0.99, 0.01)),
+            ..GenLiveConfig::default()
+        });
+        run_generative_live(&sc, &mut AnalyticTokenModel::new("m"), &mut mon).unwrap();
+        let page = mon
+            .burn_alerts()
+            .next()
+            .expect("a hopeless TPOT objective pages");
+        let id = page.exemplar.expect("a page carries an exemplar");
+        let dump = mon
+            .flight
+            .dumps()
+            .iter()
+            .find(|d| d.at_ns == page.t_ns)
+            .expect("the page froze a dump");
+        let name = format!("req {id}");
+        let names = |s: &Span| {
+            s.label
+                .strip_prefix(&name)
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with(' '))
+        };
+        assert!(names(&dump.spans[0]), "the exemplar leads the dump");
+        assert!(
+            !dump.spans[1..].iter().any(names),
+            "the ring had evicted every record of request {id}"
         );
     }
 

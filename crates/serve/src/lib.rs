@@ -76,13 +76,13 @@ pub use config::{BatchPolicy, RetryPolicy, ScalePolicy, ServeConfig, SlaPolicy, 
 /// separate dependency).
 pub use dtu_faults as faults;
 pub use engine::{run_serving, run_serving_live, ServeOutcome};
-pub use gen_live::{GenLiveConfig, GenMonitor, GenRow};
+pub use gen_live::{GenLiveConfig, GenMonitor, GenRecord, GenRow};
 pub use generative::{
     run_generative, run_generative_live, GenDecodeStep, GenJoiner, GenObserver, GenOutcome,
     GenReport, GenerativeScenario,
 };
 pub use kv::{KvCacheConfig, KvStats, PagedKvCache};
-pub use live::{LiveConfig, LiveMonitor, TenantLive, TenantRow};
+pub use live::{LiveConfig, LiveMonitor, ServeRecord, TenantLive, TenantRow};
 pub use metrics::{
     event_to_span, RequestOutcome, ServeEvent, ServeEventKind, ServeReport, ServingTrace,
     TenantReport,

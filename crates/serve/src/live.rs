@@ -16,18 +16,123 @@
 //!   slowest request's span id as each window's exemplar, and the
 //!   optional SLO judged on it at every simulated-second boundary.
 //!
-//! One shared [`FlightRecorder`] keeps the most recent spans; it dumps
-//! a Perfetto-compatible snapshot the moment a burn-rate alert fires
-//! or an injected fault lands.
+//! One shared [`FlightRecorder`] keeps the most recent activity as
+//! [`ServeRecord`]s: a kind, a tenant, ids and two times, with no
+//! label. The hooks build no string; a record becomes a labelled
+//! [`Span`] only when a dump freezes the ring — the moment a burn-rate
+//! alert fires or an injected fault lands — and the dump loads in
+//! Perfetto.
 
 use crate::config::TenantSpec;
 use dtu_telemetry::clock::NS_PER_MS;
 use dtu_telemetry::flight::DEFAULT_CAPACITY;
 use dtu_telemetry::monitor::series;
 use dtu_telemetry::{
-    AlertEvent, AlertKind, EvalClock, FlightRecorder, Layer, Objective, ObjectiveRow, SloSpec,
-    Span, SpanKind, TimeSeries,
+    AlertEvent, AlertKind, EvalClock, FlightRecord, FlightRecorder, Layer, Objective, ObjectiveRow,
+    SloSpec, SlowestRecords, Span, SpanKind, TimeSeries,
 };
+
+/// What a [`ServeRecord`] stands for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ServeRecordKind {
+    /// A request shed by admission control (`shed {req}`).
+    Shed {
+        /// Request id, trace base included.
+        req: u64,
+    },
+    /// A batch in service (`batch {size}`).
+    Batch {
+        /// Requests in the batch.
+        size: usize,
+    },
+    /// A completed request (`req {req}`, plus ` (late)` past its
+    /// deadline).
+    Req {
+        /// Request id, trace base included.
+        req: u64,
+        /// Whether the request missed its deadline.
+        late: bool,
+    },
+    /// Requests dropped by faults (`fault-drop {dropped}`).
+    FaultDrop {
+        /// Requests dropped.
+        dropped: usize,
+    },
+    /// A transient fault on the tenant's batch (`fault {label}`).
+    Fault {
+        /// The fault's label.
+        label: &'static str,
+    },
+    /// A core failure took one of the tenant's groups (`group
+    /// {cluster}.{group} lost`).
+    GroupLost {
+        /// Cluster of the dead group.
+        cluster: usize,
+        /// Dead group within the cluster.
+        group: usize,
+    },
+}
+
+/// One entry of a [`LiveMonitor`]'s flight ring: a kind, the tenant
+/// (the span's track) and its interval on the shared clock. Markers
+/// and faults are instants (`start_ns == end_ns`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServeRecord {
+    /// What happened.
+    kind: ServeRecordKind,
+    /// Tenant index.
+    tenant: u32,
+    /// Start, shared clock ns.
+    start_ns: f64,
+    /// End, shared clock ns.
+    end_ns: f64,
+}
+
+impl ServeRecord {
+    /// The same record `offset_ns` later (the fleet moves chip-epoch
+    /// records onto the fleet clock).
+    pub fn shifted(mut self, offset_ns: f64) -> Self {
+        self.start_ns += offset_ns;
+        self.end_ns += offset_ns;
+        self
+    }
+
+    /// The request id, when the record is a completed request.
+    pub fn completed_req(&self) -> Option<u64> {
+        match self.kind {
+            ServeRecordKind::Req { req, .. } => Some(req),
+            _ => None,
+        }
+    }
+}
+
+impl FlightRecord for ServeRecord {
+    fn to_span(&self) -> Span {
+        let (kind, label) = match self.kind {
+            ServeRecordKind::Shed { req } => (SpanKind::Marker, format!("shed {req}")),
+            ServeRecordKind::Batch { size } => (SpanKind::Batch, format!("batch {size}")),
+            ServeRecordKind::Req { req, late } => (
+                SpanKind::Request,
+                format!("req {req}{}", if late { " (late)" } else { "" }),
+            ),
+            ServeRecordKind::FaultDrop { dropped } => {
+                (SpanKind::Marker, format!("fault-drop {dropped}"))
+            }
+            ServeRecordKind::Fault { label } => (SpanKind::Fault, format!("fault {label}")),
+            ServeRecordKind::GroupLost { cluster, group } => {
+                (SpanKind::Fault, format!("group {cluster}.{group} lost"))
+            }
+        };
+        Span::new(
+            kind,
+            Layer::Serving,
+            self.tenant,
+            label,
+            self.start_ns,
+            self.end_ns,
+        )
+    }
+}
 
 /// How a [`LiveMonitor`] is shaped.
 #[derive(Debug, Clone, Default)]
@@ -62,6 +167,9 @@ pub struct TenantLive {
     pub batch_occupancy: TimeSeries,
     /// End-to-end latency, with exemplars, and the SLO judged on it.
     pub latency: Objective,
+    /// Each recent window's slowest completion — the latency
+    /// exemplars, as records — for a page's dump.
+    slowest: SlowestRecords<ServeRecord>,
 }
 
 impl TenantLive {
@@ -75,6 +183,7 @@ impl TenantLive {
             dispatches: series(),
             batch_occupancy: series(),
             latency: Objective::new(slo),
+            slowest: SlowestRecords::default(),
         }
     }
 
@@ -119,7 +228,7 @@ pub struct LiveMonitor {
     cfg: LiveConfig,
     tenants: Vec<TenantLive>,
     /// The shared black box.
-    pub flight: FlightRecorder,
+    pub flight: FlightRecorder<ServeRecord>,
     /// Every alert emitted, in simulated-time order, tagged with the
     /// tenant index it belongs to.
     pub alerts: Vec<(usize, AlertEvent)>,
@@ -145,16 +254,15 @@ impl LiveMonitor {
         LiveMonitor::new(LiveConfig::default())
     }
 
-    /// (Re-)initialises per-tenant state for a run. Called by
-    /// [`run_serving_live`](crate::run_serving_live).
+    /// Resets the monitor to a fresh one's state — flight ring, dumps
+    /// and trigger count included — with one entry per tenant. Called
+    /// by [`run_serving_live`](crate::run_serving_live).
     pub fn begin(&mut self, tenants: &[TenantSpec]) {
+        *self = LiveMonitor::new(self.cfg.clone());
         self.tenants = tenants
             .iter()
             .map(|t| TenantLive::new(&t.name, self.cfg.slo.clone()))
             .collect();
-        self.alerts.clear();
-        self.clock = EvalClock::default();
-        self.now_ns = 0.0;
     }
 
     /// Per-tenant live state.
@@ -177,15 +285,22 @@ impl LiveMonitor {
     /// Advances simulated time to `t_ns`, judging every tenant's SLO
     /// at each evaluation boundary crossed, in order. Transitions land
     /// in [`LiveMonitor::alerts`]; a burn-rate page dumps the flight
-    /// recorder.
+    /// recorder, and the dump holds the page's exemplar request even
+    /// when it completed before the ring's oldest record.
     pub fn advance(&mut self, t_ns: f64) {
         self.now_ns = self.now_ns.max(t_ns);
         while let Some(at) = self.clock.tick(t_ns) {
             for (idx, ten) in self.tenants.iter_mut().enumerate() {
                 if let Some(alert) = ten.latency.evaluate(at) {
                     if alert.kind == AlertKind::BurnRate {
-                        self.flight
-                            .trigger(format!("alert {} ({})", alert.slo, ten.name), at);
+                        let exemplar = alert
+                            .exemplar
+                            .and_then(|id| ten.slowest.find(|r| r.completed_req() == Some(id)));
+                        self.flight.trigger_page(
+                            format_args!("alert {} ({})", alert.slo, ten.name),
+                            at,
+                            exemplar,
+                        );
                     }
                     self.alerts.push((idx, alert));
                 }
@@ -201,18 +316,23 @@ impl LiveMonitor {
 
     // ---- engine hooks (pure observation) ------------------------------
 
+    /// Appends a record of `kind` for `tenant` over `[start_ns, end_ns]`.
+    fn record(&mut self, kind: ServeRecordKind, tenant: usize, start_ns: f64, end_ns: f64) {
+        self.flight.record(ServeRecord {
+            kind,
+            tenant: tenant as u32,
+            start_ns,
+            end_ns,
+        });
+    }
+
     /// A request was shed by admission control.
     pub fn on_shed(&mut self, t_ns: f64, tenant: usize, req: u64) {
         if let Some(t) = self.tenants.get_mut(tenant) {
             t.sheds.add(t_ns, 1.0);
         }
-        let id = self.cfg.trace_base + req;
-        self.flight.record(Span::marker(
-            Layer::Serving,
-            tenant as u32,
-            format!("shed {id}"),
-            t_ns,
-        ));
+        let req = self.cfg.trace_base + req;
+        self.record(ServeRecordKind::Shed { req }, tenant, t_ns, t_ns);
     }
 
     /// A batch started service.
@@ -221,14 +341,8 @@ impl LiveMonitor {
             t.dispatches.add(t_ns, 1.0);
             t.batch_occupancy.add(t_ns, batch as f64);
         }
-        self.flight.record(Span::new(
-            SpanKind::Batch,
-            Layer::Serving,
-            tenant as u32,
-            format!("batch {batch}"),
-            t_ns,
-            t_ns + service_ms * NS_PER_MS,
-        ));
+        let end_ns = t_ns + service_ms * NS_PER_MS;
+        self.record(ServeRecordKind::Batch { size: batch }, tenant, t_ns, end_ns);
     }
 
     /// A request completed; `req` is its id (the exemplar span id).
@@ -241,28 +355,33 @@ impl LiveMonitor {
         violated: bool,
     ) {
         let id = self.cfg.trace_base + req;
+        let record = ServeRecord {
+            kind: ServeRecordKind::Req {
+                req: id,
+                late: violated,
+            },
+            tenant: tenant as u32,
+            start_ns: t_ns - latency_ms * NS_PER_MS,
+            end_ns: t_ns,
+        };
         if let Some(t) = self.tenants.get_mut(tenant) {
             t.completions.add(t_ns, 1.0);
             if violated {
                 t.violations.add(t_ns, 1.0);
             }
             t.latency.observe(t_ns, latency_ms, id);
+            t.slowest.note(t_ns, latency_ms, record);
         }
-        self.flight.record(Span::new(
-            SpanKind::Request,
-            Layer::Serving,
-            tenant as u32,
-            format!("req {id}{}", if violated { " (late)" } else { "" }),
-            t_ns - latency_ms * NS_PER_MS,
-            t_ns,
-        ));
+        self.flight.record(record);
     }
 
     /// A transient injected fault hit the tenant's in-flight batch:
     /// raises a fault alert and dumps the flight recorder.
-    pub fn on_fault(&mut self, t_ns: f64, tenant: usize, label: &str) {
-        let what = format!("fault {label}");
-        self.fault(t_ns, tenant, what.clone(), what, label);
+    pub fn on_fault(&mut self, t_ns: f64, tenant: usize, label: &'static str) {
+        self.record(ServeRecordKind::Fault { label }, tenant, t_ns, t_ns);
+        self.flight.trigger(format_args!("fault {label}"), t_ns);
+        self.alerts
+            .push((tenant, AlertEvent::fault(t_ns, label, None)));
     }
 
     /// Requests were fault-dropped.
@@ -270,40 +389,18 @@ impl LiveMonitor {
         if let Some(t) = self.tenants.get_mut(tenant) {
             t.fault_drops.add(t_ns, dropped as f64);
         }
-        self.flight.record(Span::marker(
-            Layer::Serving,
-            tenant as u32,
-            format!("fault-drop {dropped}"),
-            t_ns,
-        ));
+        self.record(ServeRecordKind::FaultDrop { dropped }, tenant, t_ns, t_ns);
     }
 
     /// A core failure removed one of the tenant's groups: a permanent
     /// fault, so it too raises a fault alert and dumps the recorder.
     pub fn on_group_lost(&mut self, t_ns: f64, tenant: usize, cluster: usize, group: usize) {
-        self.fault(
-            t_ns,
-            tenant,
-            format!("group {cluster}.{group} lost"),
-            format!("core-failure {cluster}.{group}"),
-            "core-failure",
-        );
-    }
-
-    /// Records a fault span labelled `span`, dumps the ring for
-    /// `reason`, and raises a fault alert named `alert`.
-    fn fault(&mut self, t_ns: f64, tenant: usize, span: String, reason: String, alert: &str) {
-        self.flight.record(Span::new(
-            SpanKind::Fault,
-            Layer::Serving,
-            tenant as u32,
-            span,
-            t_ns,
-            t_ns,
-        ));
-        self.flight.trigger(reason, t_ns);
+        let kind = ServeRecordKind::GroupLost { cluster, group };
+        self.record(kind, tenant, t_ns, t_ns);
+        self.flight
+            .trigger(format_args!("core-failure {cluster}.{group}"), t_ns);
         self.alerts
-            .push((tenant, AlertEvent::fault(t_ns, alert, None)));
+            .push((tenant, AlertEvent::fault(t_ns, "core-failure", None)));
     }
 }
 
@@ -319,6 +416,47 @@ mod tests {
         let mut m = LiveMonitor::new(cfg);
         m.begin(&[TenantSpec::poisson("t0", 0, 100.0)]);
         m
+    }
+
+    #[test]
+    fn each_record_renders_its_span() {
+        let mut m = LiveMonitor::with_defaults();
+        m.begin(&[
+            TenantSpec::poisson("a", 0, 1.0),
+            TenantSpec::poisson("b", 0, 1.0),
+        ]);
+        m.on_shed(1e6, 1, 7);
+        m.on_dispatch(2e6, 1, 4, 1.5);
+        m.on_complete_request(5e6, 1, 9, 2.0, true);
+        m.on_complete_request(6e6, 0, 10, 1.0, false);
+        m.on_fault_drop(7e6, 1, 3);
+        m.on_fault(8e6, 1, "dma-timeout");
+        m.on_group_lost(9e6, 1, 1, 2);
+        let spans: Vec<Span> = m.flight.spans().collect();
+        let serving = |kind, track, label: &str, start, end| {
+            Span::new(kind, Layer::Serving, track, label, start, end)
+        };
+        assert_eq!(
+            spans,
+            [
+                serving(SpanKind::Marker, 1, "shed 7", 1e6, 1e6),
+                serving(SpanKind::Batch, 1, "batch 4", 2e6, 3.5e6),
+                serving(SpanKind::Request, 1, "req 9 (late)", 3e6, 5e6),
+                serving(SpanKind::Request, 0, "req 10", 5e6, 6e6),
+                serving(SpanKind::Marker, 1, "fault-drop 3", 7e6, 7e6),
+                serving(SpanKind::Fault, 1, "fault dma-timeout", 8e6, 8e6),
+                serving(SpanKind::Fault, 1, "group 1.2 lost", 9e6, 9e6),
+            ]
+        );
+        let reasons: Vec<&str> = m.flight.dumps().iter().map(|d| d.reason.as_str()).collect();
+        assert_eq!(reasons, ["fault dma-timeout", "core-failure 1.2"]);
+        assert_eq!(
+            m.flight.dumps()[1].spans,
+            spans,
+            "the dump renders the ring"
+        );
+        let alerts: Vec<&str> = m.alerts.iter().map(|(_, a)| a.slo.as_str()).collect();
+        assert_eq!(alerts, ["dma-timeout", "core-failure"]);
     }
 
     #[test]
@@ -400,9 +538,9 @@ mod tests {
             Some(base + 7),
             "exemplar carries the base"
         );
-        let labels: Vec<&str> = m.flight.spans().map(|s| s.label.as_str()).collect();
-        assert!(labels.contains(&format!("req {}", base + 7).as_str()));
-        assert!(labels.contains(&format!("shed {}", base + 8).as_str()));
+        let labels: Vec<String> = m.flight.spans().map(|s| s.label).collect();
+        assert!(labels.contains(&format!("req {}", base + 7)));
+        assert!(labels.contains(&format!("shed {}", base + 8)));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property tests for the live monitors: whatever the load, tenants,
 //! faults and SLO, a monitored run returns exactly what the plain run
-//! returns (errors included), and the alerts the monitor raised are in
-//! simulated-time order.
+//! returns (errors included), the alerts the monitor raised are in
+//! simulated-time order, and every burn-rate page's exemplar resolves
+//! in the flight dump that page froze.
 
 use dtu_serve::faults::{FaultPlan, PRESETS};
 use dtu_serve::{
@@ -10,7 +11,8 @@ use dtu_serve::{
     KvCacheConfig, LiveConfig, LiveMonitor, ServeConfig, SlaPolicy, TenantSpec,
 };
 use dtu_sim::ChipConfig;
-use dtu_telemetry::SloSpec;
+use dtu_telemetry::flight::MAX_DUMPS;
+use dtu_telemetry::{AlertEvent, FlightDump, SloSpec};
 use proptest::prelude::*;
 
 /// A p99 objective at `deadline_ms`, or none.
@@ -21,6 +23,33 @@ fn slo(metric: &str, deadline_ms: Option<f64>) -> Option<SloSpec> {
 /// SLO deadlines: none, or tight enough to page under load.
 fn deadlines() -> impl Strategy<Value = Option<f64>> {
     prop::sample::select(vec![None, Some(0.5), Some(2.0), Some(10.0)])
+}
+
+/// Checks a burn-rate page against the dump it froze: the dump named
+/// `alert {slo} ({tenant})` at the page's time holds a span of the
+/// page's exemplar request (`req {id}`, or `req {id} ...`: its
+/// completion, prefill or tokens). A page past the retained dumps froze
+/// none.
+fn exemplar_resolves(dumps: &[FlightDump], alert: &AlertEvent, tenant: &str) {
+    let reason = format!("alert {} ({tenant})", alert.slo);
+    let Some(dump) = dumps
+        .iter()
+        .find(|d| d.reason == reason && d.at_ns == alert.t_ns)
+    else {
+        assert_eq!(dumps.len(), MAX_DUMPS, "page {alert:?} froze no dump");
+        return;
+    };
+    let id = alert.exemplar.expect("a page carries an exemplar");
+    let name = format!("req {id}");
+    let names = |label: &str| {
+        label
+            .strip_prefix(&name)
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with(' '))
+    };
+    assert!(
+        dump.spans.iter().any(|s| names(&s.label)),
+        "exemplar {id} of {reason} is not in its dump"
+    );
 }
 
 proptest! {
@@ -77,6 +106,9 @@ proptest! {
             "alerts out of order: {:?}",
             mon.alerts
         );
+        for (tenant, alert) in mon.burn_alerts() {
+            exemplar_resolves(mon.flight.dumps(), alert, &cfg.tenants[*tenant].name);
+        }
     }
 
     #[test]
@@ -119,5 +151,8 @@ proptest! {
             "alerts out of order: {:?}",
             mon.alerts
         );
+        for alert in mon.burn_alerts() {
+            exemplar_resolves(mon.flight.dumps(), alert, &mon.config().tenant);
+        }
     }
 }

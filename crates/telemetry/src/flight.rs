@@ -1,25 +1,39 @@
-//! Span flight recorder: a bounded "black box" of recent activity.
+//! Flight recorder: a bounded "black box" of recent activity.
 //!
-//! The recorder keeps the last `capacity` spans in a ring — O(1) per
-//! span, no growth, nothing exported — so it is cheap while the system
-//! is healthy. The moment something goes wrong (a burn-rate alert
-//! fires, a `FaultKind` lands), [`FlightRecorder::trigger`] freezes the
-//! ring into a [`FlightDump`]: a self-contained snapshot of what the
-//! system was doing *leading up to* the incident, exportable as a
-//! Perfetto/Chrome trace via [`FlightDump::to_chrome_trace`].
+//! The recorder keeps the last `capacity` records in a ring — O(1) per
+//! record, no growth, nothing exported. A record is whatever small
+//! typed value its monitor chooses (a [`FlightRecord`]): ids, times
+//! and a kind, with no label. So the ring is cheap while the system is
+//! healthy, and most records are evicted without ever being rendered.
+//! The moment something goes wrong (a burn-rate alert fires, a
+//! `FaultKind` lands), [`FlightRecorder::trigger`] freezes the ring
+//! into a [`FlightDump`]: the records become [`Span`]s, labels
+//! included, through [`FlightRecord::to_span`]. The dump is a
+//! self-contained snapshot of what the system was doing *leading up
+//! to* the incident, exportable as a Perfetto/Chrome trace via
+//! [`FlightDump::to_chrome_trace`].
 //!
 //! Dumps are bounded (first incidents win) so a fault storm cannot turn
-//! the black box into an unbounded allocation.
+//! the black box into an unbounded allocation; a trigger past the cap
+//! renders nothing, not even its reason.
 
 use crate::chrome;
-use crate::record::Recorder;
+use crate::slo::{EVAL_WINDOW_NS, FAST_WINDOW_NS};
 use crate::span::Span;
 use std::collections::VecDeque;
+use std::fmt;
 
-/// Default ring capacity (spans).
+/// Default ring capacity (records).
 pub const DEFAULT_CAPACITY: usize = 4096;
 /// Maximum retained dumps; later triggers are counted but not stored.
 pub const MAX_DUMPS: usize = 4;
+
+/// One entry of a flight ring: a small typed record that renders into
+/// a [`Span`] only when a dump is taken.
+pub trait FlightRecord {
+    /// The span this record stands for, label included.
+    fn to_span(&self) -> Span;
+}
 
 /// One frozen snapshot of the ring.
 #[derive(Debug, Clone)]
@@ -28,7 +42,9 @@ pub struct FlightDump {
     pub reason: String,
     /// When the trigger landed, shared clock ns.
     pub at_ns: f64,
-    /// The ring contents at trigger time, oldest first.
+    /// The ring contents at trigger time, oldest first. A monitor may
+    /// put a record the ring has evicted before them (a page's
+    /// exemplar request).
     pub spans: Vec<Span>,
 }
 
@@ -45,23 +61,17 @@ impl FlightDump {
     }
 }
 
-/// Bounded ring of recent spans with on-trigger snapshots.
+/// Bounded ring of recent records with on-trigger snapshots.
 #[derive(Debug, Clone)]
-pub struct FlightRecorder {
+pub struct FlightRecorder<R> {
     capacity: usize,
-    ring: VecDeque<Span>,
+    ring: VecDeque<R>,
     dumps: Vec<FlightDump>,
     triggers: u64,
 }
 
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        FlightRecorder::new(DEFAULT_CAPACITY)
-    }
-}
-
-impl FlightRecorder {
-    /// Creates a recorder keeping at most `capacity` recent spans.
+impl<R: FlightRecord> FlightRecorder<R> {
+    /// Creates a recorder keeping at most `capacity` recent records.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
@@ -75,43 +85,69 @@ impl FlightRecorder {
         }
     }
 
-    /// Appends a span, evicting the oldest when full.
-    pub fn record(&mut self, span: Span) {
+    /// Appends a record, evicting the oldest when full.
+    pub fn record(&mut self, record: R) {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
         }
-        self.ring.push_back(span);
+        self.ring.push_back(record);
     }
 
-    /// Freezes the current ring into a dump. Dumps beyond
-    /// [`MAX_DUMPS`] are counted but not stored (first incidents win).
-    pub fn trigger(&mut self, reason: impl Into<String>, at_ns: f64) {
+    /// Freezes the current ring into a dump, rendering every record
+    /// and `reason`. Dumps beyond [`MAX_DUMPS`] are counted but not
+    /// stored (first incidents win) and render nothing.
+    pub fn trigger(&mut self, reason: impl fmt::Display, at_ns: f64) {
+        self.freeze(reason, at_ns);
+    }
+
+    /// Freezes the ring for a burn-rate page whose exemplar is
+    /// `exemplar` (the record a caller kept in [`SlowestRecords`]). When
+    /// the ring has already evicted it, the dump shows it first, so a
+    /// page's dump always holds the request the page names.
+    pub fn trigger_page(&mut self, reason: impl fmt::Display, at_ns: f64, exemplar: Option<&R>)
+    where
+        R: PartialEq,
+    {
+        let evicted = exemplar.filter(|e| !self.ring.contains(e));
+        if let (Some(dump), Some(e)) = (self.freeze(reason, at_ns), evicted) {
+            dump.spans.insert(0, e.to_span());
+        }
+    }
+
+    fn freeze(&mut self, reason: impl fmt::Display, at_ns: f64) -> Option<&mut FlightDump> {
         self.triggers += 1;
         if self.dumps.len() >= MAX_DUMPS {
-            return;
+            return None;
         }
+        let spans = self.spans().collect();
         self.dumps.push(FlightDump {
-            reason: reason.into(),
+            reason: reason.to_string(),
             at_ns,
-            spans: self.ring.iter().cloned().collect(),
+            spans,
         });
+        self.dumps.last_mut()
     }
 
-    /// Spans currently held in the ring.
+    /// Records currently held in the ring.
     pub fn len(&self) -> usize {
         self.ring.len()
     }
 
-    /// Spans the ring holds before it evicts the oldest.
+    /// Records the ring holds before it evicts the oldest.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Iterates the ring's spans, oldest first — the fleet aggregator
+    /// Iterates the ring's records, oldest first — the fleet aggregator
     /// uses this to absorb a per-chip ring into the fleet-time ring
     /// without waiting for a trigger.
-    pub fn spans(&self) -> impl Iterator<Item = &Span> + '_ {
+    pub fn records(&self) -> impl Iterator<Item = &R> + '_ {
         self.ring.iter()
+    }
+
+    /// Renders the ring's records into spans, oldest first.
+    pub fn spans(&self) -> impl Iterator<Item = Span> + '_ {
+        self.ring.iter().map(R::to_span)
     }
 
     /// Whether the ring is empty.
@@ -135,21 +171,57 @@ impl FlightRecorder {
     }
 }
 
-/// The flight recorder is itself a [`Recorder`], so any call site that
-/// threads the trait (engine hooks, sessions) can feed the black box
-/// directly.
-impl Recorder for FlightRecorder {
-    fn enabled(&self) -> bool {
-        true
+/// The record of each recent window's slowest sample — the sample a
+/// burn-rate page names as its exemplar — kept apart from the ring for
+/// [`FlightRecorder::trigger_page`]. It covers every window a page's
+/// fast burn window spans.
+#[derive(Debug, Clone)]
+pub struct SlowestRecords<R> {
+    /// `(window, value, record)`, oldest window first.
+    windows: VecDeque<(u64, f64, R)>,
+}
+
+impl<R> Default for SlowestRecords<R> {
+    fn default() -> Self {
+        SlowestRecords {
+            windows: VecDeque::new(),
+        }
+    }
+}
+
+impl<R> SlowestRecords<R> {
+    /// Windows kept: those the fast burn window spans.
+    const WINDOWS: usize = (FAST_WINDOW_NS / EVAL_WINDOW_NS) as usize + 1;
+
+    /// Notes a sample of `value` taken at `t_ns` and recorded as
+    /// `record`. It is kept while it is the slowest of its 1 s window;
+    /// as with the histogram's exemplar, the first of equals wins.
+    /// Samples come in time order, as a run emits them.
+    pub fn note(&mut self, t_ns: f64, value: f64, record: R) {
+        let window = (t_ns.max(0.0) / EVAL_WINDOW_NS) as u64;
+        match self.windows.back_mut() {
+            Some((w, slowest, r)) if *w == window => {
+                if value > *slowest {
+                    *slowest = value;
+                    *r = record;
+                }
+            }
+            _ => {
+                if self.windows.len() == Self::WINDOWS {
+                    self.windows.pop_front();
+                }
+                self.windows.push_back((window, value, record));
+            }
+        }
     }
 
-    fn record(&mut self, span: Span) {
-        FlightRecorder::record(self, span);
-    }
-
-    fn snapshot(&mut self, _snapshot: crate::counters::CounterSnapshot) {
-        // The black box keeps spans only; counter snapshots live in the
-        // full TraceBuffer path.
+    /// The kept record `names` picks, newest window first.
+    pub fn find(&self, names: impl Fn(&R) -> bool) -> Option<&R> {
+        self.windows
+            .iter()
+            .rev()
+            .map(|(_, _, r)| r)
+            .find(|r| names(r))
     }
 }
 
@@ -158,28 +230,36 @@ mod tests {
     use super::*;
     use crate::span::{Layer, SpanKind};
 
-    fn span(i: usize) -> Span {
-        Span::new(
-            SpanKind::Request,
-            Layer::Serving,
-            0,
-            format!("req {i}"),
-            i as f64 * 10.0,
-            i as f64 * 10.0 + 5.0,
-        )
+    /// A request completion: an id and its completion time.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Req(usize);
+
+    impl FlightRecord for Req {
+        fn to_span(&self) -> Span {
+            let i = self.0;
+            Span::new(
+                SpanKind::Request,
+                Layer::Serving,
+                0,
+                format!("req {i}"),
+                i as f64 * 10.0,
+                i as f64 * 10.0 + 5.0,
+            )
+        }
     }
 
     #[test]
     fn ring_is_bounded() {
         let mut fr = FlightRecorder::new(8);
         for i in 0..100 {
-            fr.record(span(i));
+            fr.record(Req(i));
         }
         assert_eq!(fr.len(), 8);
         fr.trigger("test", 1000.0);
         let d = fr.latest().unwrap();
         assert_eq!(d.spans.len(), 8);
         assert_eq!(d.spans[0].label, "req 92", "oldest retained span");
+        assert_eq!(d.spans[0].start_ns, 920.0);
         assert!(d.resolves_label("req 99"));
         assert!(!d.resolves_label("req 0 "));
     }
@@ -187,9 +267,9 @@ mod tests {
     #[test]
     fn dumps_are_bounded_first_wins() {
         let mut fr = FlightRecorder::new(4);
-        fr.record(span(1));
+        fr.record(Req(1));
         for k in 0..10 {
-            fr.trigger(format!("fault {k}"), k as f64);
+            fr.trigger(format_args!("fault {k}"), k as f64);
         }
         assert_eq!(fr.dumps().len(), MAX_DUMPS);
         assert_eq!(fr.triggers(), 10);
@@ -197,20 +277,51 @@ mod tests {
     }
 
     #[test]
+    fn a_page_dump_shows_its_evicted_exemplar_first() {
+        let mut slowest = SlowestRecords::default();
+        let mut fr = FlightRecorder::new(4);
+        for (i, latency) in [(0, 1.0), (1, 9.0), (2, 9.0), (3, 2.0)] {
+            fr.record(Req(i));
+            slowest.note(i as f64 * 1e8, latency, Req(i));
+        }
+        let kept = slowest.find(|r| r.0 == 1);
+        assert!(kept.is_some(), "the first of equals stays the slowest");
+        assert!(slowest.find(|r| r.0 == 2).is_none());
+        fr.trigger_page("in the ring", 1.0, kept);
+        assert_eq!(fr.latest().unwrap().spans.len(), 4, "nothing added");
+        for i in 4..8 {
+            fr.record(Req(i));
+        }
+        fr.trigger_page("evicted", 2.0, kept);
+        let labels: Vec<&str> = fr
+            .latest()
+            .unwrap()
+            .spans
+            .iter()
+            .map(|s| s.label.as_str())
+            .collect();
+        assert_eq!(labels, ["req 1", "req 4", "req 5", "req 6", "req 7"]);
+    }
+
+    #[test]
+    fn slowest_records_cover_the_fast_window() {
+        let mut slowest = SlowestRecords::default();
+        for w in 0..10 {
+            slowest.note(w as f64 * EVAL_WINDOW_NS, 1.0, Req(w));
+        }
+        let kept: Vec<usize> = (0..10)
+            .filter(|&w| slowest.find(|r| r.0 == w).is_some())
+            .collect();
+        assert_eq!(kept, [4, 5, 6, 7, 8, 9]);
+    }
+
+    #[test]
     fn dump_exports_chrome_trace() {
         let mut fr = FlightRecorder::new(4);
-        fr.record(span(3));
+        fr.record(Req(3));
         fr.trigger("alert", 50.0);
         let json = fr.latest().unwrap().to_chrome_trace(false);
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(json.contains("req 3"));
-    }
-
-    #[test]
-    fn recorder_trait_feeds_ring() {
-        let mut fr = FlightRecorder::new(4);
-        assert!(Recorder::enabled(&fr));
-        Recorder::record(&mut fr, span(7));
-        assert_eq!(fr.len(), 1);
     }
 }

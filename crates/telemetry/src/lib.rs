@@ -66,7 +66,7 @@ pub mod timeseries;
 
 pub use attr::{AttributionReport, Bottleneck, Degradation, MachineSpec, OpRecord};
 pub use counters::{Counter, CounterSet, CounterSnapshot, Unit};
-pub use flight::{FlightDump, FlightRecorder};
+pub use flight::{FlightDump, FlightRecord, FlightRecorder, SlowestRecords};
 pub use histogram::{Exemplar, HistogramWindow, LogHistogram, WindowedHistogram};
 pub use monitor::{EvalClock, Objective, ObjectiveRow};
 pub use record::{NullRecorder, Recorder, TraceBuffer};

@@ -226,4 +226,5 @@ fn compiled_path_is_byte_identical_across_cache_temperature() {
     assert_eq!(cold.trace, warm.trace);
     assert!(cold.report.completed > 0);
     assert!(cold.report.decode_tokens > 0);
+    assert!(cold.report.balanced());
 }
