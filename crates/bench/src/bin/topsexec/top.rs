@@ -83,7 +83,6 @@ pub fn run(args: &Args) -> Outcome {
 
     let mut mon = LiveMonitor::new(LiveConfig {
         slo: Some(SloSpec::new(format!("p99<{deadline:.0}ms"), 0.99, deadline)),
-        ..LiveConfig::default()
     });
     let mut refs: Vec<&mut dyn ServiceModel> = models
         .iter_mut()
@@ -92,8 +91,8 @@ pub fn run(args: &Args) -> Outcome {
     let aborted = match run_serving_live(&cfg, chip, &mut refs, &mut mon) {
         Ok(_) => None,
         // A fault killed a tenant's last group: the dashboard still
-        // shows everything the monitor saw up to the outage.
-        Err(ServeError::Sim(dtu_sim::SimError::Fault(e))) => Some(e.to_string()),
+        // shows the run's log up to the outage.
+        Err(ServeError::Outage(o)) => Some(o.fault.to_string()),
         Err(e) => return Err(serve_failure(e)),
     };
 

@@ -56,6 +56,9 @@ const FLEET: &[&str] = &[
     "--seed",
     "7",
 ];
+/// Routing epochs that start off whole seconds, and a chip killed in
+/// the middle of one.
+const EPOCH_300_KILL: &[&str] = &["--epoch", "300", "--kill-chip", "1", "--kill-at", "450"];
 const GEN: &[&str] = &[
     "serve",
     "--generative",
@@ -94,6 +97,22 @@ const IDENTICAL: &[(&str, &[&[&[&str]]])] = &[
             &[FLEET, &["--jobs", "1", "--no-disk-cache"]],
             &[FLEET, &["--jobs", "1", "--monitor", "--no-disk-cache"]],
             &[FLEET, &["--jobs", "8", "--monitor", "--no-disk-cache"]],
+        ],
+    ),
+    (
+        "fleet monitor is observational with epochs off the second and a kill",
+        &[
+            &[FLEET, EPOCH_300_KILL, &["--jobs", "1", "--no-disk-cache"]],
+            &[
+                FLEET,
+                EPOCH_300_KILL,
+                &["--jobs", "1", "--monitor", "--no-disk-cache"],
+            ],
+            &[
+                FLEET,
+                EPOCH_300_KILL,
+                &["--jobs", "4", "--monitor", "--no-disk-cache"],
+            ],
         ],
     ),
     (

@@ -57,6 +57,7 @@ const TOPSEXEC: &[(&str, u64)] = &[
     ("fleet resnet50 --chips 4 --qps 4000 --duration 2000 --seed 7 --jobs 1 --format table --no-disk-cache", 0x59e0402fd6b93dce),
     ("fleet resnet50 --chips 4 --qps 4000 --duration 2000 --seed 7 --jobs 1 --format prom --no-disk-cache", 0x49d69d27116f48c8),
     ("fleet top --once resnet50 --chips 4 --qps 4000 --duration 2000 --seed 7 --jobs 1 --no-disk-cache", 0x574d4a3c6c3da72e),
+    ("fleet top --once resnet50 --chips 4 --qps 4000 --duration 2000 --epoch 300 --seed 7 --jobs 1 --no-disk-cache", 0xc4b2b46eab486521),
     ("fleet resnet50 --chips 4 --qps 2000 --duration 2000 --seed 7 --kill-chip 1 --kill-at 900 --slo --flight-out fl.json --jobs 1 --no-disk-cache", 0xf5acb9a183ecfb9b),
 ];
 

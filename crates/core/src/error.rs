@@ -60,6 +60,7 @@ impl From<dtu_serve::ServeError> for DtuError {
         match e {
             dtu_serve::ServeError::Compile(e) => DtuError::Compile(e),
             dtu_serve::ServeError::Sim(e) => DtuError::Sim(e),
+            dtu_serve::ServeError::Outage(o) => DtuError::Sim(SimError::Fault(o.fault)),
             dtu_serve::ServeError::Config(msg) => DtuError::Sim(SimError::InvalidConfig(msg)),
         }
     }

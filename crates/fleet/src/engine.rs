@@ -39,8 +39,7 @@
 //! never offered (clients fail over at the next epoch), and
 //! `offered == completed + shed + fault_dropped` holds fleet-wide.
 
-use crate::monitor::{FleetMonitor, SliceStats};
-use crate::route::trace_base;
+use crate::monitor::{ChipEpochLog, FleetMonitor, SliceStats};
 use crate::{
     place, replace_after_loss, route_epoch, FleetChipReport, FleetError, FleetReport, FleetTenant,
     FleetTenantReport, FleetTopology, PricingStats, RollPlan, RollState, RouterState,
@@ -49,11 +48,10 @@ use dtu_compiler::{Fnv1a, Placement};
 use dtu_faults::{FaultEvent, FaultKind, FaultPlan};
 use dtu_harness::{ExperimentPlan, HarnessError, SessionCache};
 use dtu_serve::{
-    run_serving, run_serving_live, ArrivalProcess, BatchPolicy, CompiledModel, LiveConfig,
-    LiveMonitor, RetryPolicy, ScalePolicy, ServeConfig, ServeError, ServiceModel, SlaPolicy,
-    TenantSpec,
+    run_serving, ArrivalProcess, BatchPolicy, CompiledModel, RetryPolicy, ScalePolicy, ServeConfig,
+    ServeError, ServiceModel, SlaPolicy, TenantSpec,
 };
-use dtu_sim::{Chip, GroupId, SimError};
+use dtu_sim::{Chip, GroupId};
 use dtu_telemetry::LogHistogram;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -126,11 +124,11 @@ struct ChipEpochOutcome {
     faults_injected: u64,
     groups_lost: u64,
     slices: Vec<TenantSlice>,
-    /// The per-chip live monitor, when the run is observed. For a
-    /// killed chip this is the *aborted* run's monitor — the operator's
-    /// view of the failure — while the slices come from the truncated
-    /// re-run so the books still close.
-    monitor: Option<LiveMonitor>,
+    /// The serving log, when the run is observed. For a killed chip
+    /// this is the *aborted* run's log — the operator's view of the
+    /// failure — while the slices come from the truncated re-run so the
+    /// books still close.
+    log: Option<ChipEpochLog>,
 }
 
 /// Most routing epochs one fleet run may take. Every epoch re-routes
@@ -327,12 +325,10 @@ fn job_err(label: &str) -> impl Fn(ServeError) -> HarnessError + '_ {
 /// is retried truncated at the kill time (same seed, identical arrival
 /// prefix) so the dead chip's accounting closes exactly.
 ///
-/// `monitor_base` attaches a [`LiveMonitor`] whose span labels and
-/// exemplars carry the given fleet trace base. The monitored run is
-/// observationally identical to a plain one (the `run_serving_live`
-/// contract), and a kill-aborted epoch re-runs *without* the monitor,
-/// so the slices — and therefore the report — never depend on whether
-/// the fleet was observed.
+/// `log_epoch`, the (epoch, start ms) of a monitored run, reads the
+/// serving log (the aborted run's, for a killed chip) onto the fleet
+/// clock for the fleet monitor; otherwise the log is dropped here. The
+/// slices — and therefore the report — never depend on it.
 #[allow(clippy::too_many_arguments)]
 fn run_chip_epoch(
     topology: &FleetTopology,
@@ -342,7 +338,7 @@ fn run_chip_epoch(
     epoch_len_ms: f64,
     serve_seed: u64,
     kill_offset_ms: Option<f64>,
-    monitor_base: Option<u64>,
+    log_epoch: Option<(usize, f64)>,
     cache: &SessionCache,
     prices: &PriceTable,
 ) -> Result<ChipEpochOutcome, HarnessError> {
@@ -381,37 +377,27 @@ fn run_chip_epoch(
         t.model = i;
     }
 
-    let mut live = monitor_base.map(|base| {
-        LiveMonitor::new(LiveConfig {
-            trace_base: base,
-            ..LiveConfig::default()
-        })
-    });
     let mut refs: Vec<&mut dyn ServiceModel> = models
         .iter_mut()
         .map(|m| m as &mut dyn ServiceModel)
         .collect();
-    let first = match live.as_mut() {
-        Some(m) => run_serving_live(&cfg, chip_cfg, &mut refs, m),
-        None => run_serving(&cfg, chip_cfg, &mut refs),
-    };
-    let outcome = match first {
-        Ok(out) => out,
-        Err(ServeError::Sim(SimError::Fault(_))) if kill_offset_ms.is_some() => {
+    let (outcome, aborted) = match run_serving(&cfg, chip_cfg, &mut refs) {
+        Ok(out) => (out, None),
+        Err(ServeError::Outage(aborted)) if kill_offset_ms.is_some() => {
             // The kill took the chip down mid-epoch. Re-run the exact
             // arrival prefix (same seed, horizon truncated at the kill
             // time, no faults) so every request that arrived before
             // the failure is accounted; later arrivals never existed.
-            // The re-run is unmonitored — the aborted monitor already
-            // holds the operator's view of the failure, and the slices
-            // must match the plain (unobserved) path byte for byte.
+            // The aborted run's log stays the operator's view of the
+            // failure.
             cfg.duration_ms = kill_offset_ms.unwrap_or(0.0);
             cfg.faults = FaultPlan::empty();
             let mut refs: Vec<&mut dyn ServiceModel> = models
                 .iter_mut()
                 .map(|m| m as &mut dyn ServiceModel)
                 .collect();
-            run_serving(&cfg, chip_cfg, &mut refs).map_err(job_err(&label))?
+            let rerun = run_serving(&cfg, chip_cfg, &mut refs).map_err(job_err(&label))?;
+            (rerun, Some(aborted))
         }
         Err(other) => return Err(job_err(&label)(other)),
     };
@@ -439,6 +425,13 @@ fn run_chip_epoch(
     // A killed chip loses all its groups whichever code path the serve
     // run took (the abort-and-truncate path reports none itself).
     let chip_groups = chip_cfg.total_groups() as u64;
+    let log = log_epoch.map(|(epoch, start_ms)| {
+        let at = (epoch, chip_idx, start_ms, epoch_len_ms);
+        match &aborted {
+            Some(o) => ChipEpochLog::read(&o.trace, &o.requests, false, at),
+            None => ChipEpochLog::read(&outcome.trace, &outcome.requests, true, at),
+        }
+    });
     Ok(ChipEpochOutcome {
         chip: chip_idx,
         killed,
@@ -453,7 +446,7 @@ fn run_chip_epoch(
             slices.iter().map(|s| s.groups_lost).sum()
         },
         slices,
-        monitor: live,
+        log,
     })
 }
 
@@ -506,11 +499,11 @@ pub fn run_fleet(
     run_fleet_inner(topology, tenants, cfg, cache, jobs, None)
 }
 
-/// Runs the fleet simulation with a [`FleetMonitor`] riding along:
-/// every chip-epoch carries a live monitor whose trace ids encode the
-/// (epoch, chip) that served each request, and the fleet monitor
-/// merges them into per-tenant and per-chip rollups at every epoch
-/// barrier.
+/// Runs the fleet simulation with a [`FleetMonitor`] attached: every
+/// chip-epoch reads its serving log onto the fleet clock, with trace
+/// ids that encode the (epoch, chip) that served each request, and at
+/// each epoch barrier the fleet monitor folds those logs, in chip
+/// order, into per-tenant and per-chip rollups.
 ///
 /// The monitor is observational only: the returned report is
 /// byte-identical to what [`run_fleet`] produces for the same inputs
@@ -694,7 +687,7 @@ fn run_fleet_inner(
             let kill_offset = kill_this_epoch
                 .filter(|&(c, _)| c == chip)
                 .map(|(_, offset)| offset);
-            let monitor_base = monitor.as_ref().map(|_| trace_base(epoch, chip));
+            let log_epoch = monitor.is_some().then_some((epoch, epoch_start));
             plan.add_point(
                 key.finish(),
                 format!("chip{chip} e{epoch}"),
@@ -708,7 +701,7 @@ fn run_fleet_inner(
                         epoch_len,
                         serve_seed,
                         kill_offset,
-                        monitor_base,
+                        log_epoch,
                         cache,
                         prices,
                     )
@@ -716,8 +709,8 @@ fn run_fleet_inner(
             );
         }
 
-        // Epoch barrier: merge in chip (insertion) order, whatever the
-        // worker schedule did.
+        // Epoch barrier: merge (and fold the logs) in chip (insertion)
+        // order, whatever the worker schedule did.
         for result in plan.run(jobs) {
             let out = result.map_err(FleetError::Harness)?;
             if let Some(m) = monitor.as_deref_mut() {
@@ -733,12 +726,11 @@ fn run_fleet_inner(
                     })
                     .collect();
                 m.absorb_chip_epoch(
-                    epoch_start,
                     out.chip,
                     &assignment,
                     epoch_len,
                     &stats,
-                    out.monitor.as_ref(),
+                    out.log.as_ref(),
                     out.killed,
                 );
                 if out.killed {

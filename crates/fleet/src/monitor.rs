@@ -1,44 +1,45 @@
 //! Fleet-wide observability: the [`FleetMonitor`] aggregator.
 //!
-//! Each chip-epoch simulation rides a per-chip
-//! [`LiveMonitor`](dtu_serve::LiveMonitor) whose span labels and
-//! exemplars carry a fleet-unique trace base
-//! ([`trace_base`](crate::trace_base)): bits of every request id name
-//! the (epoch, chip) that served it. At every routing-epoch barrier the
-//! engine hands those monitors to the `FleetMonitor`, which merges
-//! their windowed series and histograms — shifted from the epoch-local
-//! clock onto the fleet clock — into per-tenant and per-chip rollups,
-//! runs fleet-scope SLO burn-rate trackers over the merged windows
-//! (via [`SloTracker::fold_window`]), and attributes badness to (chip,
-//! tenant) pairs: deadline violations, fault drops, and — when a chip
-//! dies — the load it was carrying but could no longer serve.
+//! A monitored fleet reads each chip-epoch's serving log — its
+//! [`ServingTrace`](dtu_serve::ServingTrace) and request outcomes — in
+//! the chip-epoch's own job, as [`ServeRecord`]s on the fleet clock:
+//! each sample at its own fleet time (epoch start plus its time in the
+//! chip-epoch), each request id with a fleet-unique trace base
+//! ([`trace_base`](crate::trace_base)) whose bits name the (epoch,
+//! chip) that served it. At every routing-epoch barrier the
+//! `FleetMonitor` folds those records, in chip order, into per-tenant
+//! and per-chip rollups. Fleet-scope SLO burn-rate trackers run over
+//! the folded windows (via [`SloTracker::fold_window`]), and badness is
+//! attributed to (chip, tenant) pairs: deadline violations, fault
+//! drops, and — when a chip dies — the load it was carrying but could
+//! no longer serve.
 //!
 //! The monitor is strictly observational. The engine's
 //! [`FleetReport`](crate::FleetReport) is built from the plain
 //! simulation results alone, so a monitored run's JSON stays
 //! byte-identical to an unmonitored one (asserted by the engine
-//! tests), exactly like the per-chip `LiveMonitor` contract.
+//! tests).
 //!
 //! Both of its rings hold typed records, not spans: each chip's ring
-//! takes the per-chip monitor's [`ServeRecord`]s shifted onto the fleet
-//! clock, and the route ring one small record per routing decision. On
-//! a burn-rate transition or a [`ChipKill`](crate::ChipKill) the
-//! monitor renders the offending chip's ring together with the
-//! retained routing decisions into one [`FlightDump`], loadable in
-//! Perfetto like any other dump — the cross-chip "black box" of what
-//! the fleet was doing leading up to the incident. Only then are
-//! labels built.
+//! takes the [`ServeRecord`]s read off its logs, and the route ring one
+//! small record per routing decision. On a burn-rate transition or a
+//! [`ChipKill`](crate::ChipKill) the monitor renders the offending
+//! chip's ring together with the retained routing decisions into one
+//! [`FlightDump`], loadable in Perfetto like any other dump — the
+//! cross-chip "black box" of what the fleet was doing leading up to the
+//! incident. A page's dump also holds the page's exemplar request,
+//! whichever chip served it. Only then are labels built.
 
-use crate::route::EpochRoutes;
-use dtu_serve::{LiveMonitor, ServeRecord};
-use dtu_telemetry::clock::NS_PER_MS;
+use crate::route::{trace_base, EpochRoutes};
+use dtu_serve::{RequestOutcome, ServeRecord, ServeRecordKind, ServingTrace};
+use dtu_telemetry::clock::{ms_to_ns, NS_PER_MS};
 use dtu_telemetry::flight::MAX_DUMPS;
 use dtu_telemetry::json::{array, number, JsonObject};
 use dtu_telemetry::monitor::{series, RING_WINDOWS};
 use dtu_telemetry::slo::{BURN_THRESHOLD, EVAL_WINDOW_NS, FAST_WINDOW_NS};
 use dtu_telemetry::{
-    AlertEvent, AlertKind, EvalClock, FlightDump, FlightRecorder, Layer, Objective, ObjectiveRow,
-    SloSpec, SloTracker, Span, TimeSeries, WindowedHistogram,
+    AlertEvent, AlertKind, EvalClock, FlightDump, FlightRecord, FlightRecorder, Layer, Objective,
+    ObjectiveRow, SloSpec, SloTracker, SlowestRecords, Span, TimeSeries, WindowedHistogram,
 };
 use std::collections::VecDeque;
 use std::fmt;
@@ -68,9 +69,12 @@ struct TenantScope {
     violations: TimeSeries,
     sheds: TimeSeries,
     fault_drops: TimeSeries,
-    /// Merged chip latencies and the tenant's p99 SLO, judged on the
+    /// Every chip's latencies and the tenant's p99 SLO, judged on the
     /// folded completion windows.
     latency: Objective,
+    /// Each recent window's slowest completion across chips — the
+    /// latency exemplars, as records — for a page's dump.
+    slowest: SlowestRecords<ServeRecord>,
 }
 
 impl TenantScope {
@@ -86,6 +90,7 @@ impl TenantScope {
                 0.99,
                 deadline_ms,
             ))),
+            slowest: SlowestRecords::default(),
         }
     }
 
@@ -105,7 +110,7 @@ struct ChipScope {
     violations: TimeSeries,
     sheds: TimeSeries,
     latency: WindowedHistogram,
-    /// The chip's records on the fleet clock (absorbed every epoch).
+    /// The chip's records on the fleet clock (folded every epoch).
     ring: FlightRecorder<ServeRecord>,
     dead: bool,
 }
@@ -202,6 +207,44 @@ pub struct OffenderShare {
     pub share: f64,
 }
 
+/// A chip-epoch's serving log as the fleet monitor folds it: its
+/// records on the fleet clock, with ids based for the chip-epoch, and
+/// where the chip-epoch's clock ends.
+#[derive(Debug, Clone)]
+pub(crate) struct ChipEpochLog {
+    records: Vec<ServeRecord>,
+    end_ns: f64,
+}
+
+impl ChipEpochLog {
+    /// Reads the log (`trace` and `requests`) of chip `chip`'s run in
+    /// `epoch`, which started at `start_ms` and offered arrivals for
+    /// `len_ms`. The clock ends as a monitored single-shot run's does: a
+    /// `finished` run at its closing boundary, an aborted one at its
+    /// last event.
+    pub(crate) fn read(
+        trace: &ServingTrace,
+        requests: &[RequestOutcome],
+        finished: bool,
+        (epoch, chip, start_ms, len_ms): (usize, usize, f64, f64),
+    ) -> Self {
+        let offset_ns = start_ms * NS_PER_MS;
+        let last_ns = trace.events.last().map_or(0.0, |e| e.t_ns);
+        let mut clock = EvalClock::default();
+        while clock.tick(last_ns).is_some() {}
+        let end_ns = if finished {
+            clock.closing(ms_to_ns(len_ms).max(last_ns))
+        } else {
+            last_ns
+        };
+        ChipEpochLog {
+            records: ServeRecord::read_log(trace, requests, trace_base(epoch, chip), offset_ns)
+                .collect(),
+            end_ns: offset_ns + end_ns,
+        }
+    }
+}
+
 /// Engine-side view of one tenant slice, enough for attribution.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SliceStats {
@@ -282,47 +325,52 @@ impl FleetMonitor {
         }
     }
 
-    /// Absorbs one chip's epoch at the barrier: merges the per-chip
-    /// monitor's windows and records onto the fleet clock (offset by
-    /// the epoch start) and updates (chip, tenant) attribution from the
-    /// engine's authoritative slice accounting.
-    // One argument per fact the barrier knows; bundling them into a
-    // struct would just move the field list one hop away.
-    #[allow(clippy::too_many_arguments)]
+    /// Absorbs one chip's epoch at the barrier: folds its log, when the
+    /// run kept one — each sample at its own fleet time — and updates
+    /// (chip, tenant) attribution from the engine's authoritative slice
+    /// accounting.
     pub(crate) fn absorb_chip_epoch(
         &mut self,
-        epoch_start_ms: f64,
         chip: usize,
         assignment: &[(usize, f64)],
         epoch_len_ms: f64,
         slices: &[SliceStats],
-        live: Option<&LiveMonitor>,
+        log: Option<&ChipEpochLog>,
         killed: bool,
     ) {
-        let offset_ns = epoch_start_ms * NS_PER_MS;
-        if let Some(live) = live {
-            for (i, &(t, _)) in assignment.iter().enumerate() {
-                let Some(tl) = live.tenants().get(i) else {
-                    continue;
-                };
-                if let Some(ts) = self.tenants.get_mut(t) {
-                    ts.completions.merge_offset(&tl.completions, offset_ns);
-                    ts.violations.merge_offset(&tl.violations, offset_ns);
-                    ts.sheds.merge_offset(&tl.sheds, offset_ns);
-                    ts.fault_drops.merge_offset(&tl.fault_drops, offset_ns);
-                    ts.latency.hist.merge_offset(&tl.latency.hist, offset_ns);
+        if let Some(log) = log {
+            let cs = &mut self.chips[chip];
+            for &record in &log.records {
+                let t_ns = record.at_ns();
+                let ts = &mut self.tenants[assignment[record.tenant as usize].0];
+                match record.kind {
+                    ServeRecordKind::Shed { .. } => {
+                        ts.sheds.add(t_ns, 1.0);
+                        cs.sheds.add(t_ns, 1.0);
+                    }
+                    ServeRecordKind::Req {
+                        req,
+                        latency_ms,
+                        late,
+                    } => {
+                        ts.completions.add(t_ns, 1.0);
+                        cs.completions.add(t_ns, 1.0);
+                        if late {
+                            ts.violations.add(t_ns, 1.0);
+                            cs.violations.add(t_ns, 1.0);
+                        }
+                        ts.latency.hist.record(t_ns, latency_ms, Some(req));
+                        cs.latency.record(t_ns, latency_ms, Some(req));
+                        ts.slowest.note(t_ns, latency_ms, record);
+                    }
+                    ServeRecordKind::FaultDrop { dropped } => {
+                        ts.fault_drops.add(t_ns, dropped as f64);
+                    }
+                    _ => {}
                 }
-                let cs = &mut self.chips[chip];
-                cs.completions.merge_offset(&tl.completions, offset_ns);
-                cs.violations.merge_offset(&tl.violations, offset_ns);
-                cs.sheds.merge_offset(&tl.sheds, offset_ns);
-                cs.latency.merge_offset(&tl.latency.hist, offset_ns);
+                cs.ring.record(record);
             }
-            let ring = &mut self.chips[chip].ring;
-            for r in live.flight.records() {
-                ring.record(r.shifted(offset_ns));
-            }
-            self.max_seen_ns = self.max_seen_ns.max(offset_ns + live.now_ns());
+            self.max_seen_ns = self.max_seen_ns.max(log.end_ns);
         }
         for s in slices {
             self.last_offered[chip][s.tenant] = s.offered as f64;
@@ -362,7 +410,7 @@ impl FleetMonitor {
             }
         }
         let reason = format!("chip{chip} killed");
-        self.dump_chip(&reason, at_ns, chip);
+        self.dump_chip(&reason, at_ns, chip, None);
         let exemplar = self.resolving_exemplar(chip);
         self.alerts.push(FleetAlert {
             epoch,
@@ -404,10 +452,12 @@ impl FleetMonitor {
                 };
                 if let Some(event) = event {
                     let chip = self.top_offender_chip(t);
-                    if event.kind == AlertKind::BurnRate {
-                        if let Some(c) = chip {
-                            self.dump_chip(format_args!("alert {} (chip{c})", event.slo), at, c);
-                        }
+                    if let (AlertKind::BurnRate, Some(c)) = (event.kind, chip) {
+                        let exemplar = event.exemplar.and_then(|id| {
+                            self.tenants[t].slowest.find(|r| r.kind.is_req(id)).copied()
+                        });
+                        let reason = format_args!("alert {} (chip{c})", event.slo);
+                        self.dump_chip(reason, at, c, exemplar);
                     }
                     self.alerts.push(FleetAlert {
                         epoch,
@@ -440,21 +490,27 @@ impl FleetMonitor {
     }
 
     /// Renders the route ring and `chip`'s ring into one dump, in
-    /// start order (routing decisions first among equal starts).
-    fn dump_chip(&mut self, reason: impl fmt::Display, at_ns: f64, chip: usize) {
+    /// start order (routing decisions first among equal starts). A
+    /// page's `exemplar` record goes first when the chip's ring lacks
+    /// it: another chip served it, or the ring evicted it.
+    fn dump_chip(
+        &mut self,
+        reason: impl fmt::Display,
+        at_ns: f64,
+        chip: usize,
+        exemplar: Option<ServeRecord>,
+    ) {
         self.triggers += 1;
         if self.dumps.len() >= MAX_DUMPS {
             return;
         }
         let mut spans: Vec<Span> = self.route_ring.iter().map(|r| self.route_span(r)).collect();
-        if let Some(cs) = self.chips.get(chip) {
-            spans.extend(cs.ring.spans());
+        let ring = &self.chips[chip].ring;
+        spans.extend(ring.spans());
+        spans.sort_by(|a, b| a.start_ns.total_cmp(&b.start_ns));
+        if let Some(e) = exemplar.filter(|e| !ring.records().any(|r| r == e)) {
+            spans.insert(0, e.to_span());
         }
-        spans.sort_by(|a, b| {
-            a.start_ns
-                .partial_cmp(&b.start_ns)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
         self.dumps.push(FlightDump {
             reason: reason.to_string(),
             at_ns,
@@ -583,16 +639,19 @@ impl FleetMonitor {
             .rev()
             .filter_map(|w| w.exemplar)
             .map(|e| e.span_id)
-            .find(|&id| cs.ring.records().any(|r| r.completed_req() == Some(id)))
+            .find(|&id| cs.ring.records().any(|r| r.kind.is_req(id)))
     }
 
     /// Forces a flight dump of `chip`'s ring plus the routing context,
     /// as if an alert had frozen it. `topsexec fleet --flight-out`
     /// uses this when a run ends without any incident, so the flag
     /// always produces a loadable trace.
+    ///
+    /// # Panics
+    /// Panics if `chip` is not one of the fleet's chips.
     pub fn snapshot_chip(&mut self, chip: usize, reason: &str) {
         let at_ns = self.max_seen_ns;
-        self.dump_chip(reason, at_ns, chip);
+        self.dump_chip(reason, at_ns, chip, None);
     }
 
     /// Whether the monitor marked `chip` dead.
@@ -667,17 +726,35 @@ impl FleetMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route::{trace_base, trace_chip, RouteCell};
-    use dtu_serve::{LiveConfig, LiveMonitor, TenantSpec};
+    use crate::route::{trace_chip, RouteCell};
+    use dtu_serve::{ServeEvent, ServeEventKind};
 
-    /// A per-chip monitor with the fleet trace base for (epoch, chip).
-    fn chip_live(epoch: usize, chip: usize) -> LiveMonitor {
-        let mut m = LiveMonitor::new(LiveConfig {
-            trace_base: trace_base(epoch, chip),
-            ..LiveConfig::default()
-        });
-        m.begin(&[TenantSpec::poisson("m", 0, 100.0)]);
-        m
+    /// The drained log of chip `chip`'s run in `epoch` (from `start_ms`,
+    /// arrivals for `len_ms`) of one tenant whose requests each complete
+    /// alone: `(done_ms, req, latency_ms, late)`, in time order.
+    fn completions(
+        (epoch, chip): (usize, usize),
+        start_ms: f64,
+        len_ms: f64,
+        done: &[(f64, u64, f64, bool)],
+    ) -> ChipEpochLog {
+        let (mut trace, mut requests) = (ServingTrace::default(), Vec::new());
+        for &(done_ms, req, latency_ms, late) in done {
+            requests.push(RequestOutcome {
+                req,
+                tenant: 0,
+                arrival_ms: done_ms - latency_ms,
+                done_ms,
+                deadline_ms: if late { done_ms - 0.5 } else { f64::INFINITY },
+                violated: late,
+            });
+            trace.events.push(ServeEvent {
+                t_ns: ms_to_ns(done_ms),
+                tenant: 0,
+                kind: ServeEventKind::Complete { batch: 1, depth: 0 },
+            });
+        }
+        ChipEpochLog::read(&trace, &requests, true, (epoch, chip, start_ms, len_ms))
     }
 
     fn routes_for(cells: &[(usize, usize, f64)]) -> EpochRoutes {
@@ -695,9 +772,8 @@ mod tests {
         let mut fm = FleetMonitor::new(2, &[("resnet50", 50.0)]);
         fm.on_route(0, 0.0, &routes_for(&[(0, 1, 2000.0)]));
         fm.on_route(3, 1500.0, &routes_for(&[(0, 1, 419.6)]));
-        let mut live = chip_live(3, 1);
-        live.on_complete_request(0.3e9, 0, 4, 6.0, true);
-        fm.absorb_chip_epoch(1500.0, 1, &[(0, 419.6)], 500.0, &[], Some(&live), false);
+        let log = completions((3, 1), 1500.0, 500.0, &[(300.0, 4, 6.0, true)]);
+        fm.absorb_chip_epoch(1, &[(0, 419.6)], 500.0, &[], Some(&log), false);
         fm.snapshot_chip(1, "end-of-run snapshot");
         let id = trace_base(3, 1) + 4;
         assert_eq!(
@@ -716,28 +792,27 @@ mod tests {
             ]
         );
         assert_eq!(fm.resolving_exemplar(1), Some(id));
+        // The chip-epoch's clock closed at its first boundary, 1 s into
+        // the epoch.
+        assert_eq!(fm.dumps()[0].at_ns, 2.5e9);
     }
 
     #[test]
     fn merged_exemplar_resolves_to_the_owning_chip() {
         // Two chips serve the same tenant in epoch 0; chip 1 has the
-        // slowest request. After the per-chip -> per-tenant merge the
-        // tenant-level exemplar must still be a real span id whose
-        // encoding names chip 1, and whose span lives in chip 1's ring.
+        // slowest request. The tenant-level exemplar must be a real
+        // span id whose encoding names chip 1, and whose span lives in
+        // chip 1's ring.
         let mut fm = FleetMonitor::new(2, &[("m", 50.0)]);
-        let mut live0 = chip_live(0, 0);
-        live0.on_complete_request(0.3e9, 0, 4, 6.0, false);
-        live0.finish(1e9);
-        let mut live1 = chip_live(0, 1);
-        live1.on_complete_request(0.4e9, 0, 9, 30.0, false);
-        live1.finish(1e9);
-        fm.absorb_chip_epoch(0.0, 0, &[(0, 50.0)], 1000.0, &[], Some(&live0), false);
-        fm.absorb_chip_epoch(0.0, 1, &[(0, 50.0)], 1000.0, &[], Some(&live1), false);
+        let log0 = completions((0, 0), 0.0, 1000.0, &[(300.0, 4, 6.0, false)]);
+        let log1 = completions((0, 1), 0.0, 1000.0, &[(400.0, 9, 30.0, false)]);
+        fm.absorb_chip_epoch(0, &[(0, 50.0)], 1000.0, &[], Some(&log0), false);
+        fm.absorb_chip_epoch(1, &[(0, 50.0)], 1000.0, &[], Some(&log1), false);
         let e = fm.tenants[0]
             .latency
             .hist
             .exemplar_over(1e9, 2e9)
-            .expect("merged exemplar survives");
+            .expect("folded exemplar survives");
         assert_eq!(e.span_id, trace_base(0, 1) + 9, "slowest chip wins");
         assert_eq!(trace_chip(e.span_id), Some(1), "id encodes the chip");
         let label = format!("req {}", e.span_id);
@@ -752,6 +827,47 @@ mod tests {
     }
 
     #[test]
+    fn the_fleet_clock_is_exact_with_epochs_off_the_second() {
+        // 300 ms epochs on two chips: chip-epochs start off whole
+        // seconds, and each drains 20 ms past its end, so their samples
+        // cross fleet seconds. Every sample must land in the fleet
+        // second it completed in.
+        let (epoch_ms, epochs) = (300.0, 10);
+        let mut fm = FleetMonitor::new(2, &[("m", 50.0)]);
+        let mut want = [0.0; 4];
+        for epoch in 0..epochs {
+            let start_ms = epoch as f64 * epoch_ms;
+            for chip in 0..2 {
+                let done: Vec<(f64, u64, f64, bool)> = (0..8u64)
+                    .map(|i| (15.0 + 40.0 * i as f64 + 5.0 * chip as f64, i, 2.0, false))
+                    .collect();
+                for &(done_ms, ..) in &done {
+                    want[((start_ms + done_ms) / 1e3) as usize] += 1.0;
+                }
+                let log = completions((epoch, chip), start_ms, epoch_ms, &done);
+                fm.absorb_chip_epoch(chip, &[(0, 40.0)], epoch_ms, &[], Some(&log), false);
+            }
+            fm.end_epoch(epoch, start_ms + epoch_ms);
+        }
+        fm.finish(epochs - 1);
+        let per_second =
+            |series: &TimeSeries| series.windows().map(|(_, n)| n).collect::<Vec<f64>>();
+        assert_eq!(per_second(&fm.tenants[0].completions), want);
+        let hist: Vec<f64> = fm.tenants[0]
+            .latency
+            .hist
+            .windows()
+            .map(|w| w.hist.count() as f64)
+            .collect();
+        assert_eq!(hist, want);
+        // The fleet SLO judged each whole second on the same counts.
+        assert_eq!(
+            fm.tenants[0].slo().completed(),
+            want.iter().sum::<f64>() as u64
+        );
+    }
+
+    #[test]
     fn sustained_fleet_burn_alerts_and_attributes_the_hot_chip() {
         let mut fm = FleetMonitor::new(2, &[("m", 5.0)]);
         // Chip 1 violates half its deadline budget every epoch; chip 0
@@ -759,16 +875,15 @@ mod tests {
         for epoch in 0..10 {
             let start = epoch as f64 * 1000.0;
             fm.on_route(epoch, start, &routes_for(&[(0, 0, 20.0), (0, 1, 20.0)]));
-            let mut live0 = chip_live(epoch, 0);
-            let mut live1 = chip_live(epoch, 1);
-            for j in 0..20u64 {
-                let t = j as f64 * 4e7;
-                live0.on_complete_request(t, 0, j, 1.0, false);
-                let late = j % 2 == 0;
-                live1.on_complete_request(t, 0, j, if late { 40.0 } else { 1.0 }, late);
-            }
-            live0.finish(1e9);
-            live1.finish(1e9);
+            let clean: Vec<_> = (0..20u64)
+                .map(|j| (j as f64 * 40.0, j, 1.0, false))
+                .collect();
+            let hot: Vec<_> = (0..20u64)
+                .map(|j| {
+                    let late = j % 2 == 0;
+                    (j as f64 * 40.0, j, if late { 40.0 } else { 1.0 }, late)
+                })
+                .collect();
             let s0 = [SliceStats {
                 tenant: 0,
                 offered: 20,
@@ -781,8 +896,10 @@ mod tests {
                 violations: 10,
                 fault_dropped: 0,
             }];
-            fm.absorb_chip_epoch(start, 0, &[(0, 20.0)], 1000.0, &s0, Some(&live0), false);
-            fm.absorb_chip_epoch(start, 1, &[(0, 20.0)], 1000.0, &s1, Some(&live1), false);
+            let log0 = completions((epoch, 0), start, 1000.0, &clean);
+            let log1 = completions((epoch, 1), start, 1000.0, &hot);
+            fm.absorb_chip_epoch(0, &[(0, 20.0)], 1000.0, &s0, Some(&log0), false);
+            fm.absorb_chip_epoch(1, &[(0, 20.0)], 1000.0, &s1, Some(&log1), false);
             fm.end_epoch(epoch, start + 1000.0);
         }
         fm.finish(9);
@@ -821,18 +938,56 @@ mod tests {
     }
 
     #[test]
+    fn a_page_dump_holds_an_exemplar_another_chip_served() {
+        // Chip 0 carries the violations, so the page dumps its ring;
+        // the slowest request of the fast window ran on chip 1.
+        let mut fm = FleetMonitor::new(2, &[("m", 5.0)]);
+        for epoch in 0..4 {
+            let start = epoch as f64 * 1000.0;
+            let late: Vec<_> = (0..20u64)
+                .map(|j| (j as f64 * 40.0, j, 9.0, true))
+                .collect();
+            let slow = [(500.0, 0, 60.0 + epoch as f64, false)];
+            let s0 = [SliceStats {
+                tenant: 0,
+                offered: 20,
+                violations: 20,
+                fault_dropped: 0,
+            }];
+            let log0 = completions((epoch, 0), start, 1000.0, &late);
+            let log1 = completions((epoch, 1), start, 1000.0, &slow);
+            fm.absorb_chip_epoch(0, &[(0, 20.0)], 1000.0, &s0, Some(&log0), false);
+            fm.absorb_chip_epoch(1, &[(0, 1.0)], 1000.0, &[], Some(&log1), false);
+            fm.end_epoch(epoch, start + 1000.0);
+        }
+        let page = fm
+            .alerts()
+            .iter()
+            .find(|a| a.event.kind == AlertKind::BurnRate)
+            .expect("the violations page");
+        assert_eq!(page.chip, Some(0));
+        let id = page.event.exemplar.expect("a page carries an exemplar");
+        assert_eq!(trace_chip(id), Some(1));
+        let dump = &fm.dumps()[0];
+        assert!(dump.reason.contains("chip0"));
+        assert_eq!(
+            dump.spans[0].label,
+            format!("req {id}"),
+            "the exemplar comes first"
+        );
+    }
+
+    #[test]
     fn epoch_start_kill_charges_the_last_served_epoch() {
         let mut fm = FleetMonitor::new(2, &[("m", 50.0)]);
-        let mut live1 = chip_live(0, 1);
-        live1.on_complete_request(0.2e9, 0, 3, 2.0, false);
-        live1.finish(1e9);
+        let log1 = completions((0, 1), 0.0, 1000.0, &[(200.0, 3, 2.0, false)]);
         let s1 = [SliceStats {
             tenant: 0,
             offered: 40,
             violations: 0,
             fault_dropped: 0,
         }];
-        fm.absorb_chip_epoch(0.0, 1, &[(0, 40.0)], 1000.0, &s1, Some(&live1), false);
+        fm.absorb_chip_epoch(1, &[(0, 40.0)], 1000.0, &s1, Some(&log1), false);
         fm.end_epoch(0, 1000.0);
         // Chip 1 dies on the next epoch boundary, before serving.
         fm.on_chip_kill(1, 1000.0, 1, true);
@@ -863,7 +1018,7 @@ mod tests {
             violations: 0,
             fault_dropped: 0,
         }];
-        fm.absorb_chip_epoch(0.0, 0, &[(0, 100.0)], 1000.0, &s, None, true);
+        fm.absorb_chip_epoch(0, &[(0, 100.0)], 1000.0, &s, None, true);
         fm.on_chip_kill(0, 250.0, 0, false);
         let top = fm.top_offenders(1);
         assert_eq!(top[0].chip, 0);

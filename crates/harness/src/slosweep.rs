@@ -26,7 +26,6 @@ use dtu_serve::{
     LiveMonitor, RetryPolicy, ScalePolicy, ServeConfig, ServeError, ServiceModel, SlaPolicy,
     TenantSpec,
 };
-use dtu_sim::SimError;
 use dtu_telemetry::json::{array, escape, number, JsonObject};
 use dtu_telemetry::{AlertKind, SloSpec};
 
@@ -395,10 +394,7 @@ pub fn run_slo_scenario(
         scenario.percentile,
         deadline_ms,
     );
-    let mut mon = LiveMonitor::new(LiveConfig {
-        slo: Some(spec),
-        ..LiveConfig::default()
-    });
+    let mut mon = LiveMonitor::new(LiveConfig { slo: Some(spec) });
     let cfg = scenario_cfg(
         model.name(),
         scenario,
@@ -411,7 +407,7 @@ pub fn run_slo_scenario(
     let ok = match outcome {
         Ok(_) => true,
         // The last group died: an outage finding, not a sweep failure.
-        Err(ServeError::Sim(SimError::Fault(_))) => false,
+        Err(ServeError::Outage(_)) => false,
         Err(other) => return Err(serve_err(model.name(), plan_name)(other)),
     };
 

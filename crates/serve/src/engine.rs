@@ -14,10 +14,10 @@ use crate::metrics::{
 };
 use crate::model::ServiceModel;
 use crate::stats::{LatencyStats, Sample};
-use crate::{ArrivalGen, ServeError};
+use crate::{ArrivalGen, Outage, ServeError};
 use dtu_compiler::Placement;
 use dtu_faults::{FaultError, FaultRng, FaultSession};
-use dtu_sim::{ChipConfig, GroupId, SimError};
+use dtu_sim::{ChipConfig, GroupId};
 use dtu_telemetry::clock::ms_to_ns;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -134,7 +134,7 @@ struct Tenant {
 }
 
 /// The engine: event heap plus per-tenant state plus the group pool.
-struct Engine<'m, 's, 'l> {
+struct Engine<'m, 's> {
     heap: BinaryHeap<Ev>,
     seq: u64,
     next_req: u64,
@@ -156,10 +156,6 @@ struct Engine<'m, 's, 'l> {
     /// Jitter source for retry backoff; drawn from only when a retry
     /// is actually scheduled.
     rng: FaultRng,
-    /// Live observability sidecar. Strictly observational: hooks only
-    /// read engine state and write nothing back, so a monitored run
-    /// returns the exact same outcome as a plain one.
-    live: Option<&'l mut LiveMonitor>,
 }
 
 /// Runs one serving scenario to completion.
@@ -176,24 +172,26 @@ struct Engine<'m, 's, 'l> {
 /// arrival process or horizon that
 /// [`ArrivalProcess::validate`](crate::ArrivalProcess::validate)
 /// rejects) and compile/simulate failures from the service models
-/// surface as [`ServeError`].
+/// surface as [`ServeError`]. A fault that takes a tenant's last
+/// processing group stops the run with [`ServeError::Outage`], which
+/// carries the log up to the outage.
 pub fn run_serving(
     cfg: &ServeConfig,
     chip: &ChipConfig,
     models: &mut [&mut dyn ServiceModel],
 ) -> Result<ServeOutcome, ServeError> {
-    drive(cfg, chip, models, None)
+    drive(cfg, chip, models, cfg.record_requests)
 }
 
-/// Runs a serving scenario with a [`LiveMonitor`] attached: windowed
-/// time-series, per-window latency histograms with exemplars, SLO
-/// burn-rate evaluation at every simulated-second boundary, and the
-/// span flight recorder, all fed by in-engine hooks as events happen.
+/// Runs a serving scenario and folds its log into `live`
+/// ([`LiveMonitor::fold`]): windowed time-series, per-window latency
+/// histograms with exemplars, SLO burn-rate evaluation at every
+/// simulated-second boundary, and the span flight recorder. A run a
+/// fault stopped folds its log up to the outage.
 ///
-/// The monitor is strictly observational — the returned
-/// [`ServeOutcome`] is identical to what [`run_serving`] would produce
-/// for the same configuration; alerts land in
-/// [`LiveMonitor::alerts`].
+/// The run records its requests for the fold whatever `cfg` says, and
+/// returns exactly what [`run_serving`] returns for `cfg`; alerts land
+/// in [`LiveMonitor::alerts`].
 ///
 /// # Errors
 ///
@@ -204,8 +202,19 @@ pub fn run_serving_live(
     models: &mut [&mut dyn ServiceModel],
     live: &mut LiveMonitor,
 ) -> Result<ServeOutcome, ServeError> {
-    live.begin(&cfg.tenants);
-    drive(cfg, chip, models, Some(live))
+    let mut run = drive(cfg, chip, models, true);
+    let mut fold = |trace: &ServingTrace, requests: &mut Vec<RequestOutcome>, finished| {
+        live.fold(cfg, trace, requests, finished);
+        if !cfg.record_requests {
+            *requests = Vec::new();
+        }
+    };
+    match &mut run {
+        Ok(out) => fold(&out.trace, &mut out.requests, true),
+        Err(ServeError::Outage(o)) => fold(&o.trace, &mut o.requests, false),
+        Err(_) => fold(&ServingTrace::default(), &mut Vec::new(), false),
+    }
+    run
 }
 
 /// The event loop behind both entry points.
@@ -213,33 +222,24 @@ fn drive(
     cfg: &ServeConfig,
     chip: &ChipConfig,
     models: &mut [&mut dyn ServiceModel],
-    live: Option<&mut LiveMonitor>,
+    record_requests: bool,
 ) -> Result<ServeOutcome, ServeError> {
-    let mut engine = Engine::new(cfg, chip, models)?;
-    engine.live = live;
+    let mut engine = Engine::new(cfg, chip, models, record_requests)?;
     engine.seed_arrivals(cfg);
     while let Some(ev) = engine.heap.pop() {
         engine.step(ev, cfg)?;
     }
-    if let Some(mon) = engine.live.as_deref_mut() {
-        // Judge the trailing windows: one final evaluation past the
-        // last event (or the horizon, whichever is later).
-        let last_ns = engine
-            .trace
-            .events
-            .last()
-            .map_or(0.0, |e| e.t_ns)
-            .max(ms_to_ns(cfg.duration_ms));
-        mon.finish(last_ns);
-    }
-    Ok(engine.finish(cfg))
+    let out = engine.finish(cfg);
+    debug_assert!(out.report.balanced(), "accounting identity violated");
+    Ok(out)
 }
 
-impl<'m, 's, 'l> Engine<'m, 's, 'l> {
+impl<'m, 's> Engine<'m, 's> {
     fn new(
         cfg: &ServeConfig,
         chip: &ChipConfig,
         models: &'m mut [&'s mut dyn ServiceModel],
+        record_requests: bool,
     ) -> Result<Self, ServeError> {
         if cfg.tenants.is_empty() {
             return Err(ServeError::Config("a serving run needs tenants".into()));
@@ -359,13 +359,12 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
             models,
             trace: ServingTrace::default(),
             requests: Vec::new(),
-            record_requests: cfg.record_requests,
+            record_requests,
             faults,
             dead: vec![vec![false; chip.groups_per_cluster]; chip.clusters],
             groups_per_cluster: chip.groups_per_cluster,
             retry: cfg.retry,
             rng: FaultRng::new(cfg.seed ^ RETRY_RNG_SALT),
-            live: None,
         })
     }
 
@@ -385,11 +384,6 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
     }
 
     fn step(&mut self, ev: Ev, cfg: &ServeConfig) -> Result<(), ServeError> {
-        // Run any SLO evaluation boundaries the clock just crossed
-        // before handling the event at `ev.t`.
-        if let Some(mon) = self.live.as_deref_mut() {
-            mon.advance(ms_to_ns(ev.t));
-        }
         match ev.kind {
             EvKind::Arrival { tenant } => self.on_arrival(ev.t, tenant, cfg)?,
             EvKind::BatchDeadline { tenant, epoch } => {
@@ -423,9 +417,6 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
                     tenant,
                     kind: ServeEventKind::Shed { req: req_id, depth },
                 });
-                if let Some(mon) = self.live.as_deref_mut() {
-                    mon.on_shed(ms_to_ns(t), tenant, req_id);
-                }
             } else {
                 ten.queue.push_back(Request {
                     id: req_id,
@@ -566,16 +557,14 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
                 service_ms,
             },
         });
-        if let Some(mon) = self.live.as_deref_mut() {
-            mon.on_dispatch(ms_to_ns(t), tenant, count, service_ms);
-        }
         self.push(t + service_ms, EvKind::Complete { tenant });
         Ok(())
     }
 
     /// Removes every group of `tenant` whose cores have failed by time
     /// `t`, poisoning the freed slots so the autoscaler can never
-    /// reclaim them. Surfaces the fault when no groups survive.
+    /// reclaim them. When no groups survive, the run stops with an
+    /// [`Outage`] that takes the log along.
     fn lose_failed_groups(&mut self, t: f64, tenant: usize) -> Result<(), ServeError> {
         let t_ns = ms_to_ns(t);
         let gpc = self.groups_per_cluster;
@@ -606,11 +595,12 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
                     remaining,
                 },
             });
-            if let Some(mon) = self.live.as_deref_mut() {
-                mon.on_group_lost(ms_to_ns(t), tenant, g.cluster, g.group);
-            }
             if remaining == 0 {
-                return Err(ServeError::Sim(SimError::Fault(e)));
+                return Err(ServeError::Outage(Box::new(Outage {
+                    fault: e,
+                    trace: std::mem::take(&mut self.trace),
+                    requests: std::mem::take(&mut self.requests),
+                })));
             }
         }
         Ok(())
@@ -633,14 +623,8 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
         self.trace.events.push(ServeEvent {
             t_ns: ms_to_ns(t),
             tenant,
-            kind: ServeEventKind::Fault {
-                label: label.to_string(),
-                attempt,
-            },
+            kind: ServeEventKind::Fault { label, attempt },
         });
-        if let Some(mon) = self.live.as_deref_mut() {
-            mon.on_fault(ms_to_ns(t), tenant, label);
-        }
         if attempt > self.retry.max_attempts {
             let dropped = {
                 let ten = &mut self.tenants[tenant];
@@ -656,9 +640,6 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
                 tenant,
                 kind: ServeEventKind::FaultDrop { dropped },
             });
-            if let Some(mon) = self.live.as_deref_mut() {
-                mon.on_fault_drop(ms_to_ns(t), tenant, dropped);
-            }
             return self.try_dispatch(t, tenant);
         }
         self.tenants[tenant].retries += 1;
@@ -705,9 +686,6 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
                 tenant,
                 kind: ServeEventKind::FaultDrop { dropped: expired },
             });
-            if let Some(mon) = self.live.as_deref_mut() {
-                mon.on_fault_drop(ms_to_ns(t), tenant, expired);
-            }
         }
         if self.tenants[tenant].in_flight.is_empty() {
             let ten = &mut self.tenants[tenant];
@@ -735,15 +713,6 @@ impl<'m, 's, 'l> Engine<'m, 's, 'l> {
                         deadline_ms: req.deadline_ms,
                         violated,
                     });
-                }
-                if let Some(mon) = self.live.as_deref_mut() {
-                    mon.on_complete_request(
-                        ms_to_ns(t),
-                        tenant,
-                        req.id,
-                        t - req.arrival_ms,
-                        violated,
-                    );
                 }
             }
             ten.busy = false;
@@ -1177,11 +1146,13 @@ mod tests {
             out.report.fault_dropped >= 1,
             "batch dropped on first fault"
         );
-        assert_eq!(
-            out.report.offered,
-            out.report.completed + out.report.shed + out.report.fault_dropped,
+        assert!(
+            out.report.balanced(),
             "every request completes, is shed, or is fault-dropped"
         );
+        let mut leak = out.report.clone();
+        leak.tenants[0].shed += 1;
+        assert!(!leak.balanced(), "each tenant's books are checked too");
         assert!(has_kind(&out, "fault-drop") && !has_kind(&out, "retry"));
     }
 
@@ -1239,13 +1210,32 @@ mod tests {
     #[test]
     fn last_group_lost_surfaces_the_fault() {
         let mut cfg = one_tenant(100.0);
-        cfg.faults = fault_plan(vec![fault_at(0.0, 0, 0, FaultKind::CoreFailure)]);
+        cfg.record_requests = true;
+        cfg.faults = fault_plan(vec![fault_at(100.0, 0, 0, FaultKind::CoreFailure)]);
         let mut m = AnalyticModel::new("m", 0.5);
         let err = run_serving(&cfg, &ChipConfig::dtu20(), &mut [&mut m]).unwrap_err();
-        match err {
-            ServeError::Sim(dtu_sim::SimError::Fault(e)) => assert!(e.is_permanent()),
-            other => panic!("expected a fault, got {other}"),
-        }
+        let ServeError::Outage(o) = err else {
+            panic!("expected an outage, got {err}");
+        };
+        assert!(o.fault.is_permanent());
+        // The log runs up to the outage: the lost group is its last
+        // event, and every completion before it is recorded.
+        let last = o.trace.events.last().expect("events before the outage");
+        assert!(matches!(
+            last.kind,
+            ServeEventKind::GroupLost { remaining: 0, .. }
+        ));
+        let completions: usize = o
+            .trace
+            .events
+            .iter()
+            .map(|e| match e.kind {
+                ServeEventKind::Complete { batch, .. } => batch,
+                _ => 0,
+            })
+            .sum();
+        assert!(completions > 0);
+        assert_eq!(o.requests.len(), completions);
     }
 
     #[test]
@@ -1286,7 +1276,6 @@ mod tests {
         let plain = run(&cfg, 0.5);
         let mut mon = LiveMonitor::new(LiveConfig {
             slo: Some(SloSpec::new("p99<10ms", 0.99, 10.0)),
-            ..LiveConfig::default()
         });
         let live = run_live(&cfg, 0.5, &mut mon);
         assert_eq!(live, plain, "monitoring must not feed back");
@@ -1305,7 +1294,6 @@ mod tests {
         let paging = || {
             LiveMonitor::new(LiveConfig {
                 slo: Some(SloSpec::new("p99<0.1ms", 0.99, 0.1)),
-                ..LiveConfig::default()
             })
         };
         let mut fresh = paging();
@@ -1326,12 +1314,32 @@ mod tests {
         cfg.tenants[0].initial_groups = 2;
         cfg.faults = fault_plan(vec![fault_at(1.0, 0, 1, FaultKind::CoreFailure)]);
         let plain = run(&cfg, 1.0);
-        let mut mon = LiveMonitor::with_defaults();
+        let mut mon = LiveMonitor::new(LiveConfig::default());
         let live = run_live(&cfg, 1.0, &mut mon);
         assert_eq!(live, plain);
         // The core failure triggers a flight-recorder dump even without
         // an SLO configured, and pages as a fault alert.
         assert!(!mon.flight.dumps().is_empty(), "fault must dump the ring");
         assert!(mon.alerts.iter().any(|(_, a)| a.kind == AlertKind::Fault));
+    }
+
+    #[test]
+    fn live_aborted_run_returns_the_plain_error_and_stops_at_the_outage() {
+        let mut cfg = one_tenant(100.0);
+        cfg.faults = fault_plan(vec![fault_at(100.0, 0, 0, FaultKind::CoreFailure)]);
+        let mut m = AnalyticModel::new("m", 0.5);
+        let plain = run_serving(&cfg, &ChipConfig::dtu20(), &mut [&mut m]).unwrap_err();
+        let mut mon = LiveMonitor::new(LiveConfig::default());
+        let mut m = AnalyticModel::new("m", 0.5);
+        let live = run_serving_live(&cfg, &ChipConfig::dtu20(), &mut [&mut m], &mut mon);
+        assert_eq!(live, Err(plain.clone()), "requests stay unrecorded");
+        let ServeError::Outage(o) = plain else {
+            panic!("expected an outage, got {plain}");
+        };
+        let outage_ns = o.trace.events.last().expect("the lost group").t_ns;
+        assert_eq!(mon.now_ns(), outage_ns, "no evaluation past the outage");
+        assert!(mon.tenants()[0].completions.total() > 0.0);
+        let (_, last) = mon.alerts.last().expect("the outage pages");
+        assert_eq!((last.slo.as_str(), last.t_ns), ("core-failure", outage_ns));
     }
 }

@@ -82,7 +82,7 @@ pub use generative::{
     GenReport, GenerativeScenario,
 };
 pub use kv::{KvCacheConfig, KvStats, PagedKvCache};
-pub use live::{LiveConfig, LiveMonitor, ServeRecord, TenantLive, TenantRow};
+pub use live::{LiveConfig, LiveMonitor, ServeRecord, ServeRecordKind, TenantLive, TenantRow};
 pub use metrics::{
     event_to_span, RequestOutcome, ServeEvent, ServeEventKind, ServeReport, ServingTrace,
     TenantReport,
@@ -92,6 +92,7 @@ pub use stats::{percentile, LatencyStats, Sample};
 pub use token_model::{AnalyticTokenModel, CompiledTokenModel, PrefillOnly, TokenModel};
 
 use dtu_compiler::CompileError;
+use dtu_faults::FaultError;
 use dtu_sim::SimError;
 use std::error::Error;
 use std::fmt;
@@ -106,6 +107,21 @@ pub enum ServeError {
     Compile(CompileError),
     /// Simulating a compiled session failed.
     Sim(SimError),
+    /// A fault took a tenant's last processing group and stopped a
+    /// single-shot run; the run's log up to the outage comes with it.
+    Outage(Box<Outage>),
+}
+
+/// A single-shot run stopped by a fault, and its log up to then.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Outage {
+    /// The fault that took the last group.
+    pub fault: FaultError,
+    /// Events up to the outage, the group losses included.
+    pub trace: ServingTrace,
+    /// Requests completed before it; kept only when
+    /// [`ServeConfig::record_requests`] is set.
+    pub requests: Vec<RequestOutcome>,
 }
 
 impl fmt::Display for ServeError {
@@ -114,6 +130,7 @@ impl fmt::Display for ServeError {
             ServeError::Config(msg) => write!(f, "serving config error: {msg}"),
             ServeError::Compile(e) => write!(f, "serving compile error: {e}"),
             ServeError::Sim(e) => write!(f, "serving simulation error: {e}"),
+            ServeError::Outage(o) => write!(f, "serving simulation error: fault: {}", o.fault),
         }
     }
 }
@@ -124,6 +141,7 @@ impl Error for ServeError {
             ServeError::Config(_) => None,
             ServeError::Compile(e) => Some(e),
             ServeError::Sim(e) => Some(e),
+            ServeError::Outage(o) => Some(&o.fault),
         }
     }
 }
@@ -152,6 +170,24 @@ mod tests {
         let e: ServeError = SimError::InvalidConfig("y".into()).into();
         assert!(e.to_string().contains("simulation"));
         assert!(e.source().is_some());
+    }
+
+    #[test]
+    fn an_outage_reads_as_the_fault_it_carries() {
+        let fault = FaultError::CoreFailure {
+            cluster: 0,
+            group: 1,
+            at_ns: 5.0,
+        };
+        let outage = ServeError::Outage(Box::new(Outage {
+            fault,
+            trace: ServingTrace::default(),
+            requests: Vec::new(),
+        }));
+        assert_eq!(
+            outage.to_string(),
+            ServeError::Sim(SimError::Fault(fault)).to_string()
+        );
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Live observability for serving runs: windowed metrics, SLO burn
-//! rates, and the span flight recorder, fed by engine hooks.
+//! rates, and the span flight recorder, folded from a run's log.
 //!
-//! A [`LiveMonitor`] rides along a serving run (see
-//! [`run_serving_live`](crate::run_serving_live)) and observes every
-//! shed, dispatch, completion, and fault *as it happens* on the
-//! simulated clock — the operator's view the end-of-run
-//! [`ServeReport`](crate::ServeReport) cannot give. It never feeds
-//! anything back into the engine: a monitored run returns the exact
-//! same outcome as a plain one.
+//! A [`LiveMonitor`] folds a finished single-shot run's log (see
+//! [`run_serving_live`](crate::run_serving_live)), replaying every
+//! shed, dispatch, completion, and fault on the simulated clock — the
+//! operator's view the end-of-run [`ServeReport`](crate::ServeReport)
+//! cannot give. It never touches the engine: a monitored run returns
+//! the exact same outcome as a plain one.
 //!
 //! Per tenant it maintains:
 //! * windowed [`TimeSeries`] rings — sheds, fault drops, completions,
@@ -18,13 +17,14 @@
 //!
 //! One shared [`FlightRecorder`] keeps the most recent activity as
 //! [`ServeRecord`]s: a kind, a tenant, ids and two times, with no
-//! label. The hooks build no string; a record becomes a labelled
-//! [`Span`] only when a dump freezes the ring — the moment a burn-rate
-//! alert fires or an injected fault lands — and the dump loads in
-//! Perfetto.
+//! label. A record becomes a labelled [`Span`] only when a dump freezes
+//! the ring — the moment a burn-rate alert fires or an injected fault
+//! lands — and the dump loads in Perfetto. The fleet monitor folds the
+//! same records ([`ServeRecord::read_log`]).
 
-use crate::config::TenantSpec;
-use dtu_telemetry::clock::NS_PER_MS;
+use crate::config::ServeConfig;
+use crate::metrics::{RequestOutcome, ServeEventKind, ServingTrace};
+use dtu_telemetry::clock::{ms_to_ns, NS_PER_MS};
 use dtu_telemetry::flight::DEFAULT_CAPACITY;
 use dtu_telemetry::monitor::series;
 use dtu_telemetry::{
@@ -34,10 +34,10 @@ use dtu_telemetry::{
 
 /// What a [`ServeRecord`] stands for.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum ServeRecordKind {
+pub enum ServeRecordKind {
     /// A request shed by admission control (`shed {req}`).
     Shed {
-        /// Request id, trace base included.
+        /// Request id, id base included.
         req: u64,
     },
     /// A batch in service (`batch {size}`).
@@ -48,8 +48,10 @@ enum ServeRecordKind {
     /// A completed request (`req {req}`, plus ` (late)` past its
     /// deadline).
     Req {
-        /// Request id, trace base included.
+        /// Request id, id base included.
         req: u64,
+        /// End-to-end latency as the engine measured it, ms.
+        latency_ms: f64,
         /// Whether the request missed its deadline.
         late: bool,
     },
@@ -73,35 +75,90 @@ enum ServeRecordKind {
     },
 }
 
-/// One entry of a [`LiveMonitor`]'s flight ring: a kind, the tenant
-/// (the span's track) and its interval on the shared clock. Markers
-/// and faults are instants (`start_ns == end_ns`).
+impl ServeRecordKind {
+    /// Whether this is the completion of request `id`.
+    pub fn is_req(&self, id: u64) -> bool {
+        matches!(*self, ServeRecordKind::Req { req, .. } if req == id)
+    }
+}
+
+/// One entry of a monitor's flight ring: a kind, the tenant (the span's
+/// track) and its interval on the shared clock. Markers and faults are
+/// instants (`start_ns == end_ns`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeRecord {
     /// What happened.
-    kind: ServeRecordKind,
-    /// Tenant index.
-    tenant: u32,
+    pub kind: ServeRecordKind,
+    /// Tenant index in the run that logged it.
+    pub tenant: u32,
     /// Start, shared clock ns.
-    start_ns: f64,
+    pub start_ns: f64,
     /// End, shared clock ns.
-    end_ns: f64,
+    pub end_ns: f64,
 }
 
 impl ServeRecord {
-    /// The same record `offset_ns` later (the fleet moves chip-epoch
-    /// records onto the fleet clock).
-    pub fn shifted(mut self, offset_ns: f64) -> Self {
-        self.start_ns += offset_ns;
-        self.end_ns += offset_ns;
-        self
+    /// Reads a single-shot run's log as records, in the order the
+    /// engine logged them: a completion's requests come before its
+    /// `Complete` event, and so before anything that completion
+    /// dispatched. `requests` must hold every completion (the run
+    /// recorded them). Request ids get `id_base` added and every time
+    /// `offset_ns`, which places a fleet chip-epoch on the fleet clock.
+    pub fn read_log<'a>(
+        trace: &'a ServingTrace,
+        requests: &'a [RequestOutcome],
+        id_base: u64,
+        offset_ns: f64,
+    ) -> impl Iterator<Item = ServeRecord> + 'a {
+        let (mut events, mut done, mut pending) = (trace.events.iter(), requests.iter(), 0);
+        let record = move |kind, tenant: usize, start_ns: f64, end_ns: f64| ServeRecord {
+            kind,
+            tenant: tenant as u32,
+            start_ns: start_ns + offset_ns,
+            end_ns: end_ns + offset_ns,
+        };
+        std::iter::from_fn(move || loop {
+            if let Some(r) = (pending > 0).then(|| done.next()).flatten() {
+                pending -= 1;
+                let (t_ns, latency_ms) = (ms_to_ns(r.done_ms), r.done_ms - r.arrival_ms);
+                let kind = ServeRecordKind::Req {
+                    req: id_base + r.req,
+                    latency_ms,
+                    late: r.violated,
+                };
+                return Some(record(kind, r.tenant, t_ns - latency_ms * NS_PER_MS, t_ns));
+            }
+            let e = events.next()?;
+            let mut end_ns = e.t_ns;
+            let kind = match e.kind {
+                ServeEventKind::Complete { batch, .. } => {
+                    pending = batch;
+                    continue;
+                }
+                ServeEventKind::Shed { req, .. } => ServeRecordKind::Shed { req: id_base + req },
+                ServeEventKind::Dispatch {
+                    batch, service_ms, ..
+                } => {
+                    end_ns += service_ms * NS_PER_MS;
+                    ServeRecordKind::Batch { size: batch }
+                }
+                ServeEventKind::FaultDrop { dropped } => ServeRecordKind::FaultDrop { dropped },
+                ServeEventKind::Fault { label, .. } => ServeRecordKind::Fault { label },
+                ServeEventKind::GroupLost { cluster, group, .. } => {
+                    ServeRecordKind::GroupLost { cluster, group }
+                }
+                _ => continue,
+            };
+            return Some(record(kind, e.tenant, e.t_ns, end_ns));
+        })
     }
 
-    /// The request id, when the record is a completed request.
-    pub fn completed_req(&self) -> Option<u64> {
+    /// When a monitor observes the record: a completed request at its
+    /// end, everything else at its start.
+    pub fn at_ns(&self) -> f64 {
         match self.kind {
-            ServeRecordKind::Req { req, .. } => Some(req),
-            _ => None,
+            ServeRecordKind::Req { .. } => self.end_ns,
+            _ => self.start_ns,
         }
     }
 }
@@ -111,7 +168,7 @@ impl FlightRecord for ServeRecord {
         let (kind, label) = match self.kind {
             ServeRecordKind::Shed { req } => (SpanKind::Marker, format!("shed {req}")),
             ServeRecordKind::Batch { size } => (SpanKind::Batch, format!("batch {size}")),
-            ServeRecordKind::Req { req, late } => (
+            ServeRecordKind::Req { req, late, .. } => (
                 SpanKind::Request,
                 format!("req {req}{}", if late { " (late)" } else { "" }),
             ),
@@ -139,11 +196,6 @@ impl FlightRecord for ServeRecord {
 pub struct LiveConfig {
     /// SLO applied to every tenant (`None` = metrics only, no alerts).
     pub slo: Option<SloSpec>,
-    /// Offset added to every request id in span labels and exemplars
-    /// (default 0 = local ids). The fleet layer sets a per-(epoch,
-    /// chip) base here so request ids are unique fleet-wide and a
-    /// merged exemplar still names the chip and epoch that served it.
-    pub trace_base: u64,
 }
 
 /// One tenant's live state.
@@ -222,7 +274,8 @@ pub struct TenantRow {
     pub latency: ObjectiveRow,
 }
 
-/// The live observability sidecar of one serving run.
+/// The live observability view of one serving run, folded from its
+/// log.
 #[derive(Debug, Clone)]
 pub struct LiveMonitor {
     cfg: LiveConfig,
@@ -237,7 +290,7 @@ pub struct LiveMonitor {
 }
 
 impl LiveMonitor {
-    /// Creates a monitor; tenants attach via [`LiveMonitor::begin`].
+    /// Creates a monitor; [`LiveMonitor::fold`] fills it.
     pub fn new(cfg: LiveConfig) -> Self {
         LiveMonitor {
             cfg,
@@ -249,20 +302,34 @@ impl LiveMonitor {
         }
     }
 
-    /// A monitor with no SLO.
-    pub fn with_defaults() -> Self {
-        LiveMonitor::new(LiveConfig::default())
-    }
-
-    /// Resets the monitor to a fresh one's state — flight ring, dumps
-    /// and trigger count included — with one entry per tenant. Called
-    /// by [`run_serving_live`](crate::run_serving_live).
-    pub fn begin(&mut self, tenants: &[TenantSpec]) {
+    /// Folds the log of a run of `cfg` (`requests` must hold every
+    /// completion) into the monitor, replacing all it held. Each record
+    /// is observed after every evaluation boundary before it. A
+    /// `finished` run then takes one more boundary past its last event
+    /// or its horizon, so trailing windows are judged; a run a fault
+    /// stopped ends at its last event.
+    pub fn fold(
+        &mut self,
+        cfg: &ServeConfig,
+        trace: &ServingTrace,
+        requests: &[RequestOutcome],
+        finished: bool,
+    ) {
         *self = LiveMonitor::new(self.cfg.clone());
-        self.tenants = tenants
+        self.tenants = cfg
+            .tenants
             .iter()
             .map(|t| TenantLive::new(&t.name, self.cfg.slo.clone()))
             .collect();
+        for record in ServeRecord::read_log(trace, requests, 0, 0.0) {
+            self.advance(record.at_ns());
+            self.observe(record);
+        }
+        if finished {
+            let last_ns = trace.events.last().map_or(0.0, |e| e.t_ns);
+            self.advance(last_ns);
+            self.advance(self.clock.closing(last_ns.max(ms_to_ns(cfg.duration_ms))));
+        }
     }
 
     /// Per-tenant live state.
@@ -287,7 +354,7 @@ impl LiveMonitor {
     /// in [`LiveMonitor::alerts`]; a burn-rate page dumps the flight
     /// recorder, and the dump holds the page's exemplar request even
     /// when it completed before the ring's oldest record.
-    pub fn advance(&mut self, t_ns: f64) {
+    fn advance(&mut self, t_ns: f64) {
         self.now_ns = self.now_ns.max(t_ns);
         while let Some(at) = self.clock.tick(t_ns) {
             for (idx, ten) in self.tenants.iter_mut().enumerate() {
@@ -295,7 +362,7 @@ impl LiveMonitor {
                     if alert.kind == AlertKind::BurnRate {
                         let exemplar = alert
                             .exemplar
-                            .and_then(|id| ten.slowest.find(|r| r.completed_req() == Some(id)));
+                            .and_then(|id| ten.slowest.find(|r| r.kind.is_req(id)));
                         self.flight.trigger_page(
                             format_args!("alert {} ({})", alert.slo, ten.name),
                             at,
@@ -308,99 +375,45 @@ impl LiveMonitor {
         }
     }
 
-    /// Finishes the run at `end_ns`: runs the remaining boundaries plus
-    /// at least one more, so trailing windows are judged.
-    pub fn finish(&mut self, end_ns: f64) {
-        self.advance(self.clock.closing(end_ns));
-    }
-
-    // ---- engine hooks (pure observation) ------------------------------
-
-    /// Appends a record of `kind` for `tenant` over `[start_ns, end_ns]`.
-    fn record(&mut self, kind: ServeRecordKind, tenant: usize, start_ns: f64, end_ns: f64) {
-        self.flight.record(ServeRecord {
-            kind,
-            tenant: tenant as u32,
-            start_ns,
-            end_ns,
-        });
-    }
-
-    /// A request was shed by admission control.
-    pub fn on_shed(&mut self, t_ns: f64, tenant: usize, req: u64) {
-        if let Some(t) = self.tenants.get_mut(tenant) {
-            t.sheds.add(t_ns, 1.0);
-        }
-        let req = self.cfg.trace_base + req;
-        self.record(ServeRecordKind::Shed { req }, tenant, t_ns, t_ns);
-    }
-
-    /// A batch started service.
-    pub fn on_dispatch(&mut self, t_ns: f64, tenant: usize, batch: usize, service_ms: f64) {
-        if let Some(t) = self.tenants.get_mut(tenant) {
-            t.dispatches.add(t_ns, 1.0);
-            t.batch_occupancy.add(t_ns, batch as f64);
-        }
-        let end_ns = t_ns + service_ms * NS_PER_MS;
-        self.record(ServeRecordKind::Batch { size: batch }, tenant, t_ns, end_ns);
-    }
-
-    /// A request completed; `req` is its id (the exemplar span id).
-    pub fn on_complete_request(
-        &mut self,
-        t_ns: f64,
-        tenant: usize,
-        req: u64,
-        latency_ms: f64,
-        violated: bool,
-    ) {
-        let id = self.cfg.trace_base + req;
-        let record = ServeRecord {
-            kind: ServeRecordKind::Req {
-                req: id,
-                late: violated,
-            },
-            tenant: tenant as u32,
-            start_ns: t_ns - latency_ms * NS_PER_MS,
-            end_ns: t_ns,
-        };
-        if let Some(t) = self.tenants.get_mut(tenant) {
-            t.completions.add(t_ns, 1.0);
-            if violated {
-                t.violations.add(t_ns, 1.0);
-            }
-            t.latency.observe(t_ns, latency_ms, id);
-            t.slowest.note(t_ns, latency_ms, record);
-        }
+    /// Observes one record of the log at its time: the tenant's series
+    /// and objective take it, the flight ring keeps it, and a fault or
+    /// a lost group raises a fault alert and dumps the ring.
+    fn observe(&mut self, record: ServeRecord) {
+        let t_ns = record.at_ns();
+        let tenant = record.tenant as usize;
         self.flight.record(record);
-    }
-
-    /// A transient injected fault hit the tenant's in-flight batch:
-    /// raises a fault alert and dumps the flight recorder.
-    pub fn on_fault(&mut self, t_ns: f64, tenant: usize, label: &'static str) {
-        self.record(ServeRecordKind::Fault { label }, tenant, t_ns, t_ns);
-        self.flight.trigger(format_args!("fault {label}"), t_ns);
-        self.alerts
-            .push((tenant, AlertEvent::fault(t_ns, label, None)));
-    }
-
-    /// Requests were fault-dropped.
-    pub fn on_fault_drop(&mut self, t_ns: f64, tenant: usize, dropped: usize) {
-        if let Some(t) = self.tenants.get_mut(tenant) {
-            t.fault_drops.add(t_ns, dropped as f64);
+        let ten = &mut self.tenants[tenant];
+        match record.kind {
+            ServeRecordKind::Shed { .. } => ten.sheds.add(t_ns, 1.0),
+            ServeRecordKind::Batch { size } => {
+                ten.dispatches.add(t_ns, 1.0);
+                ten.batch_occupancy.add(t_ns, size as f64);
+            }
+            ServeRecordKind::Req {
+                req,
+                latency_ms,
+                late,
+            } => {
+                ten.completions.add(t_ns, 1.0);
+                if late {
+                    ten.violations.add(t_ns, 1.0);
+                }
+                ten.latency.observe(t_ns, latency_ms, req);
+                ten.slowest.note(t_ns, latency_ms, record);
+            }
+            ServeRecordKind::FaultDrop { dropped } => ten.fault_drops.add(t_ns, dropped as f64),
+            ServeRecordKind::Fault { label } => {
+                self.flight.trigger(format_args!("fault {label}"), t_ns);
+                self.alerts
+                    .push((tenant, AlertEvent::fault(t_ns, label, None)));
+            }
+            ServeRecordKind::GroupLost { cluster, group } => {
+                self.flight
+                    .trigger(format_args!("core-failure {cluster}.{group}"), t_ns);
+                self.alerts
+                    .push((tenant, AlertEvent::fault(t_ns, "core-failure", None)));
+            }
         }
-        self.record(ServeRecordKind::FaultDrop { dropped }, tenant, t_ns, t_ns);
-    }
-
-    /// A core failure removed one of the tenant's groups: a permanent
-    /// fault, so it too raises a fault alert and dumps the recorder.
-    pub fn on_group_lost(&mut self, t_ns: f64, tenant: usize, cluster: usize, group: usize) {
-        let kind = ServeRecordKind::GroupLost { cluster, group };
-        self.record(kind, tenant, t_ns, t_ns);
-        self.flight
-            .trigger(format_args!("core-failure {cluster}.{group}"), t_ns);
-        self.alerts
-            .push((tenant, AlertEvent::fault(t_ns, "core-failure", None)));
     }
 }
 
@@ -408,40 +421,119 @@ impl LiveMonitor {
 mod tests {
     use super::*;
 
+    /// A hand-written run log.
+    #[derive(Default)]
+    struct Log {
+        trace: ServingTrace,
+        requests: Vec<RequestOutcome>,
+    }
+
+    impl Log {
+        fn event(&mut self, t_ms: f64, tenant: usize, kind: ServeEventKind) -> &mut Self {
+            self.trace.events.push(crate::ServeEvent {
+                t_ns: ms_to_ns(t_ms),
+                tenant,
+                kind,
+            });
+            self
+        }
+
+        /// `tenant`'s requests `reqs` completing together at `done_ms`,
+        /// each `latency_ms` after it arrived.
+        fn complete(
+            &mut self,
+            done_ms: f64,
+            tenant: usize,
+            reqs: &[u64],
+            latency_ms: f64,
+            late: bool,
+        ) -> &mut Self {
+            for &req in reqs {
+                self.requests.push(RequestOutcome {
+                    req,
+                    tenant,
+                    arrival_ms: done_ms - latency_ms,
+                    done_ms,
+                    deadline_ms: if late { done_ms - 0.5 } else { f64::INFINITY },
+                    violated: late,
+                });
+            }
+            let batch = reqs.len();
+            self.event(
+                done_ms,
+                tenant,
+                ServeEventKind::Complete { batch, depth: 0 },
+            )
+        }
+
+        /// Folds the log as a run of `tenants` over `horizon_ms`.
+        fn fold(&self, mon: &mut LiveMonitor, tenants: &[&str], horizon_ms: f64, finished: bool) {
+            let cfg = ServeConfig {
+                duration_ms: horizon_ms,
+                tenants: tenants
+                    .iter()
+                    .map(|&name| crate::TenantSpec::poisson(name, 0, 1.0))
+                    .collect(),
+                ..ServeConfig::default()
+            };
+            mon.fold(&cfg, &self.trace, &self.requests, finished);
+        }
+    }
+
     fn monitor_with_slo() -> LiveMonitor {
-        let cfg = LiveConfig {
+        LiveMonitor::new(LiveConfig {
             slo: Some(SloSpec::new("p99<5ms", 0.99, 5.0)),
-            ..LiveConfig::default()
-        };
-        let mut m = LiveMonitor::new(cfg);
-        m.begin(&[TenantSpec::poisson("t0", 0, 100.0)]);
-        m
+        })
     }
 
     #[test]
     fn each_record_renders_its_span() {
-        let mut m = LiveMonitor::with_defaults();
-        m.begin(&[
-            TenantSpec::poisson("a", 0, 1.0),
-            TenantSpec::poisson("b", 0, 1.0),
-        ]);
-        m.on_shed(1e6, 1, 7);
-        m.on_dispatch(2e6, 1, 4, 1.5);
-        m.on_complete_request(5e6, 1, 9, 2.0, true);
-        m.on_complete_request(6e6, 0, 10, 1.0, false);
-        m.on_fault_drop(7e6, 1, 3);
-        m.on_fault(8e6, 1, "dma-timeout");
-        m.on_group_lost(9e6, 1, 1, 2);
+        let mut log = Log::default();
+        log.event(1.0, 1, ServeEventKind::Shed { req: 7, depth: 4 })
+            .complete(5.0, 1, &[9, 11], 2.0, true)
+            .event(
+                5.0,
+                1,
+                ServeEventKind::Dispatch {
+                    batch: 4,
+                    compiled_batch: 4,
+                    groups: 1,
+                    service_ms: 1.5,
+                },
+            )
+            .complete(6.0, 0, &[10], 1.0, false)
+            .event(7.0, 1, ServeEventKind::FaultDrop { dropped: 3 })
+            .event(
+                8.0,
+                1,
+                ServeEventKind::Fault {
+                    label: "dma-timeout",
+                    attempt: 1,
+                },
+            )
+            .event(
+                9.0,
+                1,
+                ServeEventKind::GroupLost {
+                    cluster: 1,
+                    group: 2,
+                    remaining: 0,
+                },
+            );
+        let mut m = LiveMonitor::new(LiveConfig::default());
+        log.fold(&mut m, &["a", "b"], 10.0, false);
         let spans: Vec<Span> = m.flight.spans().collect();
         let serving = |kind, track, label: &str, start, end| {
             Span::new(kind, Layer::Serving, track, label, start, end)
         };
+        // A completion's requests come before the batch it dispatched.
         assert_eq!(
             spans,
             [
                 serving(SpanKind::Marker, 1, "shed 7", 1e6, 1e6),
-                serving(SpanKind::Batch, 1, "batch 4", 2e6, 3.5e6),
                 serving(SpanKind::Request, 1, "req 9 (late)", 3e6, 5e6),
+                serving(SpanKind::Request, 1, "req 11 (late)", 3e6, 5e6),
+                serving(SpanKind::Batch, 1, "batch 4", 5e6, 6.5e6),
                 serving(SpanKind::Request, 0, "req 10", 5e6, 6e6),
                 serving(SpanKind::Marker, 1, "fault-drop 3", 7e6, 7e6),
                 serving(SpanKind::Fault, 1, "fault dma-timeout", 8e6, 8e6),
@@ -457,18 +549,50 @@ mod tests {
         );
         let alerts: Vec<&str> = m.alerts.iter().map(|(_, a)| a.slo.as_str()).collect();
         assert_eq!(alerts, ["dma-timeout", "core-failure"]);
+        // An aborted run ends at its last event, with no closing
+        // evaluation.
+        assert_eq!(m.now_ns(), 9e6);
+    }
+
+    #[test]
+    fn read_log_bases_ids_and_offsets_times() {
+        let mut log = Log::default();
+        log.event(1.0, 0, ServeEventKind::Shed { req: 8, depth: 1 })
+            .complete(3.0, 0, &[7], 2.0, false);
+        let base = 0x1_0000u64;
+        let records: Vec<ServeRecord> =
+            ServeRecord::read_log(&log.trace, &log.requests, base, 2e9).collect();
+        let labels: Vec<String> = records.iter().map(|r| r.to_span().label).collect();
+        assert_eq!(
+            labels,
+            [format!("shed {}", base + 8), format!("req {}", base + 7)]
+        );
+        assert_eq!(records[0].at_ns(), 2e9 + 1e6);
+        assert_eq!(records[1].at_ns(), 2e9 + 3e6, "a completion at its end");
+        assert!(records[1].kind.is_req(base + 7));
     }
 
     #[test]
     fn rows_reflect_traffic() {
-        let mut m = LiveMonitor::with_defaults();
-        m.begin(&[TenantSpec::poisson("a", 0, 1.0)]);
-        for i in 0..100 {
-            let t = i as f64 * 1e7; // 100 events over 1 s
-            m.on_complete_request(t + 1e6, 0, i, 1.0, false);
+        let mut log = Log::default();
+        for i in 0..100u64 {
+            let t = i as f64 * 10.0 + 1.0; // 100 completions over 1 s
+            if i == 50 {
+                log.event(
+                    500.0,
+                    0,
+                    ServeEventKind::Dispatch {
+                        batch: 4,
+                        compiled_batch: 4,
+                        groups: 1,
+                        service_ms: 1.0,
+                    },
+                );
+            }
+            log.complete(t, 0, &[i], 1.0, false);
         }
-        m.on_dispatch(5e8, 0, 4, 1.0);
-        m.advance(1e9);
+        let mut m = LiveMonitor::new(LiveConfig::default());
+        log.fold(&mut m, &["a"], 1000.0, true);
         let row = m.tenants()[0].row(1e9, 2e9);
         assert_eq!(row.name, "a");
         assert!(row.qps > 0.0);
@@ -476,22 +600,22 @@ mod tests {
         assert_eq!(row.mean_batch, 4.0);
         assert_eq!(row.latency.exemplar, Some(0), "first (slowest tie) request");
         assert!(!row.latency.firing);
+        assert_eq!(m.now_ns(), 1e9, "a finished run judges its last window");
     }
 
     #[test]
     fn sustained_violations_alert_and_dump() {
-        let mut m = monitor_with_slo();
-        for i in 0..20 {
-            let now = i as f64 * 1e9;
-            for j in 0..20 {
-                let t = now + j as f64 * 4e7;
+        let mut log = Log::default();
+        for i in 0..20u64 {
+            for j in 0..20u64 {
+                let t = i as f64 * 1000.0 + j as f64 * 40.0;
                 // Half the requests violate the 5 ms deadline.
                 let lat = if j % 2 == 0 { 40.0 } else { 1.0 };
-                m.on_complete_request(t, 0, (i * 20 + j) as u64, lat, lat > 5.0);
+                log.complete(t, 0, &[i * 20 + j], lat, lat > 5.0);
             }
-            m.advance(now + 0.999e9);
         }
-        m.finish(20e9);
+        let mut m = monitor_with_slo();
+        log.fold(&mut m, &["t0"], 20_000.0, true);
         let fired: Vec<_> = m.burn_alerts().collect();
         assert_eq!(fired.len(), 1, "steady breach fires exactly once");
         let (tenant, alert) = fired[0];
@@ -508,11 +632,19 @@ mod tests {
 
     #[test]
     fn faults_dump_without_slo() {
-        let mut m = LiveMonitor::with_defaults();
-        m.begin(&[TenantSpec::poisson("t0", 0, 10.0)]);
-        m.on_complete_request(1e9, 0, 1, 2.0, false);
-        m.on_fault(2e9, 0, "dma-timeout");
-        m.on_fault_drop(2.1e9, 0, 3);
+        let mut log = Log::default();
+        log.complete(1000.0, 0, &[1], 2.0, false)
+            .event(
+                2000.0,
+                0,
+                ServeEventKind::Fault {
+                    label: "dma-timeout",
+                    attempt: 1,
+                },
+            )
+            .event(2100.0, 0, ServeEventKind::FaultDrop { dropped: 3 });
+        let mut m = LiveMonitor::new(LiveConfig::default());
+        log.fold(&mut m, &["t0"], 2500.0, true);
         assert_eq!(m.flight.dumps().len(), 1);
         assert_eq!(m.alerts.len(), 1);
         assert_eq!(m.alerts[0].1.kind, AlertKind::Fault);
@@ -522,34 +654,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_base_offsets_span_labels_and_exemplars() {
-        let base = 0x1_0000u64;
-        let cfg = LiveConfig {
-            trace_base: base,
-            ..LiveConfig::default()
-        };
-        let mut m = LiveMonitor::new(cfg);
-        m.begin(&[TenantSpec::poisson("t0", 0, 10.0)]);
-        m.on_complete_request(1e9, 0, 7, 3.0, false);
-        m.on_shed(1.1e9, 0, 8);
-        let row = m.tenants()[0].row(1.5e9, 2e9);
-        assert_eq!(
-            row.latency.exemplar,
-            Some(base + 7),
-            "exemplar carries the base"
-        );
-        let labels: Vec<String> = m.flight.spans().map(|s| s.label).collect();
-        assert!(labels.contains(&format!("req {}", base + 7)));
-        assert!(labels.contains(&format!("shed {}", base + 8)));
-    }
-
-    #[test]
     fn violations_series_counts_late_completions() {
-        let mut m = LiveMonitor::with_defaults();
-        m.begin(&[TenantSpec::poisson("t0", 0, 10.0)]);
-        m.on_complete_request(0.2e9, 0, 1, 60.0, true);
-        m.on_complete_request(0.4e9, 0, 2, 1.0, false);
-        m.on_complete_request(1.4e9, 0, 3, 70.0, true);
+        let mut log = Log::default();
+        log.complete(200.0, 0, &[1], 60.0, true)
+            .complete(400.0, 0, &[2], 1.0, false)
+            .complete(1400.0, 0, &[3], 70.0, true);
+        let mut m = LiveMonitor::new(LiveConfig::default());
+        log.fold(&mut m, &["t0"], 1500.0, true);
         let t = &m.tenants()[0];
         assert_eq!(t.violations.total(), 2.0);
         assert_eq!(t.violations.sum_over(0.9e9, 1e9), 1.0);
@@ -558,16 +669,20 @@ mod tests {
 
     #[test]
     fn clean_run_stays_quiet() {
-        let mut m = monitor_with_slo();
-        for i in 0..60 {
-            let now = i as f64 * 1e9;
-            for j in 0..10 {
-                m.on_complete_request(now + j as f64 * 1e8, 0, (i * 10 + j) as u64, 1.0, false);
+        let mut log = Log::default();
+        for i in 0..60u64 {
+            for j in 0..10u64 {
+                log.complete(
+                    i as f64 * 1000.0 + j as f64 * 100.0,
+                    0,
+                    &[i * 10 + j],
+                    1.0,
+                    false,
+                );
             }
-            m.advance(now + 0.999e9);
-            assert!(m.alerts.is_empty());
         }
-        m.finish(60e9);
+        let mut m = monitor_with_slo();
+        log.fold(&mut m, &["t0"], 60_000.0, true);
         assert!(m.alerts.is_empty());
         assert_eq!(m.flight.dumps().len(), 0);
         assert!(!m.flight.is_empty(), "ring records even when healthy");

@@ -84,6 +84,18 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
+    /// The accounting identity every finished run satisfies, run-wide
+    /// and per tenant: each offered request completed, was shed, or was
+    /// dropped by a fault.
+    pub fn balanced(&self) -> bool {
+        let books = |offered, completed, shed, dropped| offered == completed + shed + dropped;
+        books(self.offered, self.completed, self.shed, self.fault_dropped)
+            && self
+                .tenants
+                .iter()
+                .all(|t| books(t.offered, t.completed, t.shed, t.fault_dropped))
+    }
+
     /// Mean dispatched batch size.
     pub fn mean_batch(&self) -> f64 {
         let (mut reqs, mut batches) = (0u64, 0u64);
@@ -199,7 +211,7 @@ pub enum ServeEventKind {
     /// A transient injected fault hit the tenant's in-flight batch.
     Fault {
         /// Fault label (see `dtu_faults::FaultKind::label`).
-        label: String,
+        label: &'static str,
         /// Failed attempt number for this batch (1-based).
         attempt: u32,
     },

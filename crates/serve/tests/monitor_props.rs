@@ -8,7 +8,7 @@ use dtu_serve::faults::{FaultPlan, PRESETS};
 use dtu_serve::{
     run_generative, run_generative_live, run_serving, run_serving_live, AnalyticModel,
     AnalyticTokenModel, ArrivalProcess, BatchPolicy, GenLiveConfig, GenMonitor, GenerativeScenario,
-    KvCacheConfig, LiveConfig, LiveMonitor, ServeConfig, SlaPolicy, TenantSpec,
+    KvCacheConfig, LiveConfig, LiveMonitor, ServeConfig, ServeError, SlaPolicy, TenantSpec,
 };
 use dtu_sim::ChipConfig;
 use dtu_telemetry::flight::MAX_DUMPS;
@@ -62,6 +62,7 @@ proptest! {
         plan in prop::sample::select(PRESETS.to_vec()),
         severity in 0.0f64..1.0,
         deadline_ms in deadlines(),
+        record_requests in prop::sample::select(vec![false, true]),
     ) {
         let chip = ChipConfig::dtu20();
         let duration_ms = 2_500.0;
@@ -76,7 +77,7 @@ proptest! {
                     ..TenantSpec::poisson(format!("t{i}"), 0, qps)
                 })
                 .collect(),
-            record_requests: true,
+            record_requests,
             faults: FaultPlan::preset(
                 plan,
                 seed,
@@ -91,7 +92,6 @@ proptest! {
         let plain = run_serving(&cfg, &chip, &mut [&mut AnalyticModel::new("m", 0.5)]);
         let mut mon = LiveMonitor::new(LiveConfig {
             slo: slo("e2e", deadline_ms),
-            ..LiveConfig::default()
         });
         let live = run_serving_live(
             &cfg,
@@ -99,8 +99,14 @@ proptest! {
             &mut [&mut AnalyticModel::new("m", 0.5)],
             &mut mon,
         );
-        // A fault that takes a tenant's last group fails both runs alike.
+        // A fault that takes a tenant's last group fails both runs
+        // alike, log included; the monitor records requests for its
+        // fold whatever `cfg` asks, and returns what `cfg` asked for.
         prop_assert_eq!(&live, &plain, "{} qps, plan {} s{:.2}", qps, plan, severity);
+        if let Err(ServeError::Outage(o)) = &plain {
+            let last_ns = o.trace.events.last().map_or(0.0, |e| e.t_ns);
+            prop_assert_eq!(mon.now_ns(), last_ns, "an aborted run ends at its last event");
+        }
         prop_assert!(
             mon.alerts.windows(2).all(|w| w[0].1.t_ns <= w[1].1.t_ns),
             "alerts out of order: {:?}",

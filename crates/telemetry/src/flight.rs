@@ -18,7 +18,8 @@
 //! renders nothing, not even its reason.
 
 use crate::chrome;
-use crate::slo::{EVAL_WINDOW_NS, FAST_WINDOW_NS};
+use crate::monitor::RING_WINDOWS;
+use crate::slo::EVAL_WINDOW_NS;
 use crate::span::Span;
 use std::collections::VecDeque;
 use std::fmt;
@@ -138,9 +139,9 @@ impl<R: FlightRecord> FlightRecorder<R> {
         self.capacity
     }
 
-    /// Iterates the ring's records, oldest first — the fleet aggregator
-    /// uses this to absorb a per-chip ring into the fleet-time ring
-    /// without waiting for a trigger.
+    /// Iterates the ring's records, oldest first — the fleet monitor
+    /// uses this to find a request's record in a chip's ring without
+    /// taking a dump.
     pub fn records(&self) -> impl Iterator<Item = &R> + '_ {
         self.ring.iter()
     }
@@ -173,8 +174,9 @@ impl<R: FlightRecord> FlightRecorder<R> {
 
 /// The record of each recent window's slowest sample — the sample a
 /// burn-rate page names as its exemplar — kept apart from the ring for
-/// [`FlightRecorder::trigger_page`]. It covers every window a page's
-/// fast burn window spans.
+/// [`FlightRecorder::trigger_page`]. It keeps as many windows as a
+/// monitor's latency histogram ([`RING_WINDOWS`]), so every exemplar
+/// the histogram can name has its record.
 #[derive(Debug, Clone)]
 pub struct SlowestRecords<R> {
     /// `(window, value, record)`, oldest window first.
@@ -190,16 +192,18 @@ impl<R> Default for SlowestRecords<R> {
 }
 
 impl<R> SlowestRecords<R> {
-    /// Windows kept: those the fast burn window spans.
-    const WINDOWS: usize = (FAST_WINDOW_NS / EVAL_WINDOW_NS) as usize + 1;
-
     /// Notes a sample of `value` taken at `t_ns` and recorded as
     /// `record`. It is kept while it is the slowest of its 1 s window;
-    /// as with the histogram's exemplar, the first of equals wins.
-    /// Samples come in time order, as a run emits them.
+    /// as with the histogram's exemplar, the first of equals wins. Time
+    /// may step back, as when the fleet folds one chip's log after
+    /// another.
     pub fn note(&mut self, t_ns: f64, value: f64, record: R) {
         let window = (t_ns.max(0.0) / EVAL_WINDOW_NS) as u64;
-        match self.windows.back_mut() {
+        let pos = match self.windows.back() {
+            Some(&(w, ..)) if w == window => self.windows.len() - 1,
+            _ => self.windows.partition_point(|&(w, ..)| w < window),
+        };
+        match self.windows.get_mut(pos) {
             Some((w, slowest, r)) if *w == window => {
                 if value > *slowest {
                     *slowest = value;
@@ -207,10 +211,10 @@ impl<R> SlowestRecords<R> {
                 }
             }
             _ => {
-                if self.windows.len() == Self::WINDOWS {
+                self.windows.insert(pos, (window, value, record));
+                if self.windows.len() > RING_WINDOWS {
                     self.windows.pop_front();
                 }
-                self.windows.push_back((window, value, record));
             }
         }
     }
@@ -306,13 +310,22 @@ mod tests {
     #[test]
     fn slowest_records_cover_the_fast_window() {
         let mut slowest = SlowestRecords::default();
-        for w in 0..10 {
+        let windows = RING_WINDOWS + 2;
+        for w in 0..windows {
             slowest.note(w as f64 * EVAL_WINDOW_NS, 1.0, Req(w));
         }
-        let kept: Vec<usize> = (0..10)
-            .filter(|&w| slowest.find(|r| r.0 == w).is_some())
-            .collect();
-        assert_eq!(kept, [4, 5, 6, 7, 8, 9]);
+        let kept = (0..windows).filter(|&w| slowest.find(|r| r.0 == w).is_some());
+        assert!(
+            kept.eq(2..windows),
+            "the newest windows, fast window included"
+        );
+        // A window noted out of order keeps its own slowest record, and
+        // one older than the kept windows is dropped.
+        slowest.note(5.5 * EVAL_WINDOW_NS, 2.0, Req(1000));
+        slowest.note(EVAL_WINDOW_NS, 9.0, Req(1001));
+        assert!(slowest.find(|r| r.0 == 1000).is_some());
+        assert!(slowest.find(|r| r.0 == 5).is_none());
+        assert!(slowest.find(|r| r.0 == 1001).is_none());
     }
 
     #[test]

@@ -245,31 +245,31 @@ impl WindowedHistogram {
     }
 
     /// Records a sample completing at `t_ns`, optionally tagged with
-    /// the span id that produced it (for exemplars).
+    /// the span id that produced it (for exemplars). Time may step back
+    /// (the fleet folds one chip's log after another): a missing older
+    /// window is inserted in order, unless the ring is full and the
+    /// window is older than everything it retains.
     pub fn record(&mut self, t_ns: f64, value: f64, span_id: Option<u64>) {
         let idx = (t_ns.max(0.0) / self.window_ns) as u64;
-        let needs_push = match self.windows.back() {
-            Some(&(last, _)) => idx > last,
-            None => true,
+        let mut pos = match self.windows.back() {
+            Some(&(last, _)) if last == idx => self.windows.len() - 1,
+            _ => self.windows.partition_point(|&(i, _)| i < idx),
         };
-        if needs_push {
+        if self.windows.get(pos).is_none_or(|&(i, _)| i != idx) {
             if self.windows.len() == self.cap {
+                if pos == 0 {
+                    return; // older than retained history
+                }
                 self.windows.pop_front();
+                pos -= 1;
             }
-            self.windows.push_back((
-                idx,
-                HistogramWindow {
-                    start_ns: idx as f64 * self.window_ns,
-                    hist: LogHistogram::new(),
-                    exemplar: None,
-                },
-            ));
+            let window = HistogramWindow {
+                start_ns: idx as f64 * self.window_ns,
+                hist: LogHistogram::new(),
+                exemplar: None,
+            };
+            self.windows.insert(pos, (idx, window));
         }
-        // Find the target window (almost always the back).
-        let pos = match self.windows.iter().rposition(|&(i, _)| i == idx) {
-            Some(p) => p,
-            None => return, // older than retained history
-        };
         let w = &mut self.windows[pos].1;
         w.hist.record(value);
         if let Some(id) = span_id {
@@ -283,63 +283,6 @@ impl WindowedHistogram {
                     value,
                     at_ns: t_ns,
                 });
-            }
-        }
-    }
-
-    /// Merges `other`'s windows into `self`, shifting every window by
-    /// `offset_ns` on the shared clock.
-    ///
-    /// This is the fleet per-chip → per-tenant rollup path: bucket
-    /// counts merge exactly, and each target window keeps the *slowest*
-    /// exemplar of its contributors — so the merged histogram's
-    /// exemplar still resolves to a real span id on the chip that
-    /// recorded it (the exemplar's timestamp is shifted along with its
-    /// window). Windows older than `self`'s retained history are
-    /// dropped; out-of-order merges (chip B behind chip A) insert in
-    /// window order.
-    pub fn merge_offset(&mut self, other: &WindowedHistogram, offset_ns: f64) {
-        for w in other.windows.iter().map(|(_, w)| w) {
-            let t = (w.start_ns + offset_ns).max(0.0);
-            let idx = (t / self.window_ns) as u64;
-            let shifted_exemplar = w.exemplar.map(|e| Exemplar {
-                span_id: e.span_id,
-                value: e.value,
-                at_ns: e.at_ns + offset_ns,
-            });
-            let pos = self.windows.partition_point(|&(i, _)| i < idx);
-            if pos < self.windows.len() && self.windows[pos].0 == idx {
-                let target = &mut self.windows[pos].1;
-                target.hist.merge(&w.hist);
-                if let Some(e) = shifted_exemplar {
-                    let slower = match target.exemplar {
-                        Some(b) => e.value > b.value,
-                        None => true,
-                    };
-                    if slower {
-                        target.exemplar = Some(e);
-                    }
-                }
-            } else {
-                let mut pos = pos;
-                if self.windows.len() == self.cap {
-                    if pos == 0 {
-                        continue; // older than everything retained
-                    }
-                    self.windows.pop_front();
-                    pos -= 1;
-                }
-                self.windows.insert(
-                    pos,
-                    (
-                        idx,
-                        HistogramWindow {
-                            start_ns: idx as f64 * self.window_ns,
-                            hist: w.hist.clone(),
-                            exemplar: shifted_exemplar,
-                        },
-                    ),
-                );
             }
         }
     }
@@ -390,16 +333,6 @@ impl WindowedHistogram {
     /// Iterates retained windows, oldest first.
     pub fn windows(&self) -> impl DoubleEndedIterator<Item = &HistogramWindow> + '_ {
         self.windows.iter().map(|(_, w)| w)
-    }
-
-    /// Number of retained (non-empty) windows.
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
     }
 }
 
@@ -662,32 +595,23 @@ mod tests {
     }
 
     #[test]
-    fn merge_offset_keeps_slowest_exemplar_and_exact_counts() {
-        // Two chips record the same epoch on local clocks; the fleet
-        // merges both at offset 4 s.
-        let mut chip_a = WindowedHistogram::new(1e9, 8);
-        chip_a.record(0.3e9, 6.0, Some(101));
-        chip_a.record(0.6e9, 2.0, Some(102));
-        let mut chip_b = WindowedHistogram::new(1e9, 8);
-        chip_b.record(0.4e9, 9.0, Some(201));
-        let mut fleet = WindowedHistogram::new(1e9, 8);
-        fleet.merge_offset(&chip_a, 4e9);
-        fleet.merge_offset(&chip_b, 4e9);
-        assert_eq!(fleet.merged().count(), 3);
-        let e = fleet.exemplar_over(4.9e9, 1e9).expect("exemplar survives");
-        assert_eq!(e.span_id, 201, "slowest contributor wins the window");
-        assert_eq!(e.value, 9.0);
-        assert!(
-            (e.at_ns - 4.4e9).abs() < 1.0,
-            "timestamp shifted: {}",
-            e.at_ns
-        );
-        // Out-of-order merge: an earlier epoch inserts before, exactly.
-        let mut chip_c = WindowedHistogram::new(1e9, 8);
-        chip_c.record(0.5e9, 3.0, Some(301));
-        fleet.merge_offset(&chip_c, 1e9);
-        assert_eq!(fleet.merged().count(), 4);
-        assert_eq!(fleet.exemplar_over(1.9e9, 1e9).unwrap().span_id, 301);
+    fn a_sample_stepping_back_inserts_its_window_in_order() {
+        let mut wh = WindowedHistogram::new(1e9, 3);
+        wh.record(2.5e9, 6.0, Some(201));
+        wh.record(0.5e9, 3.0, Some(101));
+        wh.record(2.2e9, 9.0, Some(202));
+        let starts: Vec<f64> = wh.windows().map(|w| w.start_ns).collect();
+        assert_eq!(starts, [0.0, 2e9]);
+        assert_eq!(wh.exemplar_over(0.9e9, 1e9).unwrap().span_id, 101);
+        assert_eq!(wh.exemplar_over(2.9e9, 0.9e9).unwrap().span_id, 202);
+        // A full ring evicts its oldest window for a missing one inside
+        // its range, and drops a sample older than everything it holds.
+        wh.record(3.5e9, 1.0, None);
+        wh.record(1.5e9, 2.0, None);
+        let starts: Vec<f64> = wh.windows().map(|w| w.start_ns).collect();
+        assert_eq!(starts, [1e9, 2e9, 3e9]);
+        wh.record(0.2e9, 2.0, None);
+        assert_eq!(wh.merged().count(), 4);
     }
 
     #[test]
@@ -696,7 +620,7 @@ mod tests {
         wh.record(0.5e9, 1.0, None);
         wh.record(1.5e9, 2.0, None);
         wh.record(2.5e9, 3.0, None);
-        assert_eq!(wh.len(), 2);
+        assert_eq!(wh.windows().count(), 2);
         assert_eq!(wh.merged().count(), 2);
         // A sample for an evicted window is dropped, not misfiled.
         wh.record(0.6e9, 9.0, None);

@@ -157,12 +157,13 @@ impl SloTracker {
     /// Folds a pre-aggregated window of `completed` requests, of which
     /// `violated` missed the deadline, into the rings at `t_ns`.
     ///
-    /// This is the fleet rollup path: per-chip monitors already hold
-    /// per-window completion/violation counts, so the fleet-scope
-    /// tracker ingests whole windows instead of replaying every
-    /// request. Call in non-decreasing `t_ns` order (the fleet merges
-    /// at epoch barriers, which guarantees it); `violated` is clamped
-    /// to `completed`.
+    /// This is the fleet rollup path: the fleet's tenant series already
+    /// hold per-window completion/violation counts, folded from every
+    /// chip's log, so the fleet-scope tracker ingests whole windows
+    /// instead of replaying every request. Call in non-decreasing
+    /// `t_ns` order (the fleet folds a window once its boundary has
+    /// passed, which guarantees it); `violated` is clamped to
+    /// `completed`.
     pub fn fold_window(&mut self, t_ns: f64, completed: u64, violated: u64) {
         if completed == 0 {
             return;

@@ -68,10 +68,22 @@ impl TimeSeries {
     }
 
     /// Adds `v` into the window covering `t_ns`, advancing the ring.
-    /// Samples older than the retained history are dropped.
+    /// Time may step back (the fleet folds one chip's log after
+    /// another): a sample older than the oldest window grows the ring
+    /// backwards while it has room, and is dropped once it is full.
     pub fn add(&mut self, t_ns: f64, v: f64) {
-        self.advance(t_ns);
         let idx = self.index_of(t_ns);
+        if let Some(w) = self.windows.back_mut().filter(|w| w.0 == idx) {
+            w.1 += v;
+            return;
+        }
+        self.advance(t_ns);
+        while let Some(&(first, _)) = self.windows.front() {
+            if first <= idx || self.windows.len() == self.cap {
+                break;
+            }
+            self.windows.push_front((first - 1, 0.0));
+        }
         if let Some(&(first, _)) = self.windows.front() {
             if idx < first {
                 return; // older than retained history
@@ -124,38 +136,11 @@ impl TimeSeries {
         self.sum_over(now_ns, span_ns) / (covered / 1e9)
     }
 
-    /// Merges `other`'s windows into `self`, shifting every window by
-    /// `offset_ns` on the shared clock.
-    ///
-    /// This is the fleet rollup path: a per-chip series recorded on an
-    /// epoch-local clock folds into a fleet-wide series by offsetting
-    /// with the epoch start. Windows need not share alignment — each
-    /// shifted window's sum lands in whichever of `self`'s windows
-    /// covers its start. Sums older than `self`'s retained history are
-    /// dropped, exactly as [`add`](Self::add) drops late samples.
-    pub fn merge_offset(&mut self, other: &TimeSeries, offset_ns: f64) {
-        for (start_ns, sum) in other.windows() {
-            if sum != 0.0 {
-                self.add(start_ns + offset_ns, sum);
-            }
-        }
-    }
-
     /// Iterates retained `(window_start_ns, sum)` pairs, oldest first.
     pub fn windows(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         self.windows
             .iter()
             .map(move |&(i, v)| (i as f64 * self.window_ns, v))
-    }
-
-    /// Number of retained windows.
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
     }
 }
 
@@ -169,7 +154,7 @@ mod tests {
         ts.add(0.5e9, 1.0);
         ts.add(0.7e9, 1.0);
         ts.add(2.1e9, 3.0); // skips window 1 → a zero window is inserted
-        assert_eq!(ts.len(), 3);
+        assert_eq!(ts.windows().count(), 3);
         let w: Vec<(f64, f64)> = ts.windows().collect();
         assert_eq!(w, vec![(0.0, 2.0), (1e9, 0.0), (2e9, 3.0)]);
         assert_eq!(ts.total(), 5.0);
@@ -181,7 +166,7 @@ mod tests {
         for i in 0..10 {
             ts.add(i as f64 * 1e9 + 0.5e9, 1.0);
         }
-        assert_eq!(ts.len(), 4);
+        assert_eq!(ts.windows().count(), 4);
         assert_eq!(ts.total(), 4.0);
         let first = ts.windows().next().unwrap();
         assert_eq!(first.0, 6e9);
@@ -220,28 +205,18 @@ mod tests {
         let mut ts = TimeSeries::new(1e9, 4);
         ts.add(0.5e9, 1.0);
         ts.add(1000.5e9, 2.0);
-        assert_eq!(ts.len(), 4, "gap fills to capacity with zeros");
+        assert_eq!(ts.windows().count(), 4, "gap fills to capacity with zeros");
         assert_eq!(ts.total(), 2.0);
     }
 
     #[test]
-    fn merge_offset_shifts_and_adds() {
-        let mut fleet = TimeSeries::new(1e9, 16);
-        fleet.add(0.5e9, 1.0);
-        // Chip series recorded on an epoch-local clock, epoch at 2 s.
-        let mut chip = TimeSeries::new(1e9, 16);
-        chip.add(0.2e9, 3.0);
-        chip.add(1.4e9, 5.0);
-        fleet.merge_offset(&chip, 2e9);
-        let w: Vec<(f64, f64)> = fleet.windows().collect();
-        assert_eq!(w, vec![(0.0, 1.0), (1e9, 0.0), (2e9, 3.0), (3e9, 5.0)]);
-        // A second chip merging into the *same* (now older) windows
-        // still lands in place, not in the newest window.
-        let mut other = TimeSeries::new(1e9, 16);
-        other.add(0.1e9, 7.0);
-        fleet.merge_offset(&other, 2e9);
-        assert_eq!(fleet.sum_over(2.5e9, 0.9e9), 10.0);
-        assert_eq!(fleet.total(), 16.0);
+    fn a_sample_stepping_back_lands_in_its_own_window() {
+        let mut ts = TimeSeries::new(1e9, 8);
+        ts.add(2.5e9, 1.0);
+        ts.add(0.5e9, 2.0);
+        ts.add(1.5e9, 4.0);
+        let w: Vec<(f64, f64)> = ts.windows().collect();
+        assert_eq!(w, vec![(0.0, 2.0), (1e9, 4.0), (2e9, 1.0)]);
     }
 
     #[test]

@@ -1,15 +1,20 @@
 //! Fleet-layer integration tests: routing determinism across worker
 //! counts and cache temperature, the power-of-two-choices balance
 //! bound, chip-loss accounting, compile and price sharing across
-//! chips and epochs, and rolling-deploy availability.
+//! chips and epochs, rolling-deploy availability, and the fleet
+//! monitor: observational, in step with the report, and with page
+//! dumps that hold their exemplar.
 
 use dtu_compiler::Fnv1a;
 use dtu_fleet::{
-    run_fleet, ChipKill, FleetChip, FleetConfig, FleetTenant, FleetTopology, RollPlan,
+    run_fleet, run_fleet_monitored, ChipKill, FleetChip, FleetConfig, FleetMonitor, FleetTenant,
+    FleetTopology, RollPlan,
 };
 use dtu_graph::{Graph, Op, TensorType};
 use dtu_harness::{SessionCache, SweepModel};
 use dtu_sim::ChipConfig;
+use dtu_telemetry::flight::MAX_DUMPS;
+use dtu_telemetry::AlertKind;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -291,4 +296,123 @@ fn rolling_deploy_reports_availability_during_the_roll() {
         .expect("traffic arrived during the roll");
     assert!(avail > 0.0 && avail <= 1.0);
     assert!(r.accounting_balances());
+}
+
+/// Checks every burn-rate page against the dump it froze: the dump
+/// holds a span of the page's exemplar request (`req {id}`, late or
+/// not), or the dump cap was reached before the page. Returns how many
+/// page dumps it checked.
+fn page_dumps_name_their_exemplar(fm: &FleetMonitor) -> usize {
+    let mut checked = 0;
+    for page in fm
+        .alerts()
+        .iter()
+        .filter(|a| a.event.kind == AlertKind::BurnRate)
+    {
+        let Some(chip) = page.chip else { continue };
+        let reason = format!("alert {} (chip{chip})", page.event.slo);
+        let Some(dump) = fm
+            .dumps()
+            .iter()
+            .find(|d| d.reason == reason && d.at_ns == page.event.t_ns)
+        else {
+            assert_eq!(fm.dumps().len(), MAX_DUMPS, "{page:?} froze no dump");
+            continue;
+        };
+        let id = page.event.exemplar.expect("a page carries an exemplar");
+        let name = format!("req {id}");
+        assert!(
+            dump.spans
+                .iter()
+                .any(|s| s.label == name || s.label == format!("{name} (late)")),
+            "exemplar {id} of {reason} is not in its dump"
+        );
+        checked += 1;
+    }
+    checked
+}
+
+/// Each tenant's `completed` in the monitor's compliance report, in
+/// tenant order.
+fn compliance_completed(fm: &FleetMonitor) -> Vec<u64> {
+    let json = fm.compliance_json();
+    json.split("\"completed\":")
+        .skip(1)
+        .map(|rest| {
+            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().expect("an integer count")
+        })
+        .collect()
+}
+
+/// Tight deadlines on a 4-chip toy fleet page, and most pages' exemplar
+/// ran on another chip than the one whose ring the page dumps: the dump
+/// must hold it all the same.
+#[test]
+fn fleet_page_dumps_hold_their_exemplar() {
+    let topo = FleetTopology::homogeneous(1, 4, &ChipConfig::dtu20()).unwrap();
+    let cache = SessionCache::memory_only();
+    let mut checked = 0;
+    for seed in 0..6u64 {
+        for (deadline_ms, qps) in [
+            (0.05, 4000.0),
+            (0.05, 16000.0),
+            (0.5, 4000.0),
+            (0.5, 16000.0),
+        ] {
+            let mut tenant = FleetTenant::new(toy_model(), qps);
+            tenant.deadline_ms = deadline_ms;
+            let cfg = FleetConfig {
+                duration_ms: 6000.0,
+                epoch_ms: 500.0,
+                ..tiny_cfg(seed)
+            };
+            let (_, fm) = run_fleet_monitored(&topo, &[tenant], &cfg, &cache, 2).unwrap();
+            checked += page_dumps_name_their_exemplar(&fm);
+        }
+    }
+    assert!(checked >= 12, "only {checked} page dumps checked");
+}
+
+proptest! {
+    /// Random fleets, epochs on and off whole seconds, with and without
+    /// a mid-epoch kill: the monitored run reports exactly what the
+    /// plain one does, the monitor's SLO books match the report when no
+    /// chip dies, and every page dump names its exemplar.
+    #[test]
+    fn monitored_fleets_match_plain_ones(
+        chips in 2usize..5,
+        seed in 0u64..1000,
+        qps in 500.0f64..6000.0,
+        epoch_ms in prop::sample::select(vec![250.0, 300.0, 500.0, 1000.0]),
+        deadline_ms in prop::sample::select(vec![0.05, 0.2, 50.0]),
+        kill in prop::sample::select(vec![None, Some(0usize), Some(1)]),
+        kill_at in 0.05f64..0.95,
+    ) {
+        let topo = FleetTopology::homogeneous(1, chips, &ChipConfig::dtu20()).unwrap();
+        let duration_ms = 2500.0;
+        let cfg = FleetConfig {
+            duration_ms,
+            epoch_ms,
+            kill: kill.map(|chip| ChipKill {
+                chip,
+                at_ms: kill_at * duration_ms,
+            }),
+            ..tiny_cfg(seed)
+        };
+        let tenants = || {
+            let mut t = FleetTenant::new(toy_model(), qps);
+            t.deadline_ms = deadline_ms;
+            vec![t]
+        };
+        let cache = SessionCache::memory_only();
+        let plain = run_fleet(&topo, &tenants(), &cfg, &cache, 1).unwrap();
+        let (monitored, fm) = run_fleet_monitored(&topo, &tenants(), &cfg, &cache, 2).unwrap();
+        prop_assert_eq!(plain.to_json(), monitored.to_json());
+        if kill.is_none() {
+            let completed: Vec<u64> = plain.tenants.iter().map(|t| t.completed).collect();
+            prop_assert_eq!(compliance_completed(&fm), completed);
+        }
+        page_dumps_name_their_exemplar(&fm);
+    }
 }
