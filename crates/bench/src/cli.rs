@@ -646,13 +646,13 @@ const EPOCH: Flag = value("--epoch", "<ms>", Kind::Number)
 const REPLICAS: Flag = value("--replicas", "<n>", INT)
     .or("0")
     .help("replicas per tenant; 0 = every chip");
-const CELLS: Flag = value("--cells", "<n>", INT)
+const CELLS: Flag = value("--cells", "<n>", COUNT)
     .or("2")
     .help("routing cells per replica per epoch");
 const NO_ROLL: Flag = switch("--no-roll").help("skip the default rolling deploy");
 const ROLL_START: Flag = value("--roll-start", "<ms>", Kind::Number)
     .help("when the roll begins (default: 20% of the horizon)");
-const ROLL_CHIPS: Flag = value("--roll-chips", "<n>", INT)
+const ROLL_CHIPS: Flag = value("--roll-chips", "<n>", COUNT)
     .help("chips drained per epoch (default: chips/4, at least 1)");
 const KILL_CHIP: Flag = value("--kill-chip", "<n>", INT).help("kill chip n mid-run");
 const KILL_AT: Flag = value("--kill-at", "<ms>", Kind::Number)

@@ -21,6 +21,9 @@ fn bad_fleet_input_fails_with_the_fleet_usage() {
         (&["fleet"], &["--jobs", "0"], "--jobs"),
         (&["fleet"], &["--chips", "0"], "--chips"),
         (&["fleet"], &["--cards", "0"], "--cards"),
+        // Both used to run as 1.
+        (&["fleet"], &["--cells", "0"], "--cells"),
+        (&["fleet"], &["--roll-chips", "0"], "--roll-chips"),
         (&["fleet"], &["nosuch"], "unknown model 'nosuch'"),
         (
             &["fleet"],

@@ -48,8 +48,8 @@ use dtu_compiler::{Fnv1a, Placement};
 use dtu_faults::{FaultEvent, FaultKind, FaultPlan};
 use dtu_harness::{ExperimentPlan, HarnessError, SessionCache};
 use dtu_serve::{
-    run_serving, ArrivalProcess, BatchPolicy, CompiledModel, RetryPolicy, ScalePolicy, ServeConfig,
-    ServeError, ServiceModel, SlaPolicy, TenantSpec,
+    run_serving, ArrivalProcess, BatchPolicy, CompiledModel, PriceMemo, RetryPolicy, ScalePolicy,
+    ServeConfig, ServeError, ServiceModel, SlaPolicy, TenantSpec,
 };
 use dtu_sim::{Chip, GroupId};
 use dtu_telemetry::LogHistogram;
@@ -221,7 +221,7 @@ struct PriceKey {
     /// The chip's config class (see [`PriceTable::new`]).
     class: usize,
     batch: usize,
-    /// Sorted, as `CompiledModel` keys its sessions.
+    /// Sorted, so the key does not depend on the placement's order.
     groups: Vec<GroupId>,
 }
 
@@ -270,15 +270,16 @@ impl PriceTable {
 }
 
 /// A tenant's compiled model on one chip-epoch, priced through the
-/// run's table. `seen` answers the chip-epoch's repeat dispatches, the
-/// table answers sessions another chip-epoch already walked, and only
-/// what neither knows reaches `inner`, which builds, fetches and walks.
+/// run's table. `seen` answers the chip-epoch's repeat dispatches
+/// without allocating or hashing, the table answers sessions another
+/// chip-epoch already walked, and only what neither knows reaches
+/// `inner`, which builds, fetches and walks.
 struct PricedModel<'a> {
     inner: CompiledModel<'a>,
     table: &'a PriceTable,
     tenant: usize,
     class: usize,
-    seen: HashMap<PriceKey, f64>,
+    seen: PriceMemo,
 }
 
 impl ServiceModel for PricedModel<'_> {
@@ -287,6 +288,9 @@ impl ServiceModel for PricedModel<'_> {
     }
 
     fn service_ms(&mut self, batch: usize, placement: &Placement) -> Result<f64, ServeError> {
+        if let Some(service_ms) = self.seen.get(batch, placement) {
+            return Ok(service_ms);
+        }
         let mut groups = placement.groups().to_vec();
         groups.sort_unstable();
         let key = PriceKey {
@@ -295,18 +299,15 @@ impl ServiceModel for PricedModel<'_> {
             batch,
             groups,
         };
-        if let Some(&service_ms) = self.seen.get(&key) {
-            return Ok(service_ms);
-        }
         let service_ms = match self.table.get(&key) {
             Some(service_ms) => service_ms,
             None => {
                 let service_ms = self.inner.service_ms(batch, placement)?;
-                self.table.insert(key.clone(), service_ms);
+                self.table.insert(key, service_ms);
                 service_ms
             }
         };
-        self.seen.insert(key, service_ms);
+        self.seen.insert(batch, placement, service_ms);
         Ok(service_ms)
     }
 }
@@ -356,7 +357,7 @@ fn run_chip_epoch(
                 table: prices,
                 tenant: t,
                 class: prices.classes[chip_idx],
-                seen: HashMap::new(),
+                seen: PriceMemo::new(),
             }
         })
         .collect();

@@ -1,11 +1,21 @@
 //! The discrete-event serving engine.
 //!
-//! One global event queue drives per-tenant request queues through
-//! admission control, dynamic batch formation, service on the tenant's
-//! processing groups, and delay-driven elastic scaling. Time is
-//! simulated milliseconds; the run is a pure function of its
-//! configuration (seeded arrivals, deterministic tie-breaking), so two
-//! runs with the same seed are bit-identical.
+//! Pending events drive per-tenant request queues through admission
+//! control, dynamic batch formation, service on the tenant's processing
+//! groups, and delay-driven elastic scaling. Time is simulated
+//! milliseconds; the run is a pure function of its configuration
+//! (seeded arrivals, deterministic tie-breaking), so two runs with the
+//! same seed are bit-identical.
+//!
+//! A tenant has at most three pending events, one per slot: its next
+//! arrival, its in-flight batch's completion or retry (a tenant serves
+//! one batch at a time), and its batch deadline, which a dispatch
+//! clears. The loop fires the earliest pending event, ties broken by
+//! push order, so a step costs a scan of three slots per tenant, and
+//! tenants are bounded by the chip's processing groups. Each dispatch
+//! prices its batch with one [`ServiceModel::service_ms`] call on the
+//! tenant's placement, which the tenant rebuilds only when scaling or a
+//! lost group changes its groups.
 
 use crate::config::{check_deadline, RetryPolicy, ServeConfig, TenantSpec};
 use crate::live::LiveMonitor;
@@ -13,14 +23,13 @@ use crate::metrics::{
     RequestOutcome, ServeEvent, ServeEventKind, ServeReport, ServingTrace, TenantReport,
 };
 use crate::model::ServiceModel;
-use crate::stats::{LatencyStats, Sample};
+use crate::stats::{merge_sorted, LatencyStats, Sample};
 use crate::{ArrivalGen, Outage, ServeError};
 use dtu_compiler::Placement;
 use dtu_faults::{FaultError, FaultRng, FaultSession};
 use dtu_sim::{ChipConfig, GroupId};
 use dtu_telemetry::clock::ms_to_ns;
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Everything a serving run produces.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,21 +43,33 @@ pub struct ServeOutcome {
     pub requests: Vec<RequestOutcome>,
 }
 
+/// What a pending event does; the tenant is its slot's.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum EvKind {
-    /// A request arrives for `tenant`.
-    Arrival { tenant: usize },
-    /// The batching timeout for `tenant` fires; stale if the epoch has
-    /// moved on (a dispatch happened since it was armed).
-    BatchDeadline { tenant: usize, epoch: u64 },
-    /// `tenant`'s in-flight batch completes.
-    Complete { tenant: usize },
-    /// `tenant`'s failed batch retries after backoff.
-    Retry {
-        tenant: usize,
-        attempt: u32,
-        backoff_ms: f64,
-    },
+    /// A request arrives.
+    Arrival,
+    /// The batching timeout fires; a dispatch clears it first, so it
+    /// always finds its batch waiting.
+    BatchDeadline,
+    /// The in-flight batch completes.
+    Complete,
+    /// The failed batch retries after backoff.
+    Retry { attempt: u32, backoff_ms: f64 },
+}
+
+/// Pending-event slots per tenant: arrival, service (completion or
+/// retry) and batch deadline.
+const EVENT_SLOTS: usize = 3;
+
+impl EvKind {
+    /// The tenant's event slot that holds this kind of event.
+    fn slot(self) -> usize {
+        match self {
+            EvKind::Arrival => 0,
+            EvKind::Complete | EvKind::Retry { .. } => 1,
+            EvKind::BatchDeadline => 2,
+        }
+    }
 }
 
 /// Service-time slowdown applied while a thermal-throttle window pins
@@ -60,6 +81,8 @@ const THERMAL_SLOWDOWN: f64 = 1.4;
 /// also derive from the run seed.
 const RETRY_RNG_SALT: u64 = 0xFA17_7E57_BACC_0FF5;
 
+/// A pending event: when it fires, and its push order, which breaks
+/// ties in time.
 #[derive(Debug, Clone, Copy)]
 struct Ev {
     t: f64,
@@ -67,28 +90,10 @@ struct Ev {
     kind: EvKind,
 }
 
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        self.t == other.t && self.seq == other.seq
-    }
-}
-impl Eq for Ev {}
-
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so the earliest time (then
-        // the earliest insertion) pops first — deterministic total
-        // order, no NaNs by construction.
-        other
-            .t
-            .partial_cmp(&self.t)
-            .expect("finite event times")
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl Ev {
+    /// Whether `self` fires before `other`.
+    fn before(&self, other: &Ev) -> bool {
+        self.t < other.t || (self.t == other.t && self.seq < other.seq)
     }
 }
 
@@ -104,11 +109,8 @@ struct Tenant {
     gen: ArrivalGen,
     queue: VecDeque<Request>,
     busy: bool,
-    /// Bumps on every dispatch; invalidates armed batch deadlines.
-    epoch: u64,
-    /// Whether a BatchDeadline event is armed for the current epoch.
-    armed: bool,
-    groups: Vec<GroupId>,
+    /// The groups the tenant serves on; rebuilt when they change.
+    placement: Placement,
     in_flight: Vec<Request>,
     /// Smoothed queueing delay driving scale decisions, ms.
     delay_ema: f64,
@@ -133,9 +135,13 @@ struct Tenant {
     groups_lost: u64,
 }
 
-/// The engine: event heap plus per-tenant state plus the group pool.
+/// The engine: pending events plus per-tenant state plus the group
+/// pool.
 struct Engine<'m, 's> {
-    heap: BinaryHeap<Ev>,
+    /// `pending[tenant * EVENT_SLOTS + kind.slot()]`: the tenant's
+    /// pending event of that slot, if any.
+    pending: Vec<Option<Ev>>,
+    /// Pushes so far; numbers the next push.
     seq: u64,
     next_req: u64,
     tenants: Vec<Tenant>,
@@ -226,8 +232,8 @@ fn drive(
 ) -> Result<ServeOutcome, ServeError> {
     let mut engine = Engine::new(cfg, chip, models, record_requests)?;
     engine.seed_arrivals(cfg);
-    while let Some(ev) = engine.heap.pop() {
-        engine.step(ev, cfg)?;
+    while let Some((tenant, ev)) = engine.pop() {
+        engine.step(tenant, ev, cfg)?;
     }
     let out = engine.finish(cfg);
     debug_assert!(out.report.balanced(), "accounting identity violated");
@@ -318,9 +324,7 @@ impl<'m, 's> Engine<'m, 's> {
                 spec: spec.clone(),
                 queue: VecDeque::new(),
                 busy: false,
-                epoch: 0,
-                armed: false,
-                groups,
+                placement: Placement::explicit(groups),
                 in_flight: Vec::new(),
                 delay_ema: 0.0,
                 last_scale_ms: f64::NEG_INFINITY,
@@ -351,7 +355,7 @@ impl<'m, 's> Engine<'m, 's> {
             ))
         };
         Ok(Engine {
-            heap: BinaryHeap::new(),
+            pending: vec![None; tenants.len() * EVENT_SLOTS],
             seq: 0,
             next_req: 0,
             tenants,
@@ -368,34 +372,65 @@ impl<'m, 's> Engine<'m, 's> {
         })
     }
 
-    fn push(&mut self, t: f64, kind: EvKind) {
+    /// `tenant`'s event slot for `kind`.
+    fn event_slot(&mut self, tenant: usize, kind: EvKind) -> &mut Option<Ev> {
+        &mut self.pending[tenant * EVENT_SLOTS + kind.slot()]
+    }
+
+    /// Puts an event into `tenant`'s slot for its kind, which must be
+    /// empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is NaN.
+    fn push(&mut self, tenant: usize, t: f64, kind: EvKind) {
+        assert!(!t.is_nan(), "finite event times");
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Ev { t, seq, kind });
+        let slot = self.event_slot(tenant, kind);
+        debug_assert!(slot.is_none(), "tenant {tenant} already has a {kind:?}");
+        *slot = Some(Ev { t, seq, kind });
+    }
+
+    /// Takes the earliest pending event (the first pushed among equal
+    /// times) and its tenant.
+    fn pop(&mut self) -> Option<(usize, Ev)> {
+        let mut next: Option<(usize, Ev)> = None;
+        for (i, slot) in self.pending.iter().enumerate() {
+            if let Some(ev) = slot {
+                if next.is_none_or(|(_, first)| ev.before(&first)) {
+                    next = Some((i, *ev));
+                }
+            }
+        }
+        let (i, ev) = next?;
+        self.pending[i] = None;
+        Some((i / EVENT_SLOTS, ev))
     }
 
     fn seed_arrivals(&mut self, cfg: &ServeConfig) {
         for idx in 0..self.tenants.len() {
             let first = self.tenants[idx].gen.next_after(0.0);
             if first <= cfg.duration_ms {
-                self.push(first, EvKind::Arrival { tenant: idx });
+                self.push(idx, first, EvKind::Arrival);
             }
         }
     }
 
-    fn step(&mut self, ev: Ev, cfg: &ServeConfig) -> Result<(), ServeError> {
+    fn step(&mut self, tenant: usize, ev: Ev, cfg: &ServeConfig) -> Result<(), ServeError> {
         match ev.kind {
-            EvKind::Arrival { tenant } => self.on_arrival(ev.t, tenant, cfg)?,
-            EvKind::BatchDeadline { tenant, epoch } => {
+            EvKind::Arrival => self.on_arrival(ev.t, tenant, cfg)?,
+            EvKind::BatchDeadline => {
                 let ten = &self.tenants[tenant];
-                if ten.epoch == epoch && !ten.busy && !ten.queue.is_empty() {
-                    let n = ten.queue.len();
-                    self.dispatch(ev.t, tenant, n)?;
-                }
+                debug_assert!(
+                    !ten.busy && !ten.queue.is_empty(),
+                    "a batch deadline outlived its batch"
+                );
+                let n = ten.queue.len();
+                self.dispatch(ev.t, tenant, n)?;
             }
-            EvKind::Complete { tenant } => self.on_complete(ev.t, tenant)?,
+            EvKind::Complete => self.on_complete(ev.t, tenant)?,
             EvKind::Retry {
-                tenant,
                 attempt,
                 backoff_ms,
             } => self.on_retry(ev.t, tenant, attempt, backoff_ms)?,
@@ -436,7 +471,7 @@ impl<'m, 's> Engine<'m, 's> {
         self.try_dispatch(t, tenant)?;
         let next = self.tenants[tenant].gen.next_after(t);
         if next <= cfg.duration_ms {
-            self.push(next, EvKind::Arrival { tenant });
+            self.push(tenant, next, EvKind::Arrival);
         }
         Ok(())
     }
@@ -458,10 +493,8 @@ impl<'m, 's> Engine<'m, 's> {
         if t >= ready_at {
             return self.dispatch(t, tenant, queued);
         }
-        if !ten.armed {
-            let epoch = ten.epoch;
-            self.tenants[tenant].armed = true;
-            self.push(ready_at, EvKind::BatchDeadline { tenant, epoch });
+        if self.event_slot(tenant, EvKind::BatchDeadline).is_none() {
+            self.push(tenant, ready_at, EvKind::BatchDeadline);
         }
         Ok(())
     }
@@ -484,11 +517,10 @@ impl<'m, 's> Engine<'m, 's> {
                 ten.in_flight.push(req);
             }
             ten.busy = true;
-            ten.epoch += 1;
-            ten.armed = false;
             ten.attempt = 0;
             *ten.batch_hist.entry(count).or_insert(0) += 1;
         }
+        *self.event_slot(tenant, EvKind::BatchDeadline) = None;
         self.start_service(t, tenant)
     }
 
@@ -498,19 +530,12 @@ impl<'m, 's> Engine<'m, 's> {
     /// either schedules completion or fails the attempt into the
     /// retry/backoff path when a transient fault hits.
     fn start_service(&mut self, t: f64, tenant: usize) -> Result<(), ServeError> {
-        if self.faults.is_some() {
-            self.lose_failed_groups(t, tenant)?;
-        }
-        let (compiled_batch, placement, count) = {
-            let ten = &self.tenants[tenant];
-            (
-                ten.spec.batch.compiled_batch(ten.in_flight.len()),
-                Placement::explicit(ten.groups.clone()),
-                ten.in_flight.len(),
-            )
-        };
-        let model_idx = self.tenants[tenant].spec.model;
-        let mut service_ms = self.models[model_idx].service_ms(compiled_batch, &placement)?;
+        self.lose_failed_groups(t, tenant)?;
+        let ten = &self.tenants[tenant];
+        let count = ten.in_flight.len();
+        let compiled_batch = ten.spec.batch.compiled_batch(count);
+        let placement = &ten.placement;
+        let mut service_ms = self.models[ten.spec.model].service_ms(compiled_batch, placement)?;
         if let Some(fs) = self.faults.as_mut() {
             let t_ns = ms_to_ns(t);
             let gpc = self.groups_per_cluster;
@@ -546,6 +571,7 @@ impl<'m, 's> Engine<'m, 's> {
                 return self.fail_attempt(t, tenant, label);
             }
         }
+        let groups = placement.len();
         self.tenants[tenant].busy_ms += service_ms;
         self.trace.events.push(ServeEvent {
             t_ns: ms_to_ns(t),
@@ -553,37 +579,37 @@ impl<'m, 's> Engine<'m, 's> {
             kind: ServeEventKind::Dispatch {
                 batch: count,
                 compiled_batch,
-                groups: placement.len(),
+                groups,
                 service_ms,
             },
         });
-        self.push(t + service_ms, EvKind::Complete { tenant });
+        self.push(tenant, t + service_ms, EvKind::Complete);
         Ok(())
     }
 
     /// Removes every group of `tenant` whose cores have failed by time
-    /// `t`, poisoning the freed slots so the autoscaler can never
+    /// `t` (nothing, in a run without faults), poisoning the freed slots so the autoscaler can never
     /// reclaim them. When no groups survive, the run stops with an
     /// [`Outage`] that takes the log along.
     fn lose_failed_groups(&mut self, t: f64, tenant: usize) -> Result<(), ServeError> {
+        let Some(fs) = self.faults.as_mut() else {
+            return Ok(());
+        };
         let t_ns = ms_to_ns(t);
         let gpc = self.groups_per_cluster;
-        let groups = self.tenants[tenant].groups.clone();
-        let mut lost: Vec<(GroupId, FaultError)> = Vec::new();
-        if let Some(fs) = self.faults.as_mut() {
-            for g in groups {
-                let flat = g.cluster * gpc + g.group;
-                if let Some(e) = fs.core_failure(flat, t_ns) {
-                    lost.push((g, e));
-                }
-            }
-        }
+        let lost: Vec<(GroupId, FaultError)> = self.tenants[tenant]
+            .placement
+            .groups()
+            .iter()
+            .filter_map(|&g| Some((g, fs.core_failure(g.cluster * gpc + g.group, t_ns)?)))
+            .collect();
         for (g, e) in lost {
             let ten = &mut self.tenants[tenant];
-            ten.groups
-                .retain(|x| !(x.cluster == g.cluster && x.group == g.group));
+            let mut groups = ten.placement.groups().to_vec();
+            groups.retain(|&x| x != g);
+            ten.placement = Placement::explicit(groups);
             ten.groups_lost += 1;
-            let remaining = ten.groups.len();
+            let remaining = ten.placement.len();
             self.slots[g.cluster][g.group] = None;
             self.dead[g.cluster][g.group] = true;
             self.trace.events.push(ServeEvent {
@@ -645,9 +671,9 @@ impl<'m, 's> Engine<'m, 's> {
         self.tenants[tenant].retries += 1;
         let backoff_ms = self.retry.backoff_for(attempt, &mut self.rng);
         self.push(
+            tenant,
             t + backoff_ms,
             EvKind::Retry {
-                tenant,
                 attempt,
                 backoff_ms,
             },
@@ -735,8 +761,8 @@ impl<'m, 's> Engine<'m, 's> {
         if !policy.enabled || t - ten.last_scale_ms < policy.cooldown_ms {
             return;
         }
-        let cluster = ten.groups[0].cluster;
-        let owned = ten.groups.len();
+        let cluster = ten.placement.groups()[0].cluster;
+        let owned = ten.placement.len();
         let cap = policy.max_groups.min(self.slots[cluster].len());
         if ten.delay_ema > policy.high_delay_ms && owned < cap {
             // Grab the first free slot in the tenant's cluster, if any.
@@ -745,7 +771,9 @@ impl<'m, 's> Engine<'m, 's> {
             {
                 self.slots[cluster][g] = Some(tenant);
                 let ten = &mut self.tenants[tenant];
-                ten.groups.push(GroupId::new(cluster, g));
+                let mut groups = ten.placement.groups().to_vec();
+                groups.push(GroupId::new(cluster, g));
+                ten.placement = Placement::explicit(groups);
                 ten.scale_ups += 1;
                 ten.last_scale_ms = t;
                 self.trace.events.push(ServeEvent {
@@ -759,7 +787,9 @@ impl<'m, 's> Engine<'m, 's> {
             }
         } else if ten.delay_ema < policy.low_delay_ms && owned > 1 {
             let ten = &mut self.tenants[tenant];
-            let freed = ten.groups.pop().expect("owned > 1");
+            let mut groups = ten.placement.groups().to_vec();
+            let freed = groups.pop().expect("owned > 1");
+            ten.placement = Placement::explicit(groups);
             self.slots[freed.cluster][freed.group] = None;
             ten.scale_downs += 1;
             ten.last_scale_ms = t;
@@ -776,7 +806,7 @@ impl<'m, 's> Engine<'m, 's> {
 
     fn finish(self, cfg: &ServeConfig) -> ServeOutcome {
         let horizon = cfg.duration_ms.max(f64::MIN_POSITIVE);
-        let mut all_latencies = Vec::new();
+        let mut sorted_latencies = Vec::with_capacity(self.tenants.len());
         let mut global_hist: BTreeMap<usize, u64> = BTreeMap::new();
         let mut tenants = Vec::with_capacity(self.tenants.len());
         let (mut offered, mut completed, mut shed, mut violations) = (0u64, 0u64, 0u64, 0u64);
@@ -784,7 +814,7 @@ impl<'m, 's> Engine<'m, 's> {
         let faults_injected = self.faults.as_ref().map_or(0, |f| f.injected());
         for ten in self.tenants {
             let (lats, stats) = ten.latencies.into_parts();
-            all_latencies.extend_from_slice(&lats);
+            sorted_latencies.push(lats);
             offered += ten.offered;
             completed += stats.count;
             shed += ten.shed;
@@ -813,12 +843,12 @@ impl<'m, 's> Engine<'m, 's> {
                 latency: stats,
                 batch_histogram: ten.batch_hist,
                 groups_initial: ten.groups_initial,
-                groups_final: ten.groups.len(),
+                groups_final: ten.placement.len(),
                 scale_ups: ten.scale_ups,
                 scale_downs: ten.scale_downs,
             });
         }
-        let latency = LatencyStats::from_latencies(&mut all_latencies);
+        let latency = LatencyStats::from_sorted(&merge_sorted(&sorted_latencies));
         ServeOutcome {
             report: ServeReport {
                 horizon_ms: cfg.duration_ms,
@@ -858,6 +888,43 @@ mod tests {
     fn run(cfg: &ServeConfig, base_ms: f64) -> ServeOutcome {
         let mut m = AnalyticModel::new("m", base_ms);
         run_serving(cfg, &ChipConfig::dtu20(), &mut [&mut m]).unwrap()
+    }
+
+    #[test]
+    fn equal_times_fire_in_push_order() {
+        let cfg = ServeConfig {
+            tenants: (0..3)
+                .map(|i| TenantSpec::poisson(format!("t{i}"), 0, 100.0))
+                .collect(),
+            ..ServeConfig::default()
+        };
+        let mut m = AnalyticModel::new("m", 1.0);
+        let mut models: [&mut dyn ServiceModel; 1] = [&mut m];
+        let mut engine = Engine::new(&cfg, &ChipConfig::dtu20(), &mut models, false).unwrap();
+        engine.push(2, 5.0, EvKind::Arrival);
+        engine.push(0, 5.0, EvKind::Complete);
+        engine.push(1, 4.0, EvKind::BatchDeadline);
+        engine.push(0, 5.0, EvKind::BatchDeadline);
+        engine.push(1, 5.0, EvKind::Arrival);
+        let order: Vec<(usize, f64, EvKind)> = std::iter::from_fn(|| engine.pop())
+            .map(|(tenant, ev)| (tenant, ev.t, ev.kind))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (1, 4.0, EvKind::BatchDeadline),
+                (2, 5.0, EvKind::Arrival),
+                (0, 5.0, EvKind::Complete),
+                (0, 5.0, EvKind::BatchDeadline),
+                (1, 5.0, EvKind::Arrival),
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "finite event times")]
+    fn a_nan_service_time_panics() {
+        run(&one_tenant(100.0), f64::NAN);
     }
 
     #[test]

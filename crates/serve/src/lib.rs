@@ -87,7 +87,7 @@ pub use metrics::{
     event_to_span, RequestOutcome, ServeEvent, ServeEventKind, ServeReport, ServingTrace,
     TenantReport,
 };
-pub use model::{AnalyticModel, CacheStats, CompiledModel, ProgramSource, ServiceModel};
+pub use model::{AnalyticModel, CacheStats, CompiledModel, PriceMemo, ProgramSource, ServiceModel};
 pub use stats::{percentile, LatencyStats, Sample};
 pub use token_model::{AnalyticTokenModel, CompiledTokenModel, PrefillOnly, TokenModel};
 

@@ -6,15 +6,18 @@
 //! ([`CompiledModel`]), which compiles and caches one session per
 //! (model, batch, placement) — the serving-time analogue of an
 //! inference server's engine cache.
+//!
+//! The engine asks its model once per dispatch, so a repeat question
+//! must be cheap: [`PriceMemo`] answers it by matching the placement's
+//! groups as a set against the sessions priced so far, without
+//! allocating, sorting or hashing. Only a miss copies and sorts the
+//! placement.
 
 use crate::ServeError;
 use dtu_compiler::{compile, CompilerConfig, Mode, Placement};
 use dtu_graph::Graph;
-use dtu_sim::{Chip, ChipConfig, Program};
-use std::collections::HashMap;
+use dtu_sim::{Chip, ChipConfig, GroupId, Program};
 use std::sync::Arc;
-
-use dtu_sim::GroupId;
 
 /// External provider of compiled programs.
 ///
@@ -110,11 +113,68 @@ impl ServiceModel for AnalyticModel {
     }
 }
 
-/// Cache key: one compiled session per (batch, placement).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct SessionKey {
+/// Session prices: the service time of a batch on a set of groups,
+/// however the placement orders them.
+///
+/// A serving model meets few sessions (a handful of compiled batch
+/// sizes on the few group sets its tenant scales through), so a lookup
+/// scans them. It matches the placement's groups against each entry's
+/// sorted copy as a multiset, without allocating, sorting or hashing;
+/// only [`PriceMemo::insert`] copies and sorts.
+#[derive(Debug, Default)]
+pub struct PriceMemo {
+    entries: Vec<PriceEntry>,
+}
+
+#[derive(Debug)]
+struct PriceEntry {
     batch: usize,
-    groups: Vec<GroupId>,
+    /// Sorted.
+    groups: Box<[GroupId]>,
+    service_ms: f64,
+}
+
+impl PriceMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        PriceMemo::default()
+    }
+
+    /// The price of `batch` on `placement`'s groups, if known.
+    pub fn get(&self, batch: usize, placement: &Placement) -> Option<f64> {
+        let groups = placement.groups();
+        self.entries
+            .iter()
+            .find(|e| e.batch == batch && same_groups(&e.groups, groups))
+            .map(|e| e.service_ms)
+    }
+
+    /// Records the price of `batch` on `placement`'s groups.
+    pub fn insert(&mut self, batch: usize, placement: &Placement, service_ms: f64) {
+        let mut groups: Box<[GroupId]> = placement.groups().into();
+        groups.sort_unstable();
+        self.entries.push(PriceEntry {
+            batch,
+            groups,
+            service_ms,
+        });
+    }
+
+    /// Number of sessions priced.
+    pub fn sessions(&self) -> usize {
+        self.entries.len()
+    }
+}
+
+/// Whether `groups` holds exactly the groups of `sorted`, in any order:
+/// a group listed twice must be listed twice in both.
+fn same_groups(sorted: &[GroupId], groups: &[GroupId]) -> bool {
+    sorted.len() == groups.len()
+        && (sorted == groups
+            || groups.iter().all(|g| {
+                let count = |list: &[GroupId]| list.iter().filter(|x| *x == g).count();
+                count(sorted) == count(groups)
+            }))
 }
 
 /// Hit/miss accounting for the session cache.
@@ -136,7 +196,7 @@ pub struct CompiledModel<'c> {
     chip: &'c Chip,
     name: String,
     build: Box<dyn Fn(usize) -> Result<Graph, ServeError> + 'c>,
-    cache: HashMap<SessionKey, f64>,
+    prices: PriceMemo,
     source: Option<&'c dyn ProgramSource>,
     stats: CacheStats,
 }
@@ -145,7 +205,7 @@ impl std::fmt::Debug for CompiledModel<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledModel")
             .field("name", &self.name)
-            .field("cached_sessions", &self.cache.len())
+            .field("cached_sessions", &self.prices.sessions())
             .field("stats", &self.stats)
             .finish()
     }
@@ -162,7 +222,7 @@ impl<'c> CompiledModel<'c> {
             chip,
             name: name.into(),
             build: Box::new(move |b| Ok(build(b))),
-            cache: HashMap::new(),
+            prices: PriceMemo::new(),
             source: None,
             stats: CacheStats::default(),
         }
@@ -183,7 +243,7 @@ impl<'c> CompiledModel<'c> {
 
     /// Number of distinct sessions compiled so far.
     pub fn cached_sessions(&self) -> usize {
-        self.cache.len()
+        self.prices.sessions()
     }
 }
 
@@ -196,10 +256,7 @@ impl ServiceModel for CompiledModel<'_> {
         if batch == 0 {
             return Err(ServeError::Config("batch must be at least 1".into()));
         }
-        let mut groups = placement.groups().to_vec();
-        groups.sort_unstable();
-        let key = SessionKey { batch, groups };
-        if let Some(&service_ms) = self.cache.get(&key) {
+        if let Some(service_ms) = self.prices.get(batch, placement) {
             self.stats.hits += 1;
             return Ok(service_ms);
         }
@@ -217,7 +274,7 @@ impl ServiceModel for CompiledModel<'_> {
             None => Arc::new(compile(&graph, chip_cfg, placement, &compiler)?),
         };
         let service_ms = self.chip.run(&program)?.latency_ms();
-        self.cache.insert(key, service_ms);
+        self.prices.insert(batch, placement, service_ms);
         Ok(service_ms)
     }
 }
@@ -270,6 +327,24 @@ mod tests {
         m.service_ms(4, &p0).unwrap();
         assert_eq!(m.cached_sessions(), 3);
         assert!(a > 0.0);
+    }
+
+    #[test]
+    fn price_memo_matches_groups_as_a_multiset() {
+        let at = |groups: &[(usize, usize)]| {
+            Placement::explicit(groups.iter().map(|&(c, g)| GroupId::new(c, g)).collect())
+        };
+        let mut memo = PriceMemo::new();
+        memo.insert(4, &at(&[(0, 2), (0, 0)]), 1.5);
+        assert_eq!(memo.get(4, &at(&[(0, 0), (0, 2)])), Some(1.5));
+        assert_eq!(memo.get(4, &at(&[(0, 2), (0, 0)])), Some(1.5));
+        assert_eq!(memo.get(2, &at(&[(0, 0), (0, 2)])), None, "another batch");
+        assert_eq!(memo.get(4, &at(&[(0, 0)])), None, "a subset");
+        assert_eq!(memo.get(4, &at(&[(0, 0), (0, 0)])), None, "a repeat");
+        memo.insert(4, &at(&[(0, 0), (0, 0), (0, 2)]), 2.5);
+        assert_eq!(memo.get(4, &at(&[(0, 2), (0, 0), (0, 2)])), None);
+        assert_eq!(memo.get(4, &at(&[(0, 0), (0, 2), (0, 0)])), Some(2.5));
+        assert_eq!(memo.sessions(), 2);
     }
 
     #[test]

@@ -52,26 +52,98 @@ pub struct LatencyStats {
 
 impl LatencyStats {
     /// Builds the summary from an unsorted latency sample (the sample
-    /// is sorted in place).
+    /// is sorted in place, as [`sort_latencies`] orders it).
     ///
     /// # Panics
     ///
     /// Panics if a latency is NaN — the simulators only produce finite
     /// times, so a NaN is a bug upstream.
     pub fn from_latencies(latencies: &mut [f64]) -> Self {
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        if latencies.is_empty() {
+        let sorted = sort_latencies(latencies.to_vec());
+        latencies.copy_from_slice(&sorted);
+        LatencyStats::from_sorted(&sorted)
+    }
+
+    /// Builds the summary from a sample already in ascending order: the
+    /// count, the left-to-right sum's mean, and nearest-rank
+    /// percentiles.
+    pub fn from_sorted(sorted: &[f64]) -> Self {
+        let Some(&max_ms) = sorted.last() else {
             return LatencyStats::default();
-        }
+        };
         LatencyStats {
-            count: latencies.len() as u64,
-            mean_ms: latencies.iter().sum::<f64>() / latencies.len() as f64,
-            p50_ms: percentile(latencies, 0.50),
-            p95_ms: percentile(latencies, 0.95),
-            p99_ms: percentile(latencies, 0.99),
-            max_ms: *latencies.last().expect("non-empty"),
+            count: sorted.len() as u64,
+            mean_ms: sorted.iter().sum::<f64>() / sorted.len() as f64,
+            p50_ms: percentile(sorted, 0.50),
+            p95_ms: percentile(sorted, 0.95),
+            p99_ms: percentile(sorted, 0.99),
+            max_ms,
         }
     }
+}
+
+/// The order-preserving integer key of a latency: `a < b` exactly when
+/// `key(a) < key(b)`, and equal keys are equal bits. Values with the
+/// sign bit clear gain it; values with it set flip every bit (the sign
+/// fold), so −0.0 sorts just below +0.0.
+///
+/// # Panics
+///
+/// Panics on a NaN.
+fn sort_key(ms: f64) -> u64 {
+    assert!(!ms.is_nan(), "finite latencies");
+    let bits = ms.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// The latency whose [`sort_key`] is `key`.
+fn from_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// Sorts a latency sample ascending, in its own buffer: both maps reuse
+/// the allocation, since `u64` and `f64` share size and alignment.
+/// Equal keys are equal bits, so an unstable sort yields the sequence a
+/// stable `partial_cmp` sort does (but for −0.0, which it places before
+/// +0.0 rather than in input order).
+///
+/// # Panics
+///
+/// Panics if a latency is NaN.
+pub fn sort_latencies(latencies: Vec<f64>) -> Vec<f64> {
+    let mut keys: Vec<u64> = latencies.into_iter().map(sort_key).collect();
+    keys.sort_unstable();
+    keys.into_iter().map(from_key).collect()
+}
+
+/// Merges samples that are each in ascending order into one ascending
+/// sample: the sequence [`sort_latencies`] gives their concatenation.
+pub fn merge_sorted(parts: &[Vec<f64>]) -> Vec<f64> {
+    let mut heads = vec![0; parts.len()];
+    let total = parts.iter().map(Vec::len).sum();
+    let mut merged = Vec::with_capacity(total);
+    for _ in 0..total {
+        let mut next: Option<(usize, f64)> = None;
+        for (p, part) in parts.iter().enumerate() {
+            if let Some(&ms) = part.get(heads[p]) {
+                if next.is_none_or(|(_, best)| ms.total_cmp(&best).is_lt()) {
+                    next = Some((p, ms));
+                }
+            }
+        }
+        let (part, ms) = next.expect("a part has values left");
+        heads[part] += 1;
+        merged.push(ms);
+    }
+    merged
 }
 
 /// A latency sample accumulator with a slowest-request exemplar.
@@ -119,11 +191,13 @@ impl Sample {
 
     /// Summarizes the sample (sorts the underlying values in place).
     pub fn stats(&mut self) -> LatencyStats {
-        LatencyStats::from_latencies(&mut self.values)
+        self.values = sort_latencies(std::mem::take(&mut self.values));
+        LatencyStats::from_sorted(&self.values)
     }
 
-    /// Consumes the sample, returning its raw values (for cross-sample
-    /// aggregation) and the summary.
+    /// Consumes the sample, returning its values in ascending order
+    /// (for cross-sample aggregation through [`merge_sorted`]) and the
+    /// summary.
     pub fn into_parts(mut self) -> (Vec<f64>, LatencyStats) {
         let stats = self.stats();
         (self.values, stats)
