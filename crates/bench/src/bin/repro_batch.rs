@@ -74,11 +74,7 @@ fn main() {
                 name: format!("b{max_batch}"),
                 model: 0,
                 arrival: ArrivalProcess::Poisson { qps: 3600.0 },
-                batch: if max_batch > 1 {
-                    BatchPolicy::dynamic(max_batch, 2.0)
-                } else {
-                    BatchPolicy::none()
-                },
+                batch: BatchPolicy::dynamic(max_batch, 2.0),
                 sla: SlaPolicy::new(50.0, 64),
                 scale: ScalePolicy::none(),
                 cluster: Some(0),

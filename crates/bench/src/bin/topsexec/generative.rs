@@ -13,12 +13,6 @@ use dtu_models::GenerativeConfig;
 /// The accelerator, transformer and scenario both generative commands
 /// run.
 pub fn setup(args: &Args) -> Result<(Accelerator, GenerativeConfig, GenerativeScenario), Failure> {
-    let (min_new, max_new): (usize, usize) = (args.get("--min-new"), args.get("--max-new"));
-    if max_new < min_new {
-        return Err(Failure::Input(format!(
-            "--max-new {max_new} is below --min-new {min_new}"
-        )));
-    }
     let gen_cfg = cli::gen_model_by_name(&args.get::<String>("--gen-model"))
         .expect("--gen-model passed its kind");
     let accel = accelerator(chip_config(args))?;
@@ -32,8 +26,8 @@ pub fn setup(args: &Args) -> Result<(Accelerator, GenerativeConfig, GenerativeSc
         seed: args.get("--seed"),
         arrival: arrival(args),
         prompt_tokens: args.get("--prompt"),
-        min_new_tokens: min_new,
-        max_new_tokens: max_new,
+        min_new_tokens: args.get("--min-new"),
+        max_new_tokens: args.get("--max-new"),
         max_concurrency: args.get("--max-concurrency"),
         queue_depth: args.get("--queue-depth"),
         ttft_deadline_ms: args.get("--ttft-deadline"),

@@ -50,11 +50,7 @@ pub fn scenario(
                 name,
                 model,
                 arrival: arrival(args),
-                batch: if max_batch > 1 {
-                    BatchPolicy::dynamic(max_batch, args.get("--batch-timeout"))
-                } else {
-                    BatchPolicy::none()
-                },
+                batch: BatchPolicy::dynamic(max_batch, args.get("--batch-timeout")),
                 sla: SlaPolicy::new(deadline, args.get("--queue-depth")),
                 scale: if args.switch("--no-autoscale") {
                     ScalePolicy::none()

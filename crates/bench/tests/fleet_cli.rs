@@ -28,7 +28,7 @@ fn bad_fleet_input_fails_with_the_fleet_usage() {
         (
             &["fleet"],
             &["--deadline", "-1"],
-            "needs a positive SLA deadline (inf for none), got -1 ms",
+            "tenant resnet50: serving config error: SLA deadline_ms must be positive (inf for none), got -1",
         ),
         (
             &["fleet"],

@@ -139,6 +139,22 @@ fn bad_serve_flags_fail_with_the_command_usage() {
             &["--once", "--batch-timeout", "inf"],
             "batch timeout_ms must be finite and not negative, got inf",
         ),
+        // A cap of 1 never waits, but its timeout is still checked.
+        (
+            "serve",
+            &["--max-batch", "1", "--batch-timeout", "nan"],
+            "batch timeout_ms must be finite and not negative, got NaN",
+        ),
+        (
+            "top",
+            &["--once", "--max-batch", "1", "--batch-timeout", "-1"],
+            "batch timeout_ms must be finite and not negative, got -1",
+        ),
+        (
+            "serve --generative",
+            &["--min-new", "8", "--max-new", "4"],
+            "max_new_tokens must be at least min_new_tokens (8), got 4",
+        ),
     ];
     let mut failures = Vec::new();
     for (command, extra, reason) in cases {

@@ -20,9 +20,11 @@
 /// A rolling-deploy schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RollPlan {
-    /// Simulated time the roll begins, ms (NaN is rejected).
+    /// Simulated time the roll begins, ms; not NaN. A time before the
+    /// run starts the roll at the first epoch, and one after the last
+    /// epoch's start never starts it.
     pub start_ms: f64,
-    /// Chips drained per epoch (at least 1).
+    /// Chips drained per epoch; at least 1.
     pub chips_per_epoch: usize,
     /// Version label chips start with.
     pub from_version: String,
@@ -36,7 +38,7 @@ impl RollPlan {
     pub fn new(start_ms: f64, chips_per_epoch: usize) -> Self {
         RollPlan {
             start_ms,
-            chips_per_epoch: chips_per_epoch.max(1),
+            chips_per_epoch,
             from_version: "v1".to_string(),
             to_version: "v2".to_string(),
         }

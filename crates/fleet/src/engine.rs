@@ -59,10 +59,11 @@ use std::sync::Mutex;
 /// A scheduled whole-chip failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipKill {
-    /// The chip to kill.
+    /// The chip to kill: an index into the topology.
     pub chip: usize,
-    /// Simulated failure time, ms (clamped into the run; a time past
-    /// the horizon never fires; NaN is rejected).
+    /// Simulated failure time, ms; not NaN. It is clamped into the
+    /// run: a negative time kills the chip at the start, and a time at
+    /// or past the horizon never fires.
     pub at_ms: f64,
 }
 
@@ -76,7 +77,7 @@ pub struct FleetConfig {
     /// Fleet seed; folded into every routing and serve seed.
     pub seed: u64,
     /// Routing cells per live replica per epoch (balancing
-    /// granularity).
+    /// granularity); at least 1.
     pub cells_per_replica: usize,
     /// Optional rolling deploy to run.
     pub roll: Option<RollPlan>,
@@ -94,6 +95,52 @@ impl Default for FleetConfig {
             roll: None,
             kill: None,
         }
+    }
+}
+
+impl FleetConfig {
+    /// Checks the run-level rules for a fleet of `chips` chips: a
+    /// duration and an epoch length that are positive and finite, at
+    /// most 10 000 routing epochs, at least one routing cell per
+    /// replica, a kill that names a chip of the fleet at a time that is
+    /// a number, and a roll that starts at a number and drains at least
+    /// one chip per epoch. [`run_fleet`] calls this first.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::Config`] naming the first bad field and its value.
+    pub fn validate(&self, chips: usize) -> Result<(), FleetError> {
+        let (duration, epoch) = (self.duration_ms, self.epoch_ms);
+        let positive_finite = |x: f64| x.is_finite() && x > 0.0;
+        let epochs = (duration / epoch).ceil();
+        let roll = self.roll.as_ref();
+        let why = if !(positive_finite(epoch) && positive_finite(duration)) {
+            format!(
+                "fleet duration and epoch length must be positive and finite, \
+                 got {duration} ms and {epoch} ms"
+            )
+        } else if epochs > MAX_EPOCHS as f64 {
+            format!(
+                "a fleet run takes at most {MAX_EPOCHS} routing epochs, but {duration} ms \
+                 in {epoch} ms epochs takes {epochs}"
+            )
+        } else if self.cells_per_replica == 0 {
+            "cells_per_replica must be at least 1, got 0".into()
+        } else if let Some(kill) = self.kill.filter(|k| k.chip >= chips) {
+            format!("kill targets chip {} but the fleet has {chips}", kill.chip)
+        } else if let Some(kill) = self.kill.filter(|k| k.at_ms.is_nan()) {
+            format!(
+                "the kill time of chip {} must be a number, got NaN",
+                kill.chip
+            )
+        } else if roll.is_some_and(|r| r.start_ms.is_nan()) {
+            "the roll start time must be a number, got NaN".into()
+        } else if roll.is_some_and(|r| r.chips_per_epoch == 0) {
+            "roll chips_per_epoch must be at least 1, got 0".into()
+        } else {
+            return Ok(());
+        };
+        Err(FleetError::Config(why))
     }
 }
 
@@ -167,7 +214,38 @@ fn chip_kill_plan(cfg: &dtu_sim::ChipConfig, at_ms: f64, seed: u64) -> FaultPlan
     }
 }
 
-/// Builds the per-chip serve configuration for one epoch.
+/// The serving tenant a replica of `tenant` runs at `qps`, as model
+/// `model` of its chip-epoch, on a chip of `groups_per_cluster`-group
+/// clusters.
+fn replica_spec(
+    tenant: &FleetTenant<'_>,
+    model: usize,
+    qps: f64,
+    groups_per_cluster: usize,
+) -> TenantSpec {
+    TenantSpec {
+        name: tenant.model.name().to_string(),
+        model,
+        arrival: ArrivalProcess::Poisson { qps },
+        batch: BatchPolicy::dynamic(tenant.max_batch, tenant.batch_timeout_ms),
+        sla: SlaPolicy::new(tenant.deadline_ms, tenant.queue_depth),
+        scale: if tenant.autoscale {
+            ScalePolicy::elastic(
+                tenant.deadline_ms * 0.5,
+                tenant.deadline_ms * 0.1,
+                groups_per_cluster,
+            )
+        } else {
+            ScalePolicy::none()
+        },
+        cluster: None,
+        initial_groups: tenant.initial_groups,
+    }
+}
+
+/// Builds the per-chip serve configuration for one epoch: one tenant
+/// per assigned (fleet tenant, qps), each serving the chip's model of
+/// the same index.
 fn chip_serve_config(
     tenants: &[FleetTenant<'_>],
     assignment: &[(usize, f64)],
@@ -184,31 +262,8 @@ fn chip_serve_config(
         retry: RetryPolicy::default(),
         tenants: assignment
             .iter()
-            .map(|&(t, qps)| {
-                let spec = &tenants[t];
-                TenantSpec {
-                    name: spec.model.name().to_string(),
-                    model: 0, // fixed up by the caller (one model per tenant)
-                    arrival: ArrivalProcess::Poisson { qps },
-                    batch: if spec.max_batch > 1 {
-                        BatchPolicy::dynamic(spec.max_batch, spec.batch_timeout_ms)
-                    } else {
-                        BatchPolicy::none()
-                    },
-                    sla: SlaPolicy::new(spec.deadline_ms, spec.queue_depth),
-                    scale: if spec.autoscale {
-                        ScalePolicy::elastic(
-                            spec.deadline_ms * 0.5,
-                            spec.deadline_ms * 0.1,
-                            groups_per_cluster,
-                        )
-                    } else {
-                        ScalePolicy::none()
-                    },
-                    cluster: None,
-                    initial_groups: spec.initial_groups,
-                }
-            })
+            .enumerate()
+            .map(|(i, &(t, qps))| replica_spec(&tenants[t], i, qps, groups_per_cluster))
             .collect(),
     }
 }
@@ -374,9 +429,6 @@ fn run_chip_epoch(
         serve_seed,
         faults,
     );
-    for (i, t) in cfg.tenants.iter_mut().enumerate() {
-        t.model = i;
-    }
 
     let mut refs: Vec<&mut dyn ServiceModel> = models
         .iter_mut()
@@ -484,10 +536,12 @@ struct TenantAccum {
 ///
 /// # Errors
 ///
-/// [`FleetError::Config`] for impossible topologies, placements, or
-/// epoch settings, tenant rates, deadlines or batch timeouts out of
-/// range, and NaN kill or roll times; [`FleetError::Harness`] when a
-/// chip simulation fails for a non-kill reason;
+/// [`FleetError::Config`], before any work, for a run
+/// [`FleetConfig::validate`] rejects and for a tenant whose replica
+/// spec [`TenantSpec::validate`] rejects at the tenant's fleet-wide
+/// qps, and for a placement that cannot be made;
+/// [`FleetError::Harness`] when a chip simulation fails for a non-kill
+/// reason;
 /// [`FleetError::Accounting`] if the fleet-wide `offered == completed +
 /// shed + fault_dropped` invariant breaks (a bug, never expected).
 pub fn run_fleet(
@@ -537,69 +591,14 @@ fn run_fleet_inner(
     jobs: usize,
     mut monitor: Option<&mut FleetMonitor>,
 ) -> Result<FleetReport, FleetError> {
-    let positive_finite = |x: f64| x.is_finite() && x > 0.0;
-    if !(positive_finite(cfg.epoch_ms) && positive_finite(cfg.duration_ms)) {
-        return Err(FleetError::Config(format!(
-            "fleet duration and epoch length must be positive and finite, \
-             got {} ms and {} ms",
-            cfg.duration_ms, cfg.epoch_ms
-        )));
-    }
-    let epochs = (cfg.duration_ms / cfg.epoch_ms).ceil();
-    if epochs > MAX_EPOCHS as f64 {
-        return Err(FleetError::Config(format!(
-            "a fleet run takes at most {MAX_EPOCHS} routing epochs, but {} ms in \
-             {} ms epochs takes {epochs}",
-            cfg.duration_ms, cfg.epoch_ms
-        )));
-    }
-    let epochs = epochs as usize;
-    for t in tenants {
-        ArrivalProcess::Poisson { qps: t.qps }
+    cfg.validate(topology.len())?;
+    let gpc = topology.chip(0).config.groups_per_cluster;
+    for (t, tenant) in tenants.iter().enumerate() {
+        replica_spec(tenant, t, tenant.qps, gpc)
             .validate(cfg.duration_ms)
-            .map_err(|e| FleetError::Config(format!("tenant {}: {e}", t.model.name())))?;
+            .map_err(|e| FleetError::Config(format!("tenant {}: {e}", tenant.model.name())))?;
     }
-    // `+inf` is a tenant without an SLO.
-    if let Some(t) = tenants
-        .iter()
-        .find(|t| t.deadline_ms.is_nan() || t.deadline_ms <= 0.0)
-    {
-        return Err(FleetError::Config(format!(
-            "tenant {} needs a positive SLA deadline (inf for none), got {} ms",
-            t.model.name(),
-            t.deadline_ms
-        )));
-    }
-    if let Some(t) = tenants
-        .iter()
-        .find(|t| !(t.batch_timeout_ms.is_finite() && t.batch_timeout_ms >= 0.0))
-    {
-        return Err(FleetError::Config(format!(
-            "tenant {} needs a finite, non-negative batch timeout, got {} ms",
-            t.model.name(),
-            t.batch_timeout_ms
-        )));
-    }
-    if let Some(kill) = &cfg.kill {
-        if kill.chip >= topology.len() {
-            return Err(FleetError::Config(format!(
-                "kill targets chip {} but the fleet has {}",
-                kill.chip,
-                topology.len()
-            )));
-        }
-        if kill.at_ms.is_nan() {
-            return Err(FleetError::Config(format!(
-                "the kill time of chip {} must be a number, got NaN",
-                kill.chip
-            )));
-        }
-    }
-    if cfg.roll.as_ref().is_some_and(|r| r.start_ms.is_nan()) {
-        return Err(FleetError::Config(
-            "the roll start time must be a number, got NaN".into(),
-        ));
-    }
+    let epochs = (cfg.duration_ms / cfg.epoch_ms).ceil() as usize;
     let n = topology.len();
     let stats_before = cache.stats();
     let prices = &PriceTable::new(topology);
@@ -1078,104 +1077,140 @@ mod tests {
         assert!(json.contains("\"chips_dead\":[1]"));
     }
 
-    #[test]
-    fn bad_configs_fail_loudly() {
-        let topo = FleetTopology::homogeneous(1, 2, &ChipConfig::dtu20()).unwrap();
-        let cache = SessionCache::memory_only();
-        let tenants = vec![FleetTenant::new(toy_model(), 100.0)];
-        for (epoch_ms, want) in [
-            (0.0, "positive and finite"),
-            (f64::INFINITY, "positive and finite"),
-            (f64::NAN, "positive and finite"),
-            (1e-6, "at most 10000 routing epochs"),
-        ] {
-            let bad_epoch = FleetConfig {
-                epoch_ms,
-                ..small_cfg()
-            };
-            match run_fleet(&topo, &tenants, &bad_epoch, &cache, 1) {
-                Err(FleetError::Config(msg)) => assert!(msg.contains(want), "{msg}"),
-                other => panic!("epoch {epoch_ms} must be a config error, got {other:?}"),
-            }
-        }
-        for deadline_ms in [-1.0, 0.0, f64::NAN] {
-            let mut late = FleetTenant::new(toy_model(), 100.0);
-            late.deadline_ms = deadline_ms;
-            let r = run_fleet(&topo, &[late], &small_cfg(), &cache, 1);
-            assert!(matches!(r, Err(FleetError::Config(_))), "{r:?}");
-        }
-        assert_eq!(cache.stats().misses, 0, "rejected before any work");
-        let bad_kill = FleetConfig {
-            kill: Some(ChipKill {
-                chip: 9,
-                at_ms: 0.0,
-            }),
-            ..small_cfg()
-        };
-        assert!(run_fleet(&topo, &tenants, &bad_kill, &cache, 1).is_err());
+    /// `small_cfg()` with `edit` applied.
+    fn with_cfg(edit: &dyn Fn(&mut FleetConfig)) -> FleetConfig {
+        let mut cfg = small_cfg();
+        edit(&mut cfg);
+        cfg
     }
 
-    /// Runs a one-card fleet of `tenants` under `cfg` and checks it is
+    /// A toy tenant at 100 qps with `edit` applied.
+    fn with_tenant(edit: &dyn Fn(&mut FleetTenant<'static>)) -> FleetTenant<'static> {
+        let mut t = FleetTenant::new(toy_model(), 100.0);
+        edit(&mut t);
+        t
+    }
+
+    /// Runs a one-card fleet of `tenant` under `cfg` and checks it is
     /// rejected, before any compile, as a config error naming `want`.
-    fn assert_config_error(tenants: &[FleetTenant<'_>], cfg: &FleetConfig, want: &str) {
+    fn assert_config_error(tenant: FleetTenant<'_>, cfg: &FleetConfig, want: &str) {
         let topo = FleetTopology::homogeneous(1, 2, &ChipConfig::dtu20()).unwrap();
         let cache = SessionCache::memory_only();
-        match run_fleet(&topo, tenants, cfg, &cache, 1) {
+        match run_fleet(&topo, &[tenant], cfg, &cache, 1) {
             Err(FleetError::Config(msg)) => assert!(msg.contains(want), "{msg}"),
             other => panic!("expected a config error naming `{want}`, got {other:?}"),
         }
-        assert_eq!(cache.stats().misses, 0, "rejected before any work");
+        assert_eq!(cache.stats().misses, 0, "`{want}` rejected before any work");
     }
 
     #[test]
     fn batch_timeout_must_be_finite_and_not_negative() {
-        for timeout_ms in [f64::NAN, -1.0, f64::INFINITY] {
-            let mut tenant = FleetTenant::new(toy_model(), 100.0);
-            tenant.batch_timeout_ms = timeout_ms;
-            let want = format!("batch timeout, got {timeout_ms} ms");
-            assert_config_error(&[tenant], &small_cfg(), &want);
+        for ms in [f64::NAN, -1.0, f64::INFINITY] {
+            let want = format!(
+                "tenant toy: serving config error: batch timeout_ms must be finite and not \
+                 negative, got {ms}"
+            );
+            assert_config_error(
+                with_tenant(&|t| t.batch_timeout_ms = ms),
+                &small_cfg(),
+                &want,
+            );
         }
     }
 
     #[test]
     fn nan_kill_time_fails_loudly() {
-        let cfg = FleetConfig {
-            kill: Some(ChipKill {
+        let cfg = with_cfg(&|c| {
+            c.kill = Some(ChipKill {
                 chip: 0,
                 at_ms: f64::NAN,
-            }),
-            ..small_cfg()
-        };
-        let tenants = [FleetTenant::new(toy_model(), 100.0)];
-        assert_config_error(&tenants, &cfg, "kill time of chip 0 must be a number");
+            })
+        });
+        let want = "the kill time of chip 0 must be a number, got NaN";
+        assert_config_error(with_tenant(&|_| {}), &cfg, want);
     }
 
     #[test]
     fn nan_roll_start_fails_loudly() {
-        let cfg = FleetConfig {
-            roll: Some(RollPlan::new(f64::NAN, 1)),
-            ..small_cfg()
-        };
-        let tenants = [FleetTenant::new(toy_model(), 100.0)];
-        assert_config_error(&tenants, &cfg, "roll start time must be a number");
+        let cfg = with_cfg(&|c| c.roll = Some(RollPlan::new(f64::NAN, 1)));
+        let want = "the roll start time must be a number, got NaN";
+        assert_config_error(with_tenant(&|_| {}), &cfg, want);
     }
 
     #[test]
     fn tenant_qps_must_be_positive_and_finite() {
-        let topo = FleetTopology::homogeneous(1, 2, &ChipConfig::dtu20()).unwrap();
-        let cache = SessionCache::memory_only();
         for qps in [-5.0, 0.0, f64::NAN, f64::INFINITY] {
-            let tenants = vec![FleetTenant::new(toy_model(), qps)];
-            match run_fleet(&topo, &tenants, &small_cfg(), &cache, 1) {
-                Err(FleetError::Config(msg)) => {
-                    assert!(
-                        msg.contains(&format!("qps must be positive and finite, got {qps}")),
-                        "{msg}"
-                    )
-                }
-                other => panic!("qps {qps} must be a config error, got {other:?}"),
-            }
+            let want = format!(
+                "tenant toy: serving config error: arrival qps must be positive and finite, \
+                 got {qps}"
+            );
+            assert_config_error(with_tenant(&|t| t.qps = qps), &small_cfg(), &want);
         }
-        assert_eq!(cache.stats().misses, 0, "rejected before compiling");
+    }
+
+    /// The remaining rules `run_fleet` enforces, one row per bad value:
+    /// each is a config error naming what is wrong, before anything
+    /// compiles.
+    #[test]
+    fn bad_configs_fail_loudly() {
+        let ok = || with_tenant(&|_| {});
+        let mut rows: Vec<(FleetConfig, FleetTenant<'_>, String)> = vec![
+            (
+                with_cfg(&|c| c.epoch_ms = 1e-6),
+                ok(),
+                "at most 10000 routing epochs".into(),
+            ),
+            (
+                with_cfg(&|c| c.cells_per_replica = 0),
+                ok(),
+                "cells_per_replica must be at least 1, got 0".into(),
+            ),
+            (
+                with_cfg(&|c| {
+                    c.kill = Some(ChipKill {
+                        chip: 9,
+                        at_ms: 0.0,
+                    })
+                }),
+                ok(),
+                "kill targets chip 9 but the fleet has 2".into(),
+            ),
+            (
+                with_cfg(&|c| c.roll = Some(RollPlan::new(1000.0, 0))),
+                ok(),
+                "roll chips_per_epoch must be at least 1, got 0".into(),
+            ),
+            (
+                small_cfg(),
+                with_tenant(&|t| t.max_batch = 0),
+                "tenant toy: serving config error: batch max_batch must be at least 1, got 0"
+                    .into(),
+            ),
+            (
+                small_cfg(),
+                with_tenant(&|t| t.initial_groups = 0),
+                "tenant toy: serving config error: initial_groups must be at least 1, got 0".into(),
+            ),
+        ];
+        for ms in [0.0, f64::INFINITY, f64::NAN] {
+            rows.push((
+                with_cfg(&|c| c.epoch_ms = ms),
+                ok(),
+                format!("must be positive and finite, got 2000 ms and {ms} ms"),
+            ));
+        }
+        for ms in [-1.0, 0.0, f64::NAN] {
+            rows.push((
+                small_cfg(),
+                with_tenant(&|t| t.deadline_ms = ms),
+                format!(
+                    "tenant toy: serving config error: SLA deadline_ms must be positive (inf \
+                     for none), got {ms}"
+                ),
+            ));
+        }
+        for (cfg, tenant, want) in rows {
+            assert_config_error(tenant, &cfg, &want);
+        }
     }
 }

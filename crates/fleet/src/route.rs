@@ -125,9 +125,9 @@ fn route_rng(seed: u64, epoch: usize, tenant: usize) -> FaultRng {
 /// `tenant_qps[t]` is tenant `t`'s fleet-wide offered rate for the
 /// epoch and `live_replicas[t]` its currently routable chips (dead and
 /// draining chips already excluded); a tenant with no live replicas
-/// routes nothing. `cells_per_replica` controls the granularity of
-/// balancing: more cells approach an ideal split at the cost of more
-/// per-chip tenant queues.
+/// routes nothing. `cells_per_replica`, at least 1, controls the
+/// granularity of balancing: more cells approach an ideal split at the
+/// cost of more per-chip tenant queues.
 pub fn route_epoch(
     tenant_qps: &[f64],
     live_replicas: &[Vec<usize>],
@@ -147,7 +147,7 @@ pub fn route_epoch(
         if replicas.is_empty() || qps <= 0.0 {
             continue;
         }
-        let n_cells = replicas.len() * cells_per_replica.max(1);
+        let n_cells = replicas.len() * cells_per_replica;
         let cell_qps = qps / n_cells as f64;
         let mut rng = route_rng(seed, epoch, t);
         for _ in 0..n_cells {

@@ -102,6 +102,8 @@ impl FleetTopology {
     /// cluster, so capacity is per-cluster slots summed over clusters.
     pub fn chip_tenant_capacity(&self, index: usize, initial_groups: usize) -> usize {
         let cfg = &self.chips[index].config;
+        // A divisor guard: this is a query, and validation rejects a
+        // tenant of zero groups before placement ever asks.
         let per_cluster = cfg.groups_per_cluster / initial_groups.max(1);
         cfg.clusters * per_cluster
     }

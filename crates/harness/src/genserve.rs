@@ -13,12 +13,12 @@ use dtu::Accelerator;
 use dtu_models::{GenerativeConfig, GenerativeModel};
 use dtu_serve::{
     run_generative, run_generative_live, CompiledTokenModel, GenMonitor, GenOutcome,
-    GenerativeScenario,
+    GenerativeScenario, ServeError,
 };
 
-/// Runs one generative serving scenario end-to-end: checks the
-/// scenario, then runs the continuous batcher against a token model
-/// that compiles through `cache`, with `mon` riding along when one is
+/// Runs one generative serving scenario end-to-end: the continuous
+/// batcher, which checks the scenario first, against a token model that
+/// compiles through `cache`, with `mon` riding along when one is
 /// supplied.
 ///
 /// The returned outcome is byte-identical for any prior cache contents
@@ -37,9 +37,6 @@ pub fn run_generative_serve(
     cache: &SessionCache,
     mon: Option<&mut GenMonitor>,
 ) -> Result<GenOutcome, HarnessError> {
-    scenario
-        .validate()
-        .map_err(|e| HarnessError::Config(e.to_string()))?;
     let workload = GenerativeModel::new(*config, scenario.prompt_tokens);
     let mut model =
         CompiledTokenModel::new(accel.chip(), workload, scenario.prompt_tokens).with_source(cache);
@@ -47,9 +44,12 @@ pub fn run_generative_serve(
         Some(mon) => run_generative_live(scenario, &mut model, mon),
         None => run_generative(scenario, &mut model),
     };
-    out.map_err(|e| HarnessError::Job {
-        label: "generative".into(),
-        message: e.to_string(),
+    out.map_err(|e| match e {
+        ServeError::Config(_) => HarnessError::Config(e.to_string()),
+        e => HarnessError::Job {
+            label: "generative".into(),
+            message: e.to_string(),
+        },
     })
 }
 
@@ -90,17 +90,43 @@ mod tests {
         assert!(mon.completions.total() > 0.0, "monitor saw the run");
     }
 
+    /// Every rule `run_generative` enforces, one row per bad value: each
+    /// is a config error naming the field and the value, before
+    /// anything compiles.
     #[test]
     fn bad_scenario_is_rejected_before_anything_compiles() {
         let accel = Accelerator::cloudblazer_i20();
         let cfg = GenerativeConfig::tiny();
-        let mut sc = scenario();
-        sc.ttft_deadline_ms = -1.0;
-        let cache = SessionCache::memory_only();
-        let err = run_generative_serve(&accel, &cfg, &sc, &cache, None).unwrap_err();
-        assert!(matches!(err, HarnessError::Config(_)), "{err}");
-        assert!(err.to_string().contains("ttft_deadline_ms"), "{err}");
-        assert_eq!(cache.stats().misses, 0, "nothing compiled");
+        let with = |edit: &dyn Fn(&mut GenerativeScenario)| {
+            let mut sc = scenario();
+            edit(&mut sc);
+            sc
+        };
+        let rows = [
+            (
+                with(&|sc| sc.ttft_deadline_ms = -1.0),
+                "ttft_deadline_ms must be positive (inf for none), got -1",
+            ),
+            (
+                with(&|sc| sc.max_concurrency = 0),
+                "max_concurrency must be at least 1, got 0",
+            ),
+            (
+                with(&|sc| sc.min_new_tokens = 0),
+                "min_new_tokens must be at least 1, got 0",
+            ),
+            (
+                with(&|sc| (sc.min_new_tokens, sc.max_new_tokens) = (8, 4)),
+                "max_new_tokens must be at least min_new_tokens (8), got 4",
+            ),
+        ];
+        for (sc, want) in rows {
+            let cache = SessionCache::memory_only();
+            let err = run_generative_serve(&accel, &cfg, &sc, &cache, None).unwrap_err();
+            assert!(matches!(err, HarnessError::Config(_)), "{err}");
+            assert!(err.to_string().contains(want), "{err}");
+            assert_eq!(cache.stats().misses, 0, "`{want}`: nothing compiled");
+        }
     }
 
     /// The disk-tier twin of `tests/generative.rs`'s memory-tier check:

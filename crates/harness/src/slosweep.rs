@@ -310,11 +310,7 @@ fn scenario_cfg(
             name: name.to_string(),
             model: 0,
             arrival: ArrivalProcess::Poisson { qps },
-            batch: if scenario.max_batch > 1 {
-                BatchPolicy::dynamic(scenario.max_batch, scenario.batch_timeout_ms)
-            } else {
-                BatchPolicy::none()
-            },
+            batch: BatchPolicy::dynamic(scenario.max_batch, scenario.batch_timeout_ms),
             sla: SlaPolicy::new(deadline_ms, scenario.queue_depth),
             scale: ScalePolicy::none(),
             cluster: Some(0),

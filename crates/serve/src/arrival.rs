@@ -64,10 +64,13 @@ pub enum ArrivalProcess {
 
 impl ArrivalProcess {
     /// Checks that the process, run to `horizon_ms`, describes a finite
-    /// stream of arrivals that moves forward in time. Every serving
-    /// engine calls this before any work: a negative rate draws negative
-    /// gaps, so arrival time runs backwards and never reaches the
-    /// horizon, and a NaN rate or horizon silently serves nothing.
+    /// stream of arrivals that moves forward in time. A negative rate
+    /// draws negative gaps, so arrival time runs backwards and never
+    /// reaches the horizon, and a NaN rate or horizon silently serves
+    /// nothing. [`TenantSpec::validate`](crate::TenantSpec::validate)
+    /// and [`GenerativeScenario::validate`](crate::GenerativeScenario::validate)
+    /// call this first, so each serving engine checks it before any
+    /// work.
     ///
     /// # Errors
     ///

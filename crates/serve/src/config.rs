@@ -8,8 +8,9 @@ use dtu_faults::{FaultPlan, FaultRng};
 ///
 /// A batch dispatches when the server is idle and either (a) the queue
 /// holds `max_batch` requests, or (b) the oldest queued request has
-/// waited `timeout_ms`. The default (`max_batch = 1`) disables
-/// batching, which reduces the engine to the classic per-tenant M/D/1
+/// waited `timeout_ms`. A cap of 1 (the default) disables batching:
+/// each request dispatches the moment it is queued, whatever the
+/// timeout, which reduces the engine to the classic per-tenant M/D/1
 /// the closed-form model describes.
 ///
 /// The *compiled* batch is padded up to the next power of two, the way
@@ -18,7 +19,7 @@ use dtu_faults::{FaultPlan, FaultRng};
 /// entries per placement at the cost of some wasted slots.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchPolicy {
-    /// Largest batch a single dispatch may carry.
+    /// Largest batch a single dispatch may carry; at least 1.
     pub max_batch: usize,
     /// Longest a request may wait for co-batching, ms: finite and not
     /// negative. `0` dispatches whatever is queued the moment the
@@ -44,7 +45,7 @@ impl BatchPolicy {
     /// Dynamic batching up to `max_batch` requests.
     pub fn dynamic(max_batch: usize, timeout_ms: f64) -> Self {
         BatchPolicy {
-            max_batch: max_batch.max(1),
+            max_batch,
             timeout_ms,
         }
     }
@@ -88,16 +89,30 @@ impl SlaPolicy {
     }
 }
 
+/// `Ok` when `ok`, else a [`ServeError::Config`] of `why()`: a passing
+/// check formats nothing.
+pub(crate) fn require(ok: bool, why: impl FnOnce() -> String) -> Result<(), ServeError> {
+    ok.then_some(()).ok_or_else(|| ServeError::Config(why()))
+}
+
 /// Rejects a deadline that is NaN or not positive; `+inf` means "no
 /// deadline" and passes.
-pub(crate) fn check_deadline(name: &str, deadline_ms: f64) -> Result<(), ServeError> {
-    if deadline_ms > 0.0 {
-        Ok(())
-    } else {
-        Err(ServeError::Config(format!(
-            "{name} must be positive (inf for none), got {deadline_ms}"
-        )))
-    }
+pub(crate) fn check_deadline(field: &str, ms: f64) -> Result<(), ServeError> {
+    require(ms > 0.0, || {
+        format!("{field} must be positive (inf for none), got {ms}")
+    })
+}
+
+/// Rejects a count of zero.
+pub(crate) fn check_count(field: &str, n: usize) -> Result<(), ServeError> {
+    require(n >= 1, || format!("{field} must be at least 1, got {n}"))
+}
+
+/// Rejects a time that is NaN, negative or infinite.
+fn check_finite_time(field: &str, ms: f64) -> Result<(), ServeError> {
+    require(ms.is_finite() && ms >= 0.0, || {
+        format!("{field} must be finite and not negative, got {ms}")
+    })
 }
 
 /// Elastic group-scaling policy (the online version of Fig. 7's
@@ -106,14 +121,17 @@ pub(crate) fn check_deadline(name: &str, deadline_ms: f64) -> Result<(), ServeEr
 pub struct ScalePolicy {
     /// Master switch; disabled tenants keep their initial groups.
     pub enabled: bool,
-    /// Scale *up* when the smoothed queueing delay exceeds this, ms.
+    /// Scale *up* when the smoothed queueing delay exceeds this, ms;
+    /// not NaN or negative.
     pub high_delay_ms: f64,
     /// Scale *down* when the smoothed queueing delay falls below this,
-    /// ms.
+    /// ms; not NaN or negative.
     pub low_delay_ms: f64,
-    /// Minimum time between scale decisions for one tenant, ms.
+    /// Minimum time between scale decisions for one tenant, ms; not NaN
+    /// or negative.
     pub cooldown_ms: f64,
-    /// Hard cap on groups (clamped to the cluster's group count).
+    /// Hard cap on groups, at least 1; a cap above the cluster's group
+    /// count allows the whole cluster.
     pub max_groups: usize,
     /// Smoothing factor for the queue-delay EMA, in `(0, 1]`; higher
     /// reacts faster.
@@ -146,7 +164,7 @@ impl ScalePolicy {
             high_delay_ms,
             low_delay_ms,
             cooldown_ms: 2.0 * high_delay_ms,
-            max_groups: max_groups.max(1),
+            max_groups,
             ema_alpha: 0.3,
         }
     }
@@ -169,7 +187,7 @@ pub struct TenantSpec {
     pub scale: ScalePolicy,
     /// Cluster to place the tenant on (`None` = round-robin).
     pub cluster: Option<usize>,
-    /// Groups the tenant starts with.
+    /// Groups the tenant starts with; at least 1.
     pub initial_groups: usize,
 }
 
@@ -187,6 +205,44 @@ impl TenantSpec {
             cluster: None,
             initial_groups: 1,
         }
+    }
+
+    /// Checks every rule on the tenant's own fields, in this order: the
+    /// arrival process over `horizon_ms` ([`ArrivalProcess::validate`]);
+    /// an SLA deadline that is positive (`+inf` for none); a batch
+    /// timeout that is finite and not negative; a batch cap and initial
+    /// groups of at least 1; and a scale policy with at least one group,
+    /// an `ema_alpha` in `(0, 1]`, and delays and a cooldown that are
+    /// neither NaN nor negative (`+inf` passes, as `serve --deadline
+    /// inf` builds it). The scale rules hold with scaling disabled too.
+    /// Rules that need the chip or the model slice are the engine's.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Config`] naming the field and the value; the
+    /// caller names the tenant, as [`ServeConfig::validate`] does.
+    pub fn validate(&self, horizon_ms: f64) -> Result<(), ServeError> {
+        self.arrival.validate(horizon_ms)?;
+        check_deadline("SLA deadline_ms", self.sla.deadline_ms)?;
+        check_finite_time("batch timeout_ms", self.batch.timeout_ms)?;
+        check_count("batch max_batch", self.batch.max_batch)?;
+        check_count("initial_groups", self.initial_groups)?;
+        let scale = &self.scale;
+        check_count("scale max_groups", scale.max_groups)?;
+        let alpha = scale.ema_alpha;
+        require(alpha > 0.0 && alpha <= 1.0, || {
+            format!("scale ema_alpha must be in (0, 1], got {alpha}")
+        })?;
+        for (field, ms) in [
+            ("high_delay_ms", scale.high_delay_ms),
+            ("low_delay_ms", scale.low_delay_ms),
+            ("cooldown_ms", scale.cooldown_ms),
+        ] {
+            require(ms >= 0.0, || {
+                format!("scale {field} must not be NaN or negative, got {ms}")
+            })?;
+        }
+        Ok(())
     }
 }
 
@@ -206,9 +262,10 @@ pub struct RetryPolicy {
     /// Retries allowed per batch; a batch failing `max_attempts + 1`
     /// times is dropped and its requests counted as fault-dropped.
     pub max_attempts: u32,
-    /// Backoff before the first retry, ms.
+    /// Backoff before the first retry, ms: finite and not negative.
     pub backoff_ms: f64,
-    /// Cap on the exponentially grown backoff, ms (before jitter).
+    /// Cap on the exponentially grown backoff, ms (before jitter):
+    /// finite and not negative.
     pub max_backoff_ms: f64,
     /// Jitter fraction in `[0, 1]`: the backoff is scaled by a factor
     /// drawn uniformly from `[1, 1 + jitter]`.
@@ -235,15 +292,31 @@ impl RetryPolicy {
         }
     }
 
+    /// Checks backoffs that are finite and not negative, then a jitter
+    /// in `[0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Config`] naming the field and the value.
+    pub fn validate(&self) -> Result<(), ServeError> {
+        check_finite_time("retry backoff_ms", self.backoff_ms)?;
+        check_finite_time("retry max_backoff_ms", self.max_backoff_ms)?;
+        let jitter = self.jitter;
+        require((0.0..=1.0).contains(&jitter), || {
+            format!("retry jitter must be in [0, 1], got {jitter}")
+        })
+    }
+
     /// The backoff before retry number `attempt` (1-based), ms:
     /// `min(backoff_ms * 2^(attempt-1), max_backoff_ms)` scaled by a
-    /// jitter factor in `[1, 1 + jitter]` drawn from `rng`. Never
-    /// exceeds `max_backoff_ms * (1 + jitter)`.
+    /// jitter factor in `[1, 1 + jitter]` drawn from `rng`. For a
+    /// policy [`validate`](Self::validate) accepts, it never exceeds
+    /// `max_backoff_ms * (1 + jitter)`.
     pub fn backoff_for(&self, attempt: u32, rng: &mut FaultRng) -> f64 {
         let doublings = attempt.saturating_sub(1).min(52);
-        let base = (self.backoff_ms.max(0.0) * f64::from(1u32 << doublings.min(31)))
-            .min(self.max_backoff_ms.max(0.0));
-        base * rng.next_range(1.0, 1.0 + self.jitter.clamp(0.0, 1.0))
+        let base =
+            (self.backoff_ms * f64::from(1u32 << doublings.min(31))).min(self.max_backoff_ms);
+        base * rng.next_range(1.0, 1.0 + self.jitter)
     }
 }
 
@@ -280,6 +353,32 @@ impl Default for ServeConfig {
             faults: FaultPlan::empty(),
             retry: RetryPolicy::default(),
         }
+    }
+}
+
+impl ServeConfig {
+    /// Checks the run before any work: at least one tenant, then each
+    /// tenant over the horizon ([`TenantSpec::validate`]), then the
+    /// retry policy ([`RetryPolicy::validate`]). [`crate::run_serving`]
+    /// calls this first.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Config`] naming the first bad field, its value, and
+    /// its tenant.
+    pub fn validate(&self) -> Result<(), ServeError> {
+        require(!self.tenants.is_empty(), || {
+            "a serving run needs tenants".into()
+        })?;
+        for tenant in &self.tenants {
+            tenant.validate(self.duration_ms).map_err(|e| match e {
+                ServeError::Config(why) => {
+                    ServeError::Config(format!("tenant '{}' {why}", tenant.name))
+                }
+                e => e,
+            })?;
+        }
+        self.retry.validate()
     }
 }
 

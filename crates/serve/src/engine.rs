@@ -17,7 +17,7 @@
 //! tenant's placement, which the tenant rebuilds only when scaling or a
 //! lost group changes its groups.
 
-use crate::config::{check_deadline, RetryPolicy, ServeConfig, TenantSpec};
+use crate::config::{RetryPolicy, ServeConfig, TenantSpec};
 use crate::live::LiveMonitor;
 use crate::metrics::{
     RequestOutcome, ServeEvent, ServeEventKind, ServeReport, ServingTrace, TenantReport,
@@ -172,15 +172,14 @@ struct Engine<'m, 's> {
 ///
 /// # Errors
 ///
-/// Configuration problems (no tenants, bad model index, more groups
-/// requested than the chip has, an SLA deadline that is NaN or not
-/// positive, a batch timeout that is NaN, negative or infinite, an
-/// arrival process or horizon that
-/// [`ArrivalProcess::validate`](crate::ArrivalProcess::validate)
-/// rejects) and compile/simulate failures from the service models
-/// surface as [`ServeError`]. A fault that takes a tenant's last
-/// processing group stops the run with [`ServeError::Outage`], which
-/// carries the log up to the outage.
+/// [`ServeError::Config`] for a configuration
+/// [`ServeConfig::validate`] rejects, checked before any work, and for
+/// one the chip or `models` cannot serve: a model index past `models`,
+/// more initial groups than a cluster has, a cluster the chip lacks,
+/// or too few free groups. Compile/simulate failures from the service
+/// models surface as [`ServeError`] too. A fault that takes a tenant's
+/// last processing group stops the run with [`ServeError::Outage`],
+/// which carries the log up to the outage.
 pub fn run_serving(
     cfg: &ServeConfig,
     chip: &ChipConfig,
@@ -247,24 +246,10 @@ impl<'m, 's> Engine<'m, 's> {
         models: &'m mut [&'s mut dyn ServiceModel],
         record_requests: bool,
     ) -> Result<Self, ServeError> {
-        if cfg.tenants.is_empty() {
-            return Err(ServeError::Config("a serving run needs tenants".into()));
-        }
+        cfg.validate()?;
         let mut slots = vec![vec![None; chip.groups_per_cluster]; chip.clusters];
         let mut tenants = Vec::with_capacity(cfg.tenants.len());
         for (idx, spec) in cfg.tenants.iter().enumerate() {
-            spec.arrival.validate(cfg.duration_ms)?;
-            check_deadline(
-                &format!("tenant '{}' SLA deadline_ms", spec.name),
-                spec.sla.deadline_ms,
-            )?;
-            let timeout = spec.batch.timeout_ms;
-            if !(timeout.is_finite() && timeout >= 0.0) {
-                return Err(ServeError::Config(format!(
-                    "tenant '{}' batch timeout_ms must be finite and not negative, got {timeout}",
-                    spec.name
-                )));
-            }
             if spec.model >= models.len() {
                 return Err(ServeError::Config(format!(
                     "tenant '{}' references model {} but only {} were provided",
@@ -273,9 +258,9 @@ impl<'m, 's> Engine<'m, 's> {
                     models.len()
                 )));
             }
-            if spec.initial_groups == 0 || spec.initial_groups > chip.groups_per_cluster {
+            if spec.initial_groups > chip.groups_per_cluster {
                 return Err(ServeError::Config(format!(
-                    "tenant '{}' wants {} initial groups; clusters have 1..={}",
+                    "tenant '{}' wants {} initial groups; clusters have {}",
                     spec.name, spec.initial_groups, chip.groups_per_cluster
                 )));
             }
@@ -481,7 +466,7 @@ impl<'m, 's> Engine<'m, 's> {
         if ten.busy || ten.queue.is_empty() {
             return Ok(());
         }
-        let max_batch = ten.spec.batch.max_batch.max(1);
+        let max_batch = ten.spec.batch.max_batch;
         let queued = ten.queue.len();
         if queued >= max_batch {
             return self.dispatch(t, tenant, max_batch);
@@ -502,13 +487,10 @@ impl<'m, 's> Engine<'m, 's> {
     fn dispatch(&mut self, t: f64, tenant: usize, count: usize) -> Result<(), ServeError> {
         {
             let ten = &mut self.tenants[tenant];
-            let count = count
-                .min(ten.queue.len())
-                .min(ten.spec.batch.max_batch)
-                .max(1);
+            let count = count.min(ten.queue.len()).min(ten.spec.batch.max_batch);
             // Delay EMA observes the wait of the oldest request served.
             let oldest_wait = t - ten.queue.front().expect("non-empty").arrival_ms;
-            let alpha = ten.spec.scale.ema_alpha.clamp(0.01, 1.0);
+            let alpha = ten.spec.scale.ema_alpha;
             ten.delay_ema = alpha * oldest_wait + (1.0 - alpha) * ten.delay_ema;
             ten.in_flight.clear();
             for _ in 0..count {
@@ -936,57 +918,164 @@ mod tests {
         assert!(out.report.latency.p99_ms < 1.5);
     }
 
+    /// `one_tenant(10.0)` with `edit` applied to its tenant.
+    fn with_tenant(edit: &dyn Fn(&mut TenantSpec)) -> ServeConfig {
+        let mut cfg = one_tenant(10.0);
+        edit(&mut cfg.tenants[0]);
+        cfg
+    }
+
+    /// `one_tenant(10.0)` with `edit` applied to its retry policy.
+    fn with_retry(edit: &dyn Fn(&mut RetryPolicy)) -> ServeConfig {
+        let mut cfg = one_tenant(10.0);
+        edit(&mut cfg.retry);
+        cfg
+    }
+
+    /// Checks `run_serving` rejects `cfg` with exactly the config error `want`.
+    fn assert_config_error(cfg: &ServeConfig, want: String) {
+        let mut m = AnalyticModel::new("m", 1.0);
+        let got = run_serving(cfg, &ChipConfig::dtu20(), &mut [&mut m]);
+        assert_eq!(got, Err(ServeError::Config(want)));
+    }
+
     #[test]
     fn no_tenants_is_a_config_error() {
-        let cfg = ServeConfig::default();
-        let mut m = AnalyticModel::new("m", 1.0);
-        let err = run_serving(&cfg, &ChipConfig::dtu20(), &mut [&mut m]).unwrap_err();
-        assert!(matches!(err, ServeError::Config(_)));
+        assert_config_error(
+            &ServeConfig::default(),
+            "a serving run needs tenants".into(),
+        );
     }
 
     #[test]
     fn bad_model_index_is_a_config_error() {
-        let mut cfg = one_tenant(10.0);
-        cfg.tenants[0].model = 3;
-        let mut m = AnalyticModel::new("m", 1.0);
-        assert!(run_serving(&cfg, &ChipConfig::dtu20(), &mut [&mut m]).is_err());
+        assert_config_error(
+            &with_tenant(&|t| t.model = 3),
+            "tenant 't0' references model 3 but only 1 were provided".into(),
+        );
     }
 
     #[test]
     fn too_many_initial_groups_is_a_config_error() {
-        let mut cfg = one_tenant(10.0);
-        cfg.tenants[0].initial_groups = 9;
-        let mut m = AnalyticModel::new("m", 1.0);
-        assert!(run_serving(&cfg, &ChipConfig::dtu20(), &mut [&mut m]).is_err());
+        assert_config_error(
+            &with_tenant(&|t| t.initial_groups = 9),
+            "tenant 't0' wants 9 initial groups; clusters have 3".into(),
+        );
     }
 
     #[test]
     fn bad_sla_deadline_is_a_config_error() {
-        for deadline_ms in [-5.0, 0.0, f64::NAN] {
-            let mut cfg = one_tenant(10.0);
-            cfg.tenants[0].sla = SlaPolicy::new(deadline_ms, 8);
-            let mut m = AnalyticModel::new("m", 1.0);
-            let err = run_serving(&cfg, &ChipConfig::dtu20(), &mut [&mut m]).unwrap_err();
-            assert!(err.to_string().contains("SLA deadline_ms"), "{err}");
+        for d in [-5.0, 0.0, f64::NAN, f64::NEG_INFINITY] {
+            assert_config_error(
+                &with_tenant(&|t| t.sla = SlaPolicy::new(d, 8)),
+                format!("tenant 't0' SLA deadline_ms must be positive (inf for none), got {d}"),
+            );
         }
     }
 
     #[test]
     fn bad_batch_timeout_is_a_config_error() {
-        for timeout_ms in [f64::NAN, -1.0, f64::INFINITY] {
-            let mut cfg = one_tenant(10.0);
-            cfg.tenants[0].batch = BatchPolicy::dynamic(4, timeout_ms);
-            let mut m = AnalyticModel::new("m", 1.0);
-            let err = run_serving(&cfg, &ChipConfig::dtu20(), &mut [&mut m]).unwrap_err();
-            let want = format!(
-                "tenant 't0' batch timeout_ms must be finite and not negative, got {timeout_ms}"
+        for ms in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
+            let want =
+                format!("tenant 't0' batch timeout_ms must be finite and not negative, got {ms}");
+            assert_config_error(
+                &with_tenant(&|t| t.batch = BatchPolicy::dynamic(4, ms)),
+                want.clone(),
             );
-            assert_eq!(err, ServeError::Config(want));
+            // A cap of 1 never waits, but its timeout is still checked.
+            assert_config_error(
+                &with_tenant(&|t| t.batch = BatchPolicy::dynamic(1, ms)),
+                want,
+            );
         }
-        // Zero dispatches at once.
-        let mut cfg = one_tenant(10.0);
-        cfg.tenants[0].batch = BatchPolicy::dynamic(4, 0.0);
-        assert!(run(&cfg, 1.0).report.completed > 0);
+    }
+
+    /// The remaining rules `run_serving` enforces, one row per bad value:
+    /// each is a config error naming the tenant, the field and the value.
+    #[test]
+    fn bad_configs_are_config_errors() {
+        let mut rows: Vec<(ServeConfig, String)> = vec![
+            (
+                with_tenant(&|t| t.arrival = ArrivalProcess::Poisson { qps: -5.0 }),
+                "tenant 't0' arrival qps must be positive and finite, got -5".into(),
+            ),
+            (
+                with_tenant(&|t| t.initial_groups = 0),
+                "tenant 't0' initial_groups must be at least 1, got 0".into(),
+            ),
+            (
+                with_tenant(&|t| t.cluster = Some(2)),
+                "tenant 't0' wants cluster 2 but the chip has 2".into(),
+            ),
+            (
+                with_tenant(&|t| t.batch = BatchPolicy::dynamic(0, 1.0)),
+                "tenant 't0' batch max_batch must be at least 1, got 0".into(),
+            ),
+            (
+                with_tenant(&|t| t.scale.max_groups = 0),
+                "tenant 't0' scale max_groups must be at least 1, got 0".into(),
+            ),
+        ];
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        for alpha in [0.0, -0.5, nan, inf, -inf, 7.0] {
+            rows.push((
+                with_tenant(&|t| t.scale.ema_alpha = alpha),
+                format!("tenant 't0' scale ema_alpha must be in (0, 1], got {alpha}"),
+            ));
+        }
+        for ms in [-1.0, nan, -inf] {
+            let field_rows: [(&str, ServeConfig); 3] = [
+                (
+                    "high_delay_ms",
+                    with_tenant(&|t| t.scale.high_delay_ms = ms),
+                ),
+                ("low_delay_ms", with_tenant(&|t| t.scale.low_delay_ms = ms)),
+                ("cooldown_ms", with_tenant(&|t| t.scale.cooldown_ms = ms)),
+            ];
+            for (field, cfg) in field_rows {
+                let want =
+                    format!("tenant 't0' scale {field} must not be NaN or negative, got {ms}");
+                rows.push((cfg, want));
+            }
+        }
+        for ms in [-1.0, nan, inf, -inf] {
+            rows.push((
+                with_retry(&|r| r.backoff_ms = ms),
+                format!("retry backoff_ms must be finite and not negative, got {ms}"),
+            ));
+            rows.push((
+                with_retry(&|r| r.max_backoff_ms = ms),
+                format!("retry max_backoff_ms must be finite and not negative, got {ms}"),
+            ));
+        }
+        for jitter in [-0.1, 5.0, nan, inf, -inf] {
+            rows.push((
+                with_retry(&|r| r.jitter = jitter),
+                format!("retry jitter must be in [0, 1], got {jitter}"),
+            ));
+        }
+        for (cfg, want) in rows {
+            assert_config_error(&cfg, want);
+        }
+        // The edges of each rule are legal: a zero timeout dispatches at
+        // once, and `serve --deadline inf` scales at infinite delays.
+        let legal = [
+            with_tenant(&|t| t.batch = BatchPolicy::dynamic(4, 0.0)),
+            with_tenant(&|t| t.sla = SlaPolicy::new(inf, 8)),
+            with_tenant(&|t| t.scale = ScalePolicy::elastic(inf, inf, 3)),
+            with_tenant(&|t| t.scale.ema_alpha = 1.0),
+            with_retry(&|r| {
+                *r = RetryPolicy {
+                    max_attempts: 1,
+                    backoff_ms: 0.0,
+                    max_backoff_ms: 0.0,
+                    jitter: 1.0,
+                }
+            }),
+        ];
+        for cfg in legal {
+            assert!(run(&cfg, 1.0).report.completed > 0, "{cfg:?}");
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! eventually finish because the run drains after the arrival horizon.
 
 use crate::arrival::{ArrivalGen, ArrivalProcess, ServeRng};
-use crate::config::check_deadline;
+use crate::config::{check_count, check_deadline, require};
 use crate::kv::{KvCacheConfig, KvStats, PagedKvCache};
 use crate::metrics::{ServeEvent, ServeEventKind, ServingTrace};
 use crate::stats::{LatencyStats, Sample};
@@ -161,7 +161,8 @@ pub struct GenerativeScenario {
     pub prompt_tokens: usize,
     /// Minimum generated tokens per request (inclusive, ≥ 1).
     pub min_new_tokens: usize,
-    /// Maximum generated tokens per request (inclusive).
+    /// Maximum generated tokens per request (inclusive, ≥
+    /// `min_new_tokens`).
     pub max_new_tokens: usize,
     /// Running-batch concurrency cap (sequences decoded together).
     pub max_concurrency: usize,
@@ -177,11 +178,11 @@ pub struct GenerativeScenario {
 
 impl GenerativeScenario {
     /// Output length drawn for request `id` — a uniform draw in
-    /// `[min_new_tokens, max_new_tokens]` from an id-keyed RNG. Pure:
-    /// the same (seed, id) always yields the same length.
+    /// `[min_new_tokens, max_new_tokens]` from an id-keyed RNG, for a
+    /// scenario [`validate`](Self::validate) accepts. Pure: the same
+    /// (seed, id) always yields the same length.
     pub fn target_tokens(&self, id: u64) -> usize {
-        let lo = self.min_new_tokens.max(1);
-        let hi = self.max_new_tokens.max(lo);
+        let (lo, hi) = (self.min_new_tokens, self.max_new_tokens);
         let span = (hi - lo + 1) as f64;
         let mut rng = ServeRng::new(self.seed ^ id.wrapping_mul(LEN_RNG_SALT));
         lo + ((rng.next_f64() * span) as usize).min(hi - lo)
@@ -189,29 +190,25 @@ impl GenerativeScenario {
 
     /// Checks the scenario before any work: the arrival process and
     /// horizon ([`ArrivalProcess::validate`]), a concurrency cap, prompt
-    /// length and KV pool of at least one, and TTFT and TPOT deadlines
-    /// that are positive (`f64::INFINITY` disables one).
+    /// length and KV pool of at least one, TTFT and TPOT deadlines that
+    /// are positive (`f64::INFINITY` disables one), and at least one new
+    /// token, with `max_new_tokens` not below `min_new_tokens`.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Config`] naming the first bad value.
+    /// [`ServeError::Config`] naming the first bad field and its value.
     pub fn validate(&self) -> Result<(), ServeError> {
         self.arrival.validate(self.duration_ms)?;
-        if self.max_concurrency == 0 {
-            return Err(ServeError::Config(
-                "max_concurrency must be at least 1".into(),
-            ));
-        }
-        if self.prompt_tokens == 0 {
-            return Err(ServeError::Config(
-                "prompt_tokens must be at least 1".into(),
-            ));
-        }
-        if self.kv.total_pages == 0 {
-            return Err(ServeError::Config("KV pool has zero pages".into()));
-        }
+        check_count("max_concurrency", self.max_concurrency)?;
+        check_count("prompt_tokens", self.prompt_tokens)?;
+        require(self.kv.total_pages > 0, || "KV pool has zero pages".into())?;
         check_deadline("ttft_deadline_ms", self.ttft_deadline_ms)?;
-        check_deadline("tpot_deadline_ms", self.tpot_deadline_ms)
+        check_deadline("tpot_deadline_ms", self.tpot_deadline_ms)?;
+        check_count("min_new_tokens", self.min_new_tokens)?;
+        let (min, max) = (self.min_new_tokens, self.max_new_tokens);
+        require(max >= min, || {
+            format!("max_new_tokens must be at least min_new_tokens ({min}), got {max}")
+        })
     }
 
     /// KV pages request `id` needs at its largest (prompt + full
@@ -663,9 +660,10 @@ impl<'m> GenEngine<'m> {
 ///
 /// # Errors
 ///
-/// A scenario [`GenerativeScenario::validate`] rejects, and
-/// compile/simulate failures from the token model, surface as
-/// [`ServeError`].
+/// [`ServeError::Config`] for a scenario
+/// [`GenerativeScenario::validate`] rejects, before the token model is
+/// asked for anything; compile/simulate failures from the token model
+/// surface as [`ServeError`] too.
 pub fn run_generative(
     sc: &GenerativeScenario,
     model: &mut dyn TokenModel,
@@ -774,8 +772,8 @@ pub fn run_generative_live(
         t = eng.decode(sc, t)?;
     }
     let drained_ms = t;
-    let (_, ttft) = eng.ttft.clone().into_parts();
     let ttft_exemplar = eng.ttft.exemplar();
+    let (_, ttft) = eng.ttft.into_parts();
     let (_, tpot) = eng.tpot.into_parts();
     let (_, e2e) = eng.e2e.into_parts();
     let completed = ttft.count;

@@ -56,11 +56,14 @@ impl KvCacheConfig {
     /// L3 granted to the pool — weights and activations need the rest,
     /// and constrained-capacity experiments shrink it further.
     pub fn for_chip_with_budget(chip: &ChipConfig, bytes_per_token: u64, l3_fraction: f64) -> Self {
+        // This constructor cannot return a `Result`: a zero token size
+        // would divide by zero below, and the pool never exceeds L3.
         let page_bytes = Self::DEFAULT_PAGE_TOKENS as u64 * bytes_per_token.max(1);
         let l3_budget = (chip.l3_bytes() as f64 * l3_fraction.clamp(0.0, 1.0)) as u64;
         let l2_total = chip.l2_bytes_per_group() * chip.total_groups() as u64;
         KvCacheConfig {
             page_tokens: Self::DEFAULT_PAGE_TOKENS,
+            // The same guard as `page_bytes`, kept in step with it.
             bytes_per_token: bytes_per_token.max(1),
             total_pages: (l3_budget / page_bytes) as usize,
             l2_pages: (l2_total / page_bytes) as usize,

@@ -16,7 +16,6 @@ use crate::ServeError;
 use dtu_compiler::Placement;
 use dtu_models::Workload;
 use dtu_sim::{Chip, GroupId};
-use std::collections::HashMap;
 
 /// Cost of one continuous-batching iteration.
 pub trait TokenModel {
@@ -122,8 +121,9 @@ pub struct CompiledTokenModel<'c, W: Workload + Clone + 'c> {
     prompt_tokens: usize,
     placement: Placement,
     prefill: CompiledModel<'c>,
-    /// One compiled-model session cache per decode context bucket.
-    decode: HashMap<usize, CompiledModel<'c>>,
+    /// One compiled-model session cache per decode context bucket,
+    /// indexed by the bucket's log2.
+    decode: Vec<Option<CompiledModel<'c>>>,
     chip: &'c Chip,
     source: Option<&'c dyn ProgramSource>,
 }
@@ -133,7 +133,7 @@ impl<'c, W: Workload + Clone + 'c> std::fmt::Debug for CompiledTokenModel<'c, W>
         f.debug_struct("CompiledTokenModel")
             .field("name", &self.name)
             .field("prompt_tokens", &self.prompt_tokens)
-            .field("decode_buckets", &self.decode.len())
+            .field("decode_buckets", &self.decode.iter().flatten().count())
             .finish()
     }
 }
@@ -149,8 +149,9 @@ fn full_chip_placement(chip: &Chip) -> Placement {
     Placement::explicit(groups)
 }
 
+/// The power of two a batch or context rounds up to (1 for 0).
 fn bucket(n: usize) -> usize {
-    n.max(1).next_power_of_two()
+    n.next_power_of_two()
 }
 
 impl<'c, W: Workload + Clone + 'c> CompiledTokenModel<'c, W> {
@@ -165,10 +166,12 @@ impl<'c, W: Workload + Clone + 'c> CompiledTokenModel<'c, W> {
         CompiledTokenModel {
             name,
             workload,
+            // Divides prefill latencies; this constructor cannot return
+            // a `Result`, so a zero prompt (which validation rejects) is 1.
             prompt_tokens: prompt_tokens.max(1),
             placement: full_chip_placement(chip),
             prefill,
-            decode: HashMap::new(),
+            decode: Vec::new(),
             chip,
             source: None,
         }
@@ -187,7 +190,7 @@ impl<'c, W: Workload + Clone + 'c> CompiledTokenModel<'c, W> {
     /// every decode-bucket cache.
     pub fn cache_stats(&self) -> CacheStats {
         let mut total = self.prefill.cache_stats();
-        for m in self.decode.values() {
+        for m in self.decode.iter().flatten() {
             let s = m.cache_stats();
             total.hits += s.hits;
             total.misses += s.misses;
@@ -200,7 +203,8 @@ impl<'c, W: Workload + Clone + 'c> CompiledTokenModel<'c, W> {
         self.prefill.cached_sessions()
             + self
                 .decode
-                .values()
+                .iter()
+                .flatten()
                 .map(|m| m.cached_sessions())
                 .sum::<usize>()
     }
@@ -224,22 +228,23 @@ impl<'c, W: Workload + Clone + 'c> TokenModel for CompiledTokenModel<'c, W> {
             return Err(ServeError::Config("batch must be at least 1".into()));
         }
         let ctx_bucket = bucket(context);
-        let model = match self.decode.get_mut(&ctx_bucket) {
-            Some(m) => m,
-            None => {
-                let workload = self.workload.clone();
-                let name = format!("{}-decode-c{ctx_bucket}", self.name);
-                let mut m = CompiledModel::new(self.chip, name, move |b| {
-                    workload
-                        .decode(b, ctx_bucket)
-                        .expect("generative workload must emit a decode graph")
-                });
-                if let Some(source) = self.source {
-                    m = m.with_source(source);
-                }
-                self.decode.entry(ctx_bucket).or_insert(m)
+        let slot = ctx_bucket.trailing_zeros() as usize;
+        if slot >= self.decode.len() {
+            self.decode.resize_with(slot + 1, || None);
+        }
+        let model = self.decode[slot].get_or_insert_with(|| {
+            let workload = self.workload.clone();
+            let name = format!("{}-decode-c{ctx_bucket}", self.name);
+            let m = CompiledModel::new(self.chip, name, move |b| {
+                workload
+                    .decode(b, ctx_bucket)
+                    .expect("generative workload must emit a decode graph")
+            });
+            match self.source {
+                Some(source) => m.with_source(source),
+                None => m,
             }
-        };
+        });
         model.service_ms(bucket(batch), &self.placement)
     }
 }

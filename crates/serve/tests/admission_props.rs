@@ -28,11 +28,7 @@ proptest! {
                 name: "t".into(),
                 model: 0,
                 arrival: ArrivalProcess::Poisson { qps },
-                batch: if max_batch > 1 {
-                    BatchPolicy::dynamic(max_batch, 1.5)
-                } else {
-                    BatchPolicy::none()
-                },
+                batch: BatchPolicy::dynamic(max_batch, 1.5),
                 sla: SlaPolicy::new(deadline_ms, max_queue_depth),
                 scale: ScalePolicy::none(),
                 cluster: Some(0),
