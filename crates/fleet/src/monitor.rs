@@ -2,17 +2,23 @@
 //!
 //! A monitored fleet reads each chip-epoch's serving log — its
 //! [`ServingTrace`](dtu_serve::ServingTrace) and request outcomes — in
-//! the chip-epoch's own job, as [`ServeRecord`]s on the fleet clock:
-//! each sample at its own fleet time (epoch start plus its time in the
-//! chip-epoch), each request id with a fleet-unique trace base
+//! the chip-epoch's own job, on the fleet clock: each sample at its own
+//! fleet time (epoch start plus its time in the chip-epoch), each
+//! request id with a fleet-unique trace base
 //! ([`trace_base`](crate::trace_base)) whose bits name the (epoch,
-//! chip) that served it. At every routing-epoch barrier the
-//! `FleetMonitor` folds those records, in chip order, into per-tenant
-//! and per-chip rollups. Fleet-scope SLO burn-rate trackers run over
-//! the folded windows (via [`SloTracker::fold_window`]), and badness is
-//! attributed to (chip, tenant) pairs: deadline violations, fault
-//! drops, and — when a chip dies — the load it was carrying but could
-//! no longer serve.
+//! chip) that served it. The job folds the log per 1 s window, in the
+//! same pass over the completions that fills the report's slice
+//! histograms: for each tenant and window it counts completions,
+//! violations, sheds and fault drops and keeps a latency histogram and
+//! the slowest completion, and for the chip the same counts and
+//! exemplar. At every routing-epoch barrier the `FleetMonitor` merges
+//! those window summaries, in chip order, into per-tenant and per-chip
+//! rollups, touching each series and window just where a
+//! record-by-record fold of the log would. Fleet-scope SLO burn-rate
+//! trackers run over the folded windows (via
+//! [`SloTracker::fold_window`]), and badness is attributed to (chip,
+//! tenant) pairs: deadline violations, fault drops, and — when a chip
+//! dies — the load it was carrying but could no longer serve.
 //!
 //! The monitor is strictly observational. The engine's
 //! [`FleetReport`](crate::FleetReport) is built from the plain
@@ -20,31 +26,36 @@
 //! byte-identical to an unmonitored one (asserted by the engine
 //! tests).
 //!
-//! Both of its rings hold typed records, not spans: each chip's ring
-//! takes the [`ServeRecord`]s read off its logs, and the route ring one
-//! small record per routing decision. On a burn-rate transition or a
-//! [`ChipKill`](crate::ChipKill) the monitor renders the offending
-//! chip's ring together with the retained routing decisions into one
-//! [`FlightDump`], loadable in Perfetto like any other dump — the
-//! cross-chip "black box" of what the fleet was doing leading up to the
-//! incident. A page's dump also holds the page's exemplar request,
-//! whichever chip served it. Only then are labels built.
+//! Each chip's ring holds its most recent chip-epoch logs themselves,
+//! moved out of the jobs whole: the completions as the engine recorded
+//! them, and the few other records at their places in the log. It
+//! builds [`ServeRecord`]s only when a dump or an exemplar lookup reads
+//! it, and shows the last [`CHIP_RING_CAPACITY`] records of the chip's
+//! logs. The route ring keeps one small record per routing decision.
+//! On a burn-rate transition or a [`ChipKill`](crate::ChipKill) the
+//! monitor renders the offending chip's ring together with the
+//! retained routing decisions into one [`FlightDump`], loadable in
+//! Perfetto like any other dump — the cross-chip "black box" of what
+//! the fleet was doing leading up to the incident. A page's dump also
+//! holds the page's exemplar request, whichever chip served it. Only
+//! then are labels built.
 
 use crate::route::{trace_base, EpochRoutes};
-use dtu_serve::{RequestOutcome, ServeRecord, ServeRecordKind, ServingTrace};
+use dtu_serve::{LogEntry, RequestOutcome, ServeRecord, ServeRecordKind, ServingTrace};
 use dtu_telemetry::clock::{ms_to_ns, NS_PER_MS};
 use dtu_telemetry::flight::MAX_DUMPS;
 use dtu_telemetry::json::{array, number, JsonObject};
 use dtu_telemetry::monitor::{series, RING_WINDOWS};
 use dtu_telemetry::slo::{BURN_THRESHOLD, EVAL_WINDOW_NS, FAST_WINDOW_NS};
 use dtu_telemetry::{
-    AlertEvent, AlertKind, EvalClock, FlightDump, FlightRecord, FlightRecorder, Layer, Objective,
-    ObjectiveRow, SloSpec, SloTracker, SlowestRecords, Span, TimeSeries, WindowedHistogram,
+    AlertEvent, AlertKind, Bucketed, EvalClock, Exemplar, FlightDump, FlightRecord, Layer,
+    LogHistogram, Objective, ObjectiveRow, SloSpec, SloTracker, SlowestRecords, Span, TimeSeries,
+    WindowedHistogram,
 };
 use std::collections::VecDeque;
 use std::fmt;
 
-/// Records retained per chip in the fleet-time rings.
+/// Records each chip's ring shows: the last this many of its logs.
 pub const CHIP_RING_CAPACITY: usize = 4096;
 /// Routing decisions retained for dumps.
 pub const ROUTE_RING_CAPACITY: usize = 512;
@@ -110,8 +121,8 @@ struct ChipScope {
     violations: TimeSeries,
     sheds: TimeSeries,
     latency: WindowedHistogram,
-    /// The chip's records on the fleet clock (folded every epoch).
-    ring: FlightRecorder<ServeRecord>,
+    /// The chip's recent logs on the fleet clock (one per epoch).
+    ring: ChipRing,
     dead: bool,
 }
 
@@ -122,9 +133,90 @@ impl ChipScope {
             violations: series(),
             sheds: series(),
             latency: WindowedHistogram::new(EVAL_WINDOW_NS, RING_WINDOWS),
-            ring: FlightRecorder::new(CHIP_RING_CAPACITY),
+            ring: ChipRing::default(),
             dead: false,
         }
+    }
+}
+
+/// A chip's flight ring: its most recent chip-epoch logs, whole. It
+/// drops its oldest log only when the others still hold
+/// [`CHIP_RING_CAPACITY`] records, and shows the last
+/// `CHIP_RING_CAPACITY` records of the logs joined end to end.
+#[derive(Debug, Clone, Default)]
+struct ChipRing {
+    logs: VecDeque<LogChunk>,
+    /// Records the logs hold.
+    len: usize,
+}
+
+impl ChipRing {
+    fn push(&mut self, log: LogChunk) {
+        self.len += log.len();
+        self.logs.push_back(log);
+        while let Some(oldest) = self
+            .logs
+            .front()
+            .filter(|oldest| self.len - oldest.len() >= CHIP_RING_CAPACITY)
+        {
+            self.len -= oldest.len();
+            self.logs.pop_front();
+        }
+    }
+
+    /// The ring's records, oldest first.
+    fn records(&self) -> impl Iterator<Item = ServeRecord> + '_ {
+        let hidden = self.len.saturating_sub(CHIP_RING_CAPACITY);
+        self.logs.iter().flat_map(LogChunk::records).skip(hidden)
+    }
+}
+
+/// One chip-epoch's log as a chip's ring keeps it: its completions as
+/// the engine recorded them, and the records of its other events, each
+/// with its place in the log — the number of completions before it.
+#[derive(Debug, Clone)]
+struct LogChunk {
+    requests: Vec<RequestOutcome>,
+    events: Vec<(usize, ServeRecord)>,
+    /// What places the log on the fleet clock: the chip-epoch's
+    /// trace-id base and start.
+    id_base: u64,
+    offset_ns: f64,
+}
+
+impl LogChunk {
+    fn len(&self) -> usize {
+        self.requests.len() + self.events.len()
+    }
+
+    /// The log's records in the order the engine wrote them, built as
+    /// [`ServeRecord::read_log`] builds them.
+    fn records(&self) -> impl Iterator<Item = ServeRecord> + '_ {
+        let (mut done, mut event) = (0, 0);
+        std::iter::from_fn(move || match self.events.get(event) {
+            Some(&(before, record)) if before == done => {
+                event += 1;
+                Some(record)
+            }
+            _ => {
+                let r = self.requests.get(done)?;
+                done += 1;
+                Some(ServeRecord::completion(r, self.id_base, self.offset_ns))
+            }
+        })
+    }
+
+    /// The record of completion `i`, of latency `latency_ms`, and the
+    /// exemplar it makes.
+    fn exemplar(&self, (latency_ms, i): (f64, usize)) -> (ServeRecord, Exemplar) {
+        let r = &self.requests[i];
+        let record = ServeRecord::completion(r, self.id_base, self.offset_ns);
+        let exemplar = Exemplar {
+            span_id: self.id_base + r.req,
+            value: latency_ms,
+            at_ns: record.end_ns,
+        };
+        (record, exemplar)
     }
 }
 
@@ -207,28 +299,119 @@ pub struct OffenderShare {
     pub share: f64,
 }
 
-/// A chip-epoch's serving log as the fleet monitor folds it: its
-/// records on the fleet clock, with ids based for the chip-epoch, and
-/// where the chip-epoch's clock ends.
+/// A chip-epoch's serving log as the fleet monitor folds it, read in
+/// the chip-epoch's own job: what it adds to each 1 s window of the
+/// fleet clock, the log itself for the chip's ring, and where the
+/// chip-epoch's clock ends.
 #[derive(Debug, Clone)]
 pub(crate) struct ChipEpochLog {
-    records: Vec<ServeRecord>,
+    /// The windows the log touches, oldest first.
+    windows: Vec<WindowFold>,
+    log: LogChunk,
     end_ns: f64,
+}
+
+/// What one chip-epoch's log adds to one 1 s window.
+#[derive(Debug, Clone)]
+struct WindowFold {
+    window: u64,
+    /// By tenant index in the chip-epoch's run.
+    tenants: Vec<TenantWindow>,
+    chip: WindowCounts,
+}
+
+impl WindowFold {
+    /// The window covering `t_ns`, the newest of `windows` or a new
+    /// one (a chip-epoch's log runs in time order).
+    fn at(windows: &mut Vec<WindowFold>, t_ns: f64) -> &mut WindowFold {
+        let window = (t_ns.max(0.0) / EVAL_WINDOW_NS) as u64;
+        let newest = windows.last().map(|w| w.window);
+        debug_assert!(newest <= Some(window), "the log runs in time order");
+        if newest != Some(window) {
+            windows.push(WindowFold {
+                window,
+                tenants: Vec::new(),
+                chip: WindowCounts::default(),
+            });
+        }
+        windows.last_mut().expect("just pushed")
+    }
+
+    fn tenant(&mut self, tenant: usize) -> &mut TenantWindow {
+        if self.tenants.len() <= tenant {
+            self.tenants.resize_with(tenant + 1, TenantWindow::default);
+        }
+        &mut self.tenants[tenant]
+    }
+}
+
+/// One scope's records in a window: the counts its series take, its
+/// latencies and its slowest completion.
+#[derive(Debug, Clone, Default)]
+struct WindowCounts {
+    completions: u64,
+    violations: u64,
+    sheds: u64,
+    latency: LogHistogram,
+    /// The slowest completion, the first of equals: its latency and
+    /// its index among the log's completions.
+    slowest: Option<(f64, usize)>,
+}
+
+impl WindowCounts {
+    fn complete(&mut self, late: bool, latency_ms: f64, i: usize) {
+        self.completions += 1;
+        self.violations += u64::from(late);
+        if self.slowest.is_none_or(|(slowest, _)| latency_ms > slowest) {
+            self.slowest = Some((latency_ms, i));
+        }
+    }
+
+    /// Adds the counts to the series a record-by-record fold would
+    /// have touched: a series only where the window has a sample.
+    fn add_to(
+        &self,
+        at_ns: f64,
+        completions: &mut TimeSeries,
+        violations: &mut TimeSeries,
+        sheds: &mut TimeSeries,
+    ) {
+        for (series, n) in [
+            (completions, self.completions),
+            (violations, self.violations),
+            (sheds, self.sheds),
+        ] {
+            if n > 0 {
+                series.add(at_ns, n as f64);
+            }
+        }
+    }
+}
+
+/// One tenant's records in a window.
+#[derive(Debug, Clone, Default)]
+struct TenantWindow {
+    counts: WindowCounts,
+    /// Fault-drop records, and the requests they dropped.
+    fault_drops: u64,
+    dropped: u64,
 }
 
 impl ChipEpochLog {
     /// Reads the log (`trace` and `requests`) of chip `chip`'s run in
     /// `epoch`, which started at `start_ms` and offered arrivals for
-    /// `len_ms`. The clock ends as a monitored single-shot run's does: a
-    /// `finished` run at its closing boundary, an aborted one at its
-    /// last event.
+    /// `len_ms`, and hands each completion, with its latency bucketed
+    /// once, to `on_done` in the order the engine recorded them. The
+    /// clock ends as a monitored single-shot run's does: a `finished`
+    /// run at its closing boundary, an aborted one at its last event.
     pub(crate) fn read(
         trace: &ServingTrace,
-        requests: &[RequestOutcome],
+        mut requests: Vec<RequestOutcome>,
         finished: bool,
         (epoch, chip, start_ms, len_ms): (usize, usize, f64, f64),
+        mut on_done: impl FnMut(&RequestOutcome, Bucketed),
     ) -> Self {
-        let offset_ns = start_ms * NS_PER_MS;
+        let (id_base, offset_ns) = (trace_base(epoch, chip), start_ms * NS_PER_MS);
         let last_ns = trace.events.last().map_or(0.0, |e| e.t_ns);
         let mut clock = EvalClock::default();
         while clock.tick(last_ns).is_some() {}
@@ -237,9 +420,55 @@ impl ChipEpochLog {
         } else {
             last_ns
         };
+        let (mut windows, mut events, mut done) = (Vec::new(), Vec::new(), 0);
+        for entry in LogEntry::walk(trace, &requests, id_base, offset_ns) {
+            match entry {
+                LogEntry::Done(r) => {
+                    let latency_ms = r.latency_ms();
+                    let sample = LogHistogram::bucketed(latency_ms);
+                    on_done(r, sample);
+                    let w = WindowFold::at(&mut windows, ms_to_ns(r.done_ms) + offset_ns);
+                    w.chip.complete(r.violated, latency_ms, done);
+                    let counts = &mut w.tenant(r.tenant).counts;
+                    counts.complete(r.violated, latency_ms, done);
+                    counts.latency.record_bucketed(sample);
+                    done += 1;
+                }
+                LogEntry::Event(record) => {
+                    let (t_ns, tenant) = (record.at_ns(), record.tenant as usize);
+                    match record.kind {
+                        ServeRecordKind::Shed { .. } => {
+                            let w = WindowFold::at(&mut windows, t_ns);
+                            w.chip.sheds += 1;
+                            w.tenant(tenant).counts.sheds += 1;
+                        }
+                        ServeRecordKind::FaultDrop { dropped } => {
+                            let tw = WindowFold::at(&mut windows, t_ns).tenant(tenant);
+                            tw.fault_drops += 1;
+                            tw.dropped += dropped as u64;
+                        }
+                        _ => {}
+                    }
+                    events.push((done, record));
+                }
+            }
+        }
+        debug_assert_eq!(done, requests.len(), "the log holds every completion");
+        for w in &mut windows {
+            for t in &w.tenants {
+                w.chip.latency.merge(&t.counts.latency);
+            }
+        }
+        requests.shrink_to_fit();
+        events.shrink_to_fit();
         ChipEpochLog {
-            records: ServeRecord::read_log(trace, requests, trace_base(epoch, chip), offset_ns)
-                .collect(),
+            windows,
+            log: LogChunk {
+                requests,
+                events,
+                id_base,
+                offset_ns,
+            },
             end_ns: offset_ns + end_ns,
         }
     }
@@ -325,8 +554,9 @@ impl FleetMonitor {
         }
     }
 
-    /// Absorbs one chip's epoch at the barrier: folds its log, when the
-    /// run kept one — each sample at its own fleet time — and updates
+    /// Absorbs one chip's epoch at the barrier: merges its log's window
+    /// summaries, when the run kept a log — each sample in its own
+    /// fleet second — moves the log into the chip's ring, and updates
     /// (chip, tenant) attribution from the engine's authoritative slice
     /// accounting.
     pub(crate) fn absorb_chip_epoch(
@@ -335,42 +565,50 @@ impl FleetMonitor {
         assignment: &[(usize, f64)],
         epoch_len_ms: f64,
         slices: &[SliceStats],
-        log: Option<&ChipEpochLog>,
+        log: Option<ChipEpochLog>,
         killed: bool,
     ) {
-        if let Some(log) = log {
+        if let Some(ChipEpochLog {
+            windows,
+            log,
+            end_ns,
+        }) = log
+        {
             let cs = &mut self.chips[chip];
-            for &record in &log.records {
-                let t_ns = record.at_ns();
-                let ts = &mut self.tenants[assignment[record.tenant as usize].0];
-                match record.kind {
-                    ServeRecordKind::Shed { .. } => {
-                        ts.sheds.add(t_ns, 1.0);
-                        cs.sheds.add(t_ns, 1.0);
+            for w in &windows {
+                let at_ns = w.window as f64 * EVAL_WINDOW_NS;
+                for (tw, &(tenant, _)) in w.tenants.iter().zip(assignment) {
+                    let ts = &mut self.tenants[tenant];
+                    let counts = &tw.counts;
+                    counts.add_to(
+                        at_ns,
+                        &mut ts.completions,
+                        &mut ts.violations,
+                        &mut ts.sheds,
+                    );
+                    if tw.fault_drops > 0 {
+                        ts.fault_drops.add(at_ns, tw.dropped as f64);
                     }
-                    ServeRecordKind::Req {
-                        req,
-                        latency_ms,
-                        late,
-                    } => {
-                        ts.completions.add(t_ns, 1.0);
-                        cs.completions.add(t_ns, 1.0);
-                        if late {
-                            ts.violations.add(t_ns, 1.0);
-                            cs.violations.add(t_ns, 1.0);
-                        }
-                        ts.latency.hist.record(t_ns, latency_ms, Some(req));
-                        cs.latency.record(t_ns, latency_ms, Some(req));
-                        ts.slowest.note(t_ns, latency_ms, record);
+                    if let Some(slowest) = counts.slowest {
+                        let (record, exemplar) = log.exemplar(slowest);
+                        ts.latency
+                            .hist
+                            .merge_window(at_ns, &counts.latency, Some(exemplar));
+                        ts.slowest.note(at_ns, exemplar.value, record);
                     }
-                    ServeRecordKind::FaultDrop { dropped } => {
-                        ts.fault_drops.add(t_ns, dropped as f64);
-                    }
-                    _ => {}
                 }
-                cs.ring.record(record);
+                let counts = &w.chip;
+                counts.add_to(
+                    at_ns,
+                    &mut cs.completions,
+                    &mut cs.violations,
+                    &mut cs.sheds,
+                );
+                let exemplar = counts.slowest.map(|slowest| log.exemplar(slowest).1);
+                cs.latency.merge_window(at_ns, &counts.latency, exemplar);
             }
-            self.max_seen_ns = self.max_seen_ns.max(log.end_ns);
+            cs.ring.push(log);
+            self.max_seen_ns = self.max_seen_ns.max(end_ns);
         }
         for s in slices {
             self.last_offered[chip][s.tenant] = s.offered as f64;
@@ -506,9 +744,9 @@ impl FleetMonitor {
         }
         let mut spans: Vec<Span> = self.route_ring.iter().map(|r| self.route_span(r)).collect();
         let ring = &self.chips[chip].ring;
-        spans.extend(ring.spans());
+        spans.extend(ring.records().map(|r| r.to_span()));
         spans.sort_by(|a, b| a.start_ns.total_cmp(&b.start_ns));
-        if let Some(e) = exemplar.filter(|e| !ring.records().any(|r| r == e)) {
+        if let Some(e) = exemplar.filter(|e| !ring.records().any(|r| r == *e)) {
             spans.insert(0, e.to_span());
         }
         self.dumps.push(FlightDump {
@@ -754,7 +992,129 @@ mod tests {
                 kind: ServeEventKind::Complete { batch: 1, depth: 0 },
             });
         }
-        ChipEpochLog::read(&trace, &requests, true, (epoch, chip, start_ms, len_ms))
+        ChipEpochLog::read(
+            &trace,
+            requests,
+            true,
+            (epoch, chip, start_ms, len_ms),
+            |_, _| {},
+        )
+    }
+
+    /// SplitMix64, for the randomized logs.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A random log of `steps` events of two tenants, in time order,
+    /// with every kind of event the engine writes; each `Complete`
+    /// brings its batch of requests.
+    fn random_log(g: &mut Gen, steps: usize) -> (ServingTrace, Vec<RequestOutcome>) {
+        let (mut trace, mut requests) = (ServingTrace::default(), Vec::new());
+        let (mut t_ms, mut req) = (0.0, 0u64);
+        for _ in 0..steps {
+            t_ms += g.below(3) as f64 * 0.7;
+            let tenant = g.below(2) as usize;
+            let kind = match g.below(9) {
+                0 => ServeEventKind::Arrival { req, depth: 1 },
+                1 => ServeEventKind::Shed { req, depth: 9 },
+                2 => ServeEventKind::Dispatch {
+                    batch: 2,
+                    compiled_batch: 2,
+                    groups: 1,
+                    service_ms: 1.5,
+                },
+                3 | 4 => {
+                    let batch = g.below(5) as usize;
+                    for _ in 0..batch {
+                        let latency_ms = 0.5 + g.below(4) as f64;
+                        requests.push(RequestOutcome {
+                            req,
+                            tenant,
+                            arrival_ms: t_ms - latency_ms,
+                            done_ms: t_ms,
+                            deadline_ms: t_ms - 1.0,
+                            violated: latency_ms > 2.0,
+                        });
+                        req += 1;
+                    }
+                    ServeEventKind::Complete { batch, depth: 0 }
+                }
+                5 => ServeEventKind::FaultDrop { dropped: 2 },
+                6 => ServeEventKind::Fault {
+                    label: "ecc",
+                    attempt: 1,
+                },
+                7 => ServeEventKind::GroupLost {
+                    cluster: 0,
+                    group: 1,
+                    remaining: 1,
+                },
+                _ => ServeEventKind::Scale { from: 1, to: 2 },
+            };
+            req += 1;
+            trace.events.push(ServeEvent {
+                t_ns: ms_to_ns(t_ms),
+                tenant,
+                kind,
+            });
+        }
+        (trace, requests)
+    }
+
+    /// Random chip-epoch logs — empty ones, small ones and ones longer
+    /// than the ring — pushed one by one into a chip's ring: after each,
+    /// the ring shows exactly the last `CHIP_RING_CAPACITY` records of
+    /// the logs joined end to end (as `ServeRecord::read_log` reads
+    /// them), and keeps no log it does not need.
+    #[test]
+    fn the_ring_shows_the_last_records_of_its_logs() {
+        let (mut empty, mut larger) = (0, 0);
+        for case in 0..40u64 {
+            let mut g = Gen(case);
+            let mut ring = ChipRing::default();
+            let mut joined: Vec<ServeRecord> = Vec::new();
+            for epoch in 0..1 + g.below(10) as usize {
+                let steps = [0, 3, 40, 700, 6_000][g.below(5) as usize];
+                let (trace, requests) = random_log(&mut g, steps);
+                let start_ms = epoch as f64 * 500.0;
+                let base = trace_base(epoch, 3);
+                joined.extend(ServeRecord::read_log(
+                    &trace,
+                    &requests,
+                    base,
+                    start_ms * 1e6,
+                ));
+                let at = (epoch, 3, start_ms, 500.0);
+                let log = ChipEpochLog::read(&trace, requests, true, at, |_, _| {}).log;
+                empty += usize::from(log.len() == 0);
+                larger += usize::from(log.len() > CHIP_RING_CAPACITY);
+                ring.push(log);
+                let shown: Vec<ServeRecord> = ring.records().collect();
+                let want = &joined[joined.len().saturating_sub(CHIP_RING_CAPACITY)..];
+                assert_eq!(shown, want, "case {case}, epoch {epoch}");
+                let held: usize = ring.logs.iter().map(LogChunk::len).sum();
+                assert_eq!(ring.len, held);
+                let oldest = ring.logs.front().map_or(0, LogChunk::len);
+                assert!(ring.logs.len() <= 1 || held - oldest < CHIP_RING_CAPACITY);
+            }
+        }
+        assert!(
+            empty >= 10 && larger >= 10,
+            "{empty} empty, {larger} larger"
+        );
     }
 
     fn routes_for(cells: &[(usize, usize, f64)]) -> EpochRoutes {
@@ -773,7 +1133,7 @@ mod tests {
         fm.on_route(0, 0.0, &routes_for(&[(0, 1, 2000.0)]));
         fm.on_route(3, 1500.0, &routes_for(&[(0, 1, 419.6)]));
         let log = completions((3, 1), 1500.0, 500.0, &[(300.0, 4, 6.0, true)]);
-        fm.absorb_chip_epoch(1, &[(0, 419.6)], 500.0, &[], Some(&log), false);
+        fm.absorb_chip_epoch(1, &[(0, 419.6)], 500.0, &[], Some(log), false);
         fm.snapshot_chip(1, "end-of-run snapshot");
         let id = trace_base(3, 1) + 4;
         assert_eq!(
@@ -806,8 +1166,8 @@ mod tests {
         let mut fm = FleetMonitor::new(2, &[("m", 50.0)]);
         let log0 = completions((0, 0), 0.0, 1000.0, &[(300.0, 4, 6.0, false)]);
         let log1 = completions((0, 1), 0.0, 1000.0, &[(400.0, 9, 30.0, false)]);
-        fm.absorb_chip_epoch(0, &[(0, 50.0)], 1000.0, &[], Some(&log0), false);
-        fm.absorb_chip_epoch(1, &[(0, 50.0)], 1000.0, &[], Some(&log1), false);
+        fm.absorb_chip_epoch(0, &[(0, 50.0)], 1000.0, &[], Some(log0), false);
+        fm.absorb_chip_epoch(1, &[(0, 50.0)], 1000.0, &[], Some(log1), false);
         let e = fm.tenants[0]
             .latency
             .hist
@@ -817,7 +1177,10 @@ mod tests {
         assert_eq!(trace_chip(e.span_id), Some(1), "id encodes the chip");
         let label = format!("req {}", e.span_id);
         assert!(
-            fm.chips[1].ring.spans().any(|s| s.label == label),
+            fm.chips[1]
+                .ring
+                .records()
+                .any(|r| r.to_span().label == label),
             "the exemplar's span is in the owning chip's ring"
         );
         assert_eq!(fm.resolving_exemplar(1), Some(e.span_id));
@@ -845,7 +1208,7 @@ mod tests {
                     want[((start_ms + done_ms) / 1e3) as usize] += 1.0;
                 }
                 let log = completions((epoch, chip), start_ms, epoch_ms, &done);
-                fm.absorb_chip_epoch(chip, &[(0, 40.0)], epoch_ms, &[], Some(&log), false);
+                fm.absorb_chip_epoch(chip, &[(0, 40.0)], epoch_ms, &[], Some(log), false);
             }
             fm.end_epoch(epoch, start_ms + epoch_ms);
         }
@@ -898,8 +1261,8 @@ mod tests {
             }];
             let log0 = completions((epoch, 0), start, 1000.0, &clean);
             let log1 = completions((epoch, 1), start, 1000.0, &hot);
-            fm.absorb_chip_epoch(0, &[(0, 20.0)], 1000.0, &s0, Some(&log0), false);
-            fm.absorb_chip_epoch(1, &[(0, 20.0)], 1000.0, &s1, Some(&log1), false);
+            fm.absorb_chip_epoch(0, &[(0, 20.0)], 1000.0, &s0, Some(log0), false);
+            fm.absorb_chip_epoch(1, &[(0, 20.0)], 1000.0, &s1, Some(log1), false);
             fm.end_epoch(epoch, start + 1000.0);
         }
         fm.finish(9);
@@ -956,8 +1319,8 @@ mod tests {
             }];
             let log0 = completions((epoch, 0), start, 1000.0, &late);
             let log1 = completions((epoch, 1), start, 1000.0, &slow);
-            fm.absorb_chip_epoch(0, &[(0, 20.0)], 1000.0, &s0, Some(&log0), false);
-            fm.absorb_chip_epoch(1, &[(0, 1.0)], 1000.0, &[], Some(&log1), false);
+            fm.absorb_chip_epoch(0, &[(0, 20.0)], 1000.0, &s0, Some(log0), false);
+            fm.absorb_chip_epoch(1, &[(0, 1.0)], 1000.0, &[], Some(log1), false);
             fm.end_epoch(epoch, start + 1000.0);
         }
         let page = fm
@@ -987,7 +1350,7 @@ mod tests {
             violations: 0,
             fault_dropped: 0,
         }];
-        fm.absorb_chip_epoch(1, &[(0, 40.0)], 1000.0, &s1, Some(&log1), false);
+        fm.absorb_chip_epoch(1, &[(0, 40.0)], 1000.0, &s1, Some(log1), false);
         fm.end_epoch(0, 1000.0);
         // Chip 1 dies on the next epoch boundary, before serving.
         fm.on_chip_kill(1, 1000.0, 1, true);

@@ -113,14 +113,16 @@ pub struct FleetPlacement {
     placed_keys: BTreeSet<u64>,
 }
 
+/// What the placement tests read.
+#[cfg(test)]
 impl FleetPlacement {
     /// Tenants currently hosted on chip `chip`.
-    pub fn hosted_on(&self, chip: usize) -> usize {
+    fn hosted_on(&self, chip: usize) -> usize {
         self.hosted[chip]
     }
 
     /// Distinct artifact fingerprints the placement compiles.
-    pub fn distinct_artifacts(&self) -> usize {
+    fn distinct_artifacts(&self) -> usize {
         self.placed_keys.len()
     }
 }

@@ -82,7 +82,9 @@ pub use generative::{
     GenReport, GenerativeScenario,
 };
 pub use kv::{KvCacheConfig, KvStats, PagedKvCache};
-pub use live::{LiveConfig, LiveMonitor, ServeRecord, ServeRecordKind, TenantLive, TenantRow};
+pub use live::{
+    LiveConfig, LiveMonitor, LogEntry, ServeRecord, ServeRecordKind, TenantLive, TenantRow,
+};
 pub use metrics::{
     event_to_span, RequestOutcome, ServeEvent, ServeEventKind, ServeReport, ServingTrace,
     TenantReport,

@@ -19,11 +19,12 @@
 //! [`ServeRecord`]s: a kind, a tenant, ids and two times, with no
 //! label. A record becomes a labelled [`Span`] only when a dump freezes
 //! the ring — the moment a burn-rate alert fires or an injected fault
-//! lands — and the dump loads in Perfetto. The fleet monitor folds the
-//! same records ([`ServeRecord::read_log`]).
+//! lands — and the dump loads in Perfetto. The fleet monitor walks the
+//! same log ([`LogEntry::walk`]) and builds the same records from it
+//! ([`ServeRecord::completion`], [`ServeRecord::of_event`]).
 
 use crate::config::ServeConfig;
-use crate::metrics::{RequestOutcome, ServeEventKind, ServingTrace};
+use crate::metrics::{RequestOutcome, ServeEvent, ServeEventKind, ServingTrace};
 use dtu_telemetry::clock::{ms_to_ns, NS_PER_MS};
 use dtu_telemetry::flight::DEFAULT_CAPACITY;
 use dtu_telemetry::monitor::series;
@@ -97,6 +98,44 @@ pub struct ServeRecord {
     pub end_ns: f64,
 }
 
+/// One entry of a single-shot run's log, in the order the engine wrote
+/// it (see [`ServeRecord::read_log`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LogEntry<'a> {
+    /// A completed request; [`ServeRecord::completion`] is its record.
+    Done(&'a RequestOutcome),
+    /// The record of any other event a monitor keeps.
+    Event(ServeRecord),
+}
+
+impl<'a> LogEntry<'a> {
+    /// Walks a run's log: each `Complete` event stands for the batch's
+    /// requests, taken in order from `requests` (which must hold every
+    /// completion), and each other event a monitor keeps for its
+    /// record ([`ServeRecord::of_event`]), with `id_base` added to its
+    /// request id and `offset_ns` to its times.
+    pub fn walk(
+        trace: &'a ServingTrace,
+        requests: &'a [RequestOutcome],
+        id_base: u64,
+        offset_ns: f64,
+    ) -> impl Iterator<Item = LogEntry<'a>> + 'a {
+        let (mut events, mut done, mut pending) = (trace.events.iter(), requests.iter(), 0);
+        std::iter::from_fn(move || loop {
+            if let Some(r) = (pending > 0).then(|| done.next()).flatten() {
+                pending -= 1;
+                return Some(LogEntry::Done(r));
+            }
+            let e = events.next()?;
+            if let ServeEventKind::Complete { batch, .. } = e.kind {
+                pending = batch;
+            } else if let Some(record) = ServeRecord::of_event(e, id_base, offset_ns) {
+                return Some(LogEntry::Event(record));
+            }
+        })
+    }
+}
+
 impl ServeRecord {
     /// Reads a single-shot run's log as records, in the order the
     /// engine logged them: a completion's requests come before its
@@ -110,46 +149,54 @@ impl ServeRecord {
         id_base: u64,
         offset_ns: f64,
     ) -> impl Iterator<Item = ServeRecord> + 'a {
-        let (mut events, mut done, mut pending) = (trace.events.iter(), requests.iter(), 0);
-        let record = move |kind, tenant: usize, start_ns: f64, end_ns: f64| ServeRecord {
-            kind,
-            tenant: tenant as u32,
-            start_ns: start_ns + offset_ns,
-            end_ns: end_ns + offset_ns,
-        };
-        std::iter::from_fn(move || loop {
-            if let Some(r) = (pending > 0).then(|| done.next()).flatten() {
-                pending -= 1;
-                let (t_ns, latency_ms) = (ms_to_ns(r.done_ms), r.done_ms - r.arrival_ms);
-                let kind = ServeRecordKind::Req {
-                    req: id_base + r.req,
-                    latency_ms,
-                    late: r.violated,
-                };
-                return Some(record(kind, r.tenant, t_ns - latency_ms * NS_PER_MS, t_ns));
+        LogEntry::walk(trace, requests, id_base, offset_ns).map(move |entry| match entry {
+            LogEntry::Done(r) => ServeRecord::completion(r, id_base, offset_ns),
+            LogEntry::Event(record) => record,
+        })
+    }
+
+    /// The record of completed request `r`, from its arrival to its
+    /// completion, with `id_base` added to its id and `offset_ns` to its
+    /// times.
+    pub fn completion(r: &RequestOutcome, id_base: u64, offset_ns: f64) -> ServeRecord {
+        let (t_ns, latency_ms) = (ms_to_ns(r.done_ms), r.latency_ms());
+        ServeRecord {
+            kind: ServeRecordKind::Req {
+                req: id_base + r.req,
+                latency_ms,
+                late: r.violated,
+            },
+            tenant: r.tenant as u32,
+            start_ns: t_ns - latency_ms * NS_PER_MS + offset_ns,
+            end_ns: t_ns + offset_ns,
+        }
+    }
+
+    /// The record event `e` stands for, with `id_base` added to its
+    /// request id and `offset_ns` to its times; `None` for the events no
+    /// monitor keeps (arrivals, completions, scaling and retries).
+    pub fn of_event(e: &ServeEvent, id_base: u64, offset_ns: f64) -> Option<ServeRecord> {
+        let mut end_ns = e.t_ns;
+        let kind = match e.kind {
+            ServeEventKind::Shed { req, .. } => ServeRecordKind::Shed { req: id_base + req },
+            ServeEventKind::Dispatch {
+                batch, service_ms, ..
+            } => {
+                end_ns += service_ms * NS_PER_MS;
+                ServeRecordKind::Batch { size: batch }
             }
-            let e = events.next()?;
-            let mut end_ns = e.t_ns;
-            let kind = match e.kind {
-                ServeEventKind::Complete { batch, .. } => {
-                    pending = batch;
-                    continue;
-                }
-                ServeEventKind::Shed { req, .. } => ServeRecordKind::Shed { req: id_base + req },
-                ServeEventKind::Dispatch {
-                    batch, service_ms, ..
-                } => {
-                    end_ns += service_ms * NS_PER_MS;
-                    ServeRecordKind::Batch { size: batch }
-                }
-                ServeEventKind::FaultDrop { dropped } => ServeRecordKind::FaultDrop { dropped },
-                ServeEventKind::Fault { label, .. } => ServeRecordKind::Fault { label },
-                ServeEventKind::GroupLost { cluster, group, .. } => {
-                    ServeRecordKind::GroupLost { cluster, group }
-                }
-                _ => continue,
-            };
-            return Some(record(kind, e.tenant, e.t_ns, end_ns));
+            ServeEventKind::FaultDrop { dropped } => ServeRecordKind::FaultDrop { dropped },
+            ServeEventKind::Fault { label, .. } => ServeRecordKind::Fault { label },
+            ServeEventKind::GroupLost { cluster, group, .. } => {
+                ServeRecordKind::GroupLost { cluster, group }
+            }
+            _ => return None,
+        };
+        Some(ServeRecord {
+            kind,
+            tenant: e.tenant as u32,
+            start_ns: e.t_ns + offset_ns,
+            end_ns: end_ns + offset_ns,
         })
     }
 

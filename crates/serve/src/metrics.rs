@@ -561,6 +561,11 @@ pub struct RequestOutcome {
 }
 
 impl RequestOutcome {
+    /// End-to-end latency, ms: from arrival to completion.
+    pub fn latency_ms(&self) -> f64 {
+        self.done_ms - self.arrival_ms
+    }
+
     /// The request as one [`SpanKind::Request`] interval on
     /// `Layer::Serving` (track = tenant index), from arrival to
     /// completion; a late completion is labelled `(late)`.

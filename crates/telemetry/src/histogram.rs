@@ -86,10 +86,28 @@ impl LogHistogram {
         }
     }
 
+    /// Clamps `v` as [`record`](Self::record) does and computes its
+    /// bucket, so one sample can be filed into several histograms for
+    /// the price of one logarithm.
+    pub fn bucketed(v: f64) -> Bucketed {
+        let value = if v.is_finite() { v.max(0.0) } else { 0.0 };
+        Bucketed {
+            bucket: Self::bucket_of(value),
+            value,
+        }
+    }
+
     /// Records one sample. Non-finite or negative samples clamp to 0.
     pub fn record(&mut self, v: f64) {
-        let v = if v.is_finite() { v.max(0.0) } else { 0.0 };
-        let b = Self::bucket_of(v);
+        self.record_bucketed(Self::bucketed(v));
+    }
+
+    /// Records a sample [`bucketed`](Self::bucketed) once already.
+    pub fn record_bucketed(&mut self, sample: Bucketed) {
+        let Bucketed {
+            bucket: b,
+            value: v,
+        } = sample;
         self.cover(b, b);
         self.counts[(b - self.lo) as usize] += 1;
         if self.total == 0 {
@@ -198,6 +216,13 @@ impl LogHistogram {
     }
 }
 
+/// A sample clamped and bucketed by [`LogHistogram::bucketed`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Bucketed {
+    bucket: i32,
+    value: f64,
+}
+
 /// The span id of the slowest sample in a window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exemplar {
@@ -218,6 +243,16 @@ pub struct HistogramWindow {
     pub hist: LogHistogram,
     /// Slowest sample's exemplar, when any sample carried a span id.
     pub exemplar: Option<Exemplar>,
+}
+
+impl HistogramWindow {
+    /// Keeps `e` as the exemplar when it is slower than the one held;
+    /// the first of equals stays.
+    fn offer(&mut self, e: Exemplar) {
+        if self.exemplar.is_none_or(|held| e.value > held.value) {
+            self.exemplar = Some(e);
+        }
+    }
 }
 
 /// A bounded ring of per-window histograms with exemplars.
@@ -244,12 +279,11 @@ impl WindowedHistogram {
         }
     }
 
-    /// Records a sample completing at `t_ns`, optionally tagged with
-    /// the span id that produced it (for exemplars). Time may step back
-    /// (the fleet folds one chip's log after another): a missing older
-    /// window is inserted in order, unless the ring is full and the
-    /// window is older than everything it retains.
-    pub fn record(&mut self, t_ns: f64, value: f64, span_id: Option<u64>) {
+    /// The window covering `t_ns`, inserted in order when missing. Time
+    /// may step back (the fleet folds one chip's log after another), so
+    /// a missing older window is inserted too, unless the ring is full
+    /// and the window is older than everything it retains (`None`).
+    fn window_at(&mut self, t_ns: f64) -> Option<&mut HistogramWindow> {
         let idx = (t_ns.max(0.0) / self.window_ns) as u64;
         let mut pos = match self.windows.back() {
             Some(&(last, _)) if last == idx => self.windows.len() - 1,
@@ -258,7 +292,7 @@ impl WindowedHistogram {
         if self.windows.get(pos).is_none_or(|&(i, _)| i != idx) {
             if self.windows.len() == self.cap {
                 if pos == 0 {
-                    return; // older than retained history
+                    return None; // older than retained history
                 }
                 self.windows.pop_front();
                 pos -= 1;
@@ -270,20 +304,44 @@ impl WindowedHistogram {
             };
             self.windows.insert(pos, (idx, window));
         }
-        let w = &mut self.windows[pos].1;
+        Some(&mut self.windows[pos].1)
+    }
+
+    /// Records a sample completing at `t_ns`, optionally tagged with
+    /// the span id that produced it (for exemplars). A sample older
+    /// than everything a full ring retains is dropped.
+    pub fn record(&mut self, t_ns: f64, value: f64, span_id: Option<u64>) {
+        let Some(w) = self.window_at(t_ns) else {
+            return;
+        };
         w.hist.record(value);
-        if let Some(id) = span_id {
-            let slower = match w.exemplar {
-                Some(e) => value > e.value,
-                None => true,
-            };
-            if slower {
-                w.exemplar = Some(Exemplar {
-                    span_id: id,
-                    value,
-                    at_ns: t_ns,
-                });
-            }
+        if let Some(span_id) = span_id {
+            w.offer(Exemplar {
+                span_id,
+                value,
+                at_ns: t_ns,
+            });
+        }
+    }
+
+    /// Merges one window's samples at once: `hist` holds them, and
+    /// `exemplar` is the slowest of them (the first of equals). The
+    /// window covering `t_ns` is found, inserted or dropped as
+    /// [`record`](Self::record) would for one of the samples, so
+    /// merging, window by window, the summaries of a time-ordered
+    /// stream gives the counts, extremes and exemplars that recording
+    /// its samples one at a time gives (the sum may round differently).
+    /// An empty `hist` changes nothing.
+    pub fn merge_window(&mut self, t_ns: f64, hist: &LogHistogram, exemplar: Option<Exemplar>) {
+        if hist.is_empty() {
+            return;
+        }
+        let Some(w) = self.window_at(t_ns) else {
+            return;
+        };
+        w.hist.merge(hist);
+        if let Some(e) = exemplar {
+            w.offer(e);
         }
     }
 
@@ -559,6 +617,102 @@ mod tests {
             }
             prop_assert_eq!(&merged, &single);
         }
+    }
+
+    /// Time-ordered samples `(t_ns, value, span id)` summarised per
+    /// window: each window's histogram and its slowest sample (the
+    /// first of equals) as an exemplar.
+    fn window_summaries(samples: &[(f64, f64, u64)]) -> Vec<(LogHistogram, Exemplar)> {
+        let mut out: Vec<(u64, LogHistogram, Exemplar)> = Vec::new();
+        for &(at_ns, value, span_id) in samples {
+            let window = (at_ns / 1e9) as u64;
+            let e = Exemplar {
+                span_id,
+                value,
+                at_ns,
+            };
+            match out.last_mut() {
+                Some((w, hist, slowest)) if *w == window => {
+                    hist.record(value);
+                    if value > slowest.value {
+                        *slowest = e;
+                    }
+                }
+                _ => {
+                    let mut hist = LogHistogram::new();
+                    hist.record(value);
+                    out.push((window, hist, e));
+                }
+            }
+        }
+        out.into_iter().map(|(_, h, e)| (h, e)).collect()
+    }
+
+    proptest! {
+        /// Chunks of time-ordered samples, each starting at any second
+        /// (so time steps back between chunks, as when the fleet folds
+        /// one chip's log after another), go into a small ring twice:
+        /// sample by sample, and window summary by window summary. The
+        /// rings hold the same windows with the same counts, extremes,
+        /// quantiles and exemplars. Values come from a small set, so
+        /// the first-of-equals rule decides many exemplars, and the
+        /// ring fills, so windows are evicted and late ones dropped.
+        #[test]
+        fn merging_window_summaries_equals_recording_samples(
+            chunks in prop::collection::vec(
+                (0u64..12, prop::collection::vec((0u64..3_000, 0usize..4), 0..40)),
+                1..8,
+            ),
+            cap in 1usize..6,
+        ) {
+            const VALUES: [f64; 4] = [1.0, 2.5, 2.5, 7.0];
+            let mut one = WindowedHistogram::new(1e9, cap);
+            let mut merged = WindowedHistogram::new(1e9, cap);
+            let mut span_id = 0;
+            for (start_s, draws) in &chunks {
+                let mut offsets: Vec<(u64, usize)> = draws.clone();
+                offsets.sort_by_key(|&(ms, _)| ms);
+                let samples: Vec<(f64, f64, u64)> = offsets
+                    .iter()
+                    .map(|&(ms, v)| {
+                        span_id += 1;
+                        (*start_s as f64 * 1e9 + ms as f64 * 1e6, VALUES[v], span_id)
+                    })
+                    .collect();
+                for &(t_ns, value, id) in &samples {
+                    one.record(t_ns, value, Some(id));
+                }
+                for (hist, e) in window_summaries(&samples) {
+                    merged.merge_window(e.at_ns, &hist, Some(e));
+                }
+            }
+            prop_assert_eq!(one.windows().count(), merged.windows().count());
+            for (a, b) in one.windows().zip(merged.windows()) {
+                prop_assert_eq!(a.start_ns, b.start_ns);
+                prop_assert_eq!(a.exemplar, b.exemplar);
+                prop_assert_eq!(a.hist.count(), b.hist.count());
+                prop_assert_eq!(a.hist.min(), b.hist.min());
+                prop_assert_eq!(a.hist.max(), b.hist.max());
+                prop_assert_eq!(a.hist.buckets(), b.hist.buckets());
+                for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
+                    prop_assert_eq!(a.hist.quantile(q), b.hist.quantile(q));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bucketed_samples_record_as_plain_ones() {
+        let (mut plain, mut bucketed) = (LogHistogram::new(), LogHistogram::new());
+        for v in [3.5, -1.0, f64::NAN, 0.0, 1e6, 3.5] {
+            plain.record(v);
+            bucketed.record_bucketed(LogHistogram::bucketed(v));
+        }
+        assert_eq!(plain, bucketed);
+        // An empty summary leaves the ring as it was.
+        let mut wh = WindowedHistogram::new(1e9, 4);
+        wh.merge_window(0.5e9, &LogHistogram::new(), None);
+        assert_eq!(wh.windows().count(), 0);
     }
 
     #[test]
