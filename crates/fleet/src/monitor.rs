@@ -316,7 +316,9 @@ pub(crate) struct ChipEpochLog {
 struct WindowFold {
     window: u64,
     /// By tenant index in the chip-epoch's run.
-    tenants: Vec<TenantWindow>,
+    tenants: Vec<WindowCounts>,
+    /// The chip's completions and sheds (fault drops are per tenant
+    /// only).
     chip: WindowCounts,
 }
 
@@ -337,9 +339,9 @@ impl WindowFold {
         windows.last_mut().expect("just pushed")
     }
 
-    fn tenant(&mut self, tenant: usize) -> &mut TenantWindow {
+    fn tenant(&mut self, tenant: usize) -> &mut WindowCounts {
         if self.tenants.len() <= tenant {
-            self.tenants.resize_with(tenant + 1, TenantWindow::default);
+            self.tenants.resize_with(tenant + 1, WindowCounts::default);
         }
         &mut self.tenants[tenant]
     }
@@ -352,6 +354,9 @@ struct WindowCounts {
     completions: u64,
     violations: u64,
     sheds: u64,
+    /// Fault-drop records, and the requests they dropped.
+    fault_drops: u64,
+    dropped: u64,
     latency: LogHistogram,
     /// The slowest completion, the first of equals: its latency and
     /// its index among the log's completions.
@@ -388,15 +393,6 @@ impl WindowCounts {
     }
 }
 
-/// One tenant's records in a window.
-#[derive(Debug, Clone, Default)]
-struct TenantWindow {
-    counts: WindowCounts,
-    /// Fault-drop records, and the requests they dropped.
-    fault_drops: u64,
-    dropped: u64,
-}
-
 impl ChipEpochLog {
     /// Reads the log (`trace` and `requests`) of chip `chip`'s run in
     /// `epoch`, which started at `start_ms` and offered arrivals for
@@ -429,7 +425,7 @@ impl ChipEpochLog {
                     on_done(r, sample);
                     let w = WindowFold::at(&mut windows, ms_to_ns(r.done_ms) + offset_ns);
                     w.chip.complete(r.violated, latency_ms, done);
-                    let counts = &mut w.tenant(r.tenant).counts;
+                    let counts = w.tenant(r.tenant);
                     counts.complete(r.violated, latency_ms, done);
                     counts.latency.record_bucketed(sample);
                     done += 1;
@@ -440,12 +436,12 @@ impl ChipEpochLog {
                         ServeRecordKind::Shed { .. } => {
                             let w = WindowFold::at(&mut windows, t_ns);
                             w.chip.sheds += 1;
-                            w.tenant(tenant).counts.sheds += 1;
+                            w.tenant(tenant).sheds += 1;
                         }
                         ServeRecordKind::FaultDrop { dropped } => {
-                            let tw = WindowFold::at(&mut windows, t_ns).tenant(tenant);
-                            tw.fault_drops += 1;
-                            tw.dropped += dropped as u64;
+                            let counts = WindowFold::at(&mut windows, t_ns).tenant(tenant);
+                            counts.fault_drops += 1;
+                            counts.dropped += dropped as u64;
                         }
                         _ => {}
                     }
@@ -456,7 +452,7 @@ impl ChipEpochLog {
         debug_assert_eq!(done, requests.len(), "the log holds every completion");
         for w in &mut windows {
             for t in &w.tenants {
-                w.chip.latency.merge(&t.counts.latency);
+                w.chip.latency.merge(&t.latency);
             }
         }
         requests.shrink_to_fit();
@@ -577,17 +573,16 @@ impl FleetMonitor {
             let cs = &mut self.chips[chip];
             for w in &windows {
                 let at_ns = w.window as f64 * EVAL_WINDOW_NS;
-                for (tw, &(tenant, _)) in w.tenants.iter().zip(assignment) {
+                for (counts, &(tenant, _)) in w.tenants.iter().zip(assignment) {
                     let ts = &mut self.tenants[tenant];
-                    let counts = &tw.counts;
                     counts.add_to(
                         at_ns,
                         &mut ts.completions,
                         &mut ts.violations,
                         &mut ts.sheds,
                     );
-                    if tw.fault_drops > 0 {
-                        ts.fault_drops.add(at_ns, tw.dropped as f64);
+                    if counts.fault_drops > 0 {
+                        ts.fault_drops.add(at_ns, counts.dropped as f64);
                     }
                     if let Some(slowest) = counts.slowest {
                         let (record, exemplar) = log.exemplar(slowest);
