@@ -139,13 +139,6 @@ impl<R: FlightRecord> FlightRecorder<R> {
         self.capacity
     }
 
-    /// Iterates the ring's records, oldest first — the fleet monitor
-    /// uses this to find a request's record in a chip's ring without
-    /// taking a dump.
-    pub fn records(&self) -> impl Iterator<Item = &R> + '_ {
-        self.ring.iter()
-    }
-
     /// Renders the ring's records into spans, oldest first.
     pub fn spans(&self) -> impl Iterator<Item = Span> + '_ {
         self.ring.iter().map(R::to_span)
