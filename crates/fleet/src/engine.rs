@@ -48,11 +48,11 @@ use dtu_compiler::{Fnv1a, Placement};
 use dtu_faults::{FaultEvent, FaultKind, FaultPlan};
 use dtu_harness::{ExperimentPlan, HarnessError, SessionCache};
 use dtu_serve::{
-    run_serving, ArrivalProcess, BatchPolicy, CompiledModel, PriceMemo, RequestOutcome,
-    RetryPolicy, ScalePolicy, ServeConfig, ServeError, ServiceModel, SlaPolicy, TenantSpec,
+    run_serving, ArrivalProcess, BatchPolicy, CompiledModel, PriceMemo, RetryPolicy, ScalePolicy,
+    ServeConfig, ServeError, ServiceModel, SlaPolicy, TenantSpec,
 };
 use dtu_sim::{Chip, GroupId};
-use dtu_telemetry::{Bucketed, LogHistogram};
+use dtu_telemetry::LogHistogram;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -383,11 +383,10 @@ fn job_err(label: &str) -> impl Fn(ServeError) -> HarnessError + '_ {
 ///
 /// `log_epoch`, the (epoch, start ms) of a monitored run, reads the
 /// serving log (the aborted run's, for a killed chip) onto the fleet
-/// clock for the fleet monitor: the pass over the completions that
-/// fills the slice histograms also folds them into the monitor's 1 s
-/// windows, bucketing each latency once for both, and the log moves
-/// into the outcome for the chip's ring. Otherwise the log is dropped
-/// here. The slices — and therefore the report — never depend on it.
+/// clock for the fleet monitor: the job folds it into the monitor's 1 s
+/// windows, and the log moves into the outcome for the chip's ring.
+/// Otherwise the log is dropped here. The slices — and therefore the
+/// report — never depend on it.
 #[allow(clippy::too_many_arguments)]
 fn run_chip_epoch(
     topology: &FleetTopology,
@@ -459,14 +458,6 @@ fn run_chip_epoch(
     };
 
     let killed = kill_offset_ms.is_some();
-    // A killed chip loses all its groups whichever code path the serve
-    // run took (the abort-and-truncate path reports none itself).
-    let chip_groups = chip_cfg.total_groups() as u64;
-    let faults_injected = if killed {
-        chip_groups
-    } else {
-        outcome.report.faults_injected
-    };
     let mut slices: Vec<TenantSlice> = assignment
         .iter()
         .zip(&outcome.report.tenants)
@@ -483,45 +474,27 @@ fn run_chip_epoch(
             queue_delay_weight: rep.mean_queue_delay_ms * rep.completed as f64,
         })
         .collect();
-    // Each completion's latency is bucketed once: a monitored run files
-    // it into its slice while it reads the log. A killed chip's log is
-    // the aborted run's, and its slices come from the re-run.
-    let mut file = |r: &RequestOutcome, latency: Bucketed| {
-        slices[r.tenant].hist.record_bucketed(latency);
-    };
-    let mut file_requests = |requests: &[RequestOutcome]| {
-        for r in requests {
-            file(r, LogHistogram::bucketed(r.latency_ms()));
+    for req in &outcome.requests {
+        slices[req.tenant].hist.record(req.latency_ms());
+    }
+    // A killed chip loses all its groups whichever code path the serve
+    // run took (the abort-and-truncate path reports none itself).
+    let chip_groups = chip_cfg.total_groups() as u64;
+    let log = log_epoch.map(|(epoch, start_ms)| {
+        let at = (epoch, chip_idx, start_ms, epoch_len_ms);
+        match aborted {
+            Some(o) => ChipEpochLog::read(&o.trace, o.requests, false, at),
+            None => ChipEpochLog::read(&outcome.trace, outcome.requests, true, at),
         }
-    };
-    let at = |(epoch, start_ms)| (epoch, chip_idx, start_ms, epoch_len_ms);
-    let log = match (log_epoch, aborted) {
-        (None, _) => {
-            file_requests(&outcome.requests);
-            None
-        }
-        (Some(e), None) => Some(ChipEpochLog::read(
-            &outcome.trace,
-            outcome.requests,
-            true,
-            at(e),
-            file,
-        )),
-        (Some(e), Some(o)) => {
-            file_requests(&outcome.requests);
-            Some(ChipEpochLog::read(
-                &o.trace,
-                o.requests,
-                false,
-                at(e),
-                |_, _| {},
-            ))
-        }
-    };
+    });
     Ok(ChipEpochOutcome {
         chip: chip_idx,
         killed,
-        faults_injected,
+        faults_injected: if killed {
+            chip_groups
+        } else {
+            outcome.report.faults_injected
+        },
         groups_lost: if killed {
             chip_groups
         } else {

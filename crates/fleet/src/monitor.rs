@@ -6,12 +6,10 @@
 //! fleet time (epoch start plus its time in the chip-epoch), each
 //! request id with a fleet-unique trace base
 //! ([`trace_base`](crate::trace_base)) whose bits name the (epoch,
-//! chip) that served it. The job folds the log per 1 s window, in the
-//! same pass over the completions that fills the report's slice
-//! histograms: for each tenant and window it counts completions,
-//! violations, sheds and fault drops and keeps a latency histogram and
-//! the slowest completion, and for the chip the same counts and
-//! exemplar. At every routing-epoch barrier the `FleetMonitor` merges
+//! chip) that served it. The job folds the log per 1 s window: for
+//! each tenant and window it counts completions, violations, sheds and
+//! fault drops and keeps a latency histogram and the slowest
+//! completion, and for the chip the same counts and exemplar. At every routing-epoch barrier the `FleetMonitor` merges
 //! those window summaries, in chip order, into per-tenant and per-chip
 //! rollups, touching each series and window just where a
 //! record-by-record fold of the log would. Fleet-scope SLO burn-rate
@@ -27,11 +25,17 @@
 //! tests).
 //!
 //! Each chip's ring holds its most recent chip-epoch logs themselves,
-//! moved out of the jobs whole: the completions as the engine recorded
-//! them, and the few other records at their places in the log. It
-//! builds [`ServeRecord`]s only when a dump or an exemplar lookup reads
-//! it, and shows the last [`CHIP_RING_CAPACITY`] records of the chip's
-//! logs. The route ring keeps one small record per routing decision.
+//! moved out of the jobs: the completions as the engine recorded them,
+//! and the records of its other kept events (sheds, batches — one per
+//! completion at batch size 1 — and faults) at their places in the
+//! log. The job keeps each window's slowest completion as a record and
+//! cuts the log to its last [`CHIP_RING_CAPACITY`] records; the ring
+//! drops its oldest log when the newer ones still hold that many, so it
+//! holds fewer than twice `CHIP_RING_CAPACITY` records however long an
+//! epoch runs. It builds [`ServeRecord`]s only when a dump or an
+//! exemplar lookup reads it, and shows the last `CHIP_RING_CAPACITY`
+//! records of the chip's logs. The route ring keeps one small record
+//! per routing decision.
 //! On a burn-rate transition or a [`ChipKill`](crate::ChipKill) the
 //! monitor renders the offending chip's ring together with the
 //! retained routing decisions into one [`FlightDump`], loadable in
@@ -48,8 +52,8 @@ use dtu_telemetry::json::{array, number, JsonObject};
 use dtu_telemetry::monitor::{series, RING_WINDOWS};
 use dtu_telemetry::slo::{BURN_THRESHOLD, EVAL_WINDOW_NS, FAST_WINDOW_NS};
 use dtu_telemetry::{
-    AlertEvent, AlertKind, Bucketed, EvalClock, Exemplar, FlightDump, FlightRecord, Layer,
-    LogHistogram, Objective, ObjectiveRow, SloSpec, SloTracker, SlowestRecords, Span, TimeSeries,
+    AlertEvent, AlertKind, EvalClock, Exemplar, FlightDump, FlightRecord, Layer, LogHistogram,
+    Objective, ObjectiveRow, SloSpec, SloTracker, SlowestRecords, Span, TimeSeries,
     WindowedHistogram,
 };
 use std::collections::VecDeque;
@@ -139,9 +143,10 @@ impl ChipScope {
     }
 }
 
-/// A chip's flight ring: its most recent chip-epoch logs, whole. It
+/// A chip's flight ring: its most recent chip-epoch logs, each cut to
+/// its last [`CHIP_RING_CAPACITY`] records by the job that read it. It
 /// drops its oldest log only when the others still hold
-/// [`CHIP_RING_CAPACITY`] records, and shows the last
+/// `CHIP_RING_CAPACITY` records, and shows the last
 /// `CHIP_RING_CAPACITY` records of the logs joined end to end.
 #[derive(Debug, Clone, Default)]
 struct ChipRing {
@@ -189,6 +194,27 @@ impl LogChunk {
         self.requests.len() + self.events.len()
     }
 
+    /// Keeps the log's last `n` records, right-sized.
+    fn keep_last(&mut self, n: usize) {
+        let cut = self.len().saturating_sub(n);
+        // Event `j` is record `j + before` of the log, so the first
+        // `cut` records are the events placed below `cut` and as many
+        // completions as make up the rest.
+        let events = (self.events.iter().enumerate())
+            .take_while(|&(j, &(before, _))| j + before < cut)
+            .count();
+        let done = cut - events;
+        self.requests.drain(..done);
+        self.requests.shrink_to_fit();
+        self.events.drain(..events);
+        self.events.shrink_to_fit();
+        if done > 0 {
+            for (before, _) in &mut self.events {
+                *before -= done;
+            }
+        }
+    }
+
     /// The log's records in the order the engine wrote them, built as
     /// [`ServeRecord::read_log`] builds them.
     fn records(&self) -> impl Iterator<Item = ServeRecord> + '_ {
@@ -204,19 +230,6 @@ impl LogChunk {
                 Some(ServeRecord::completion(r, self.id_base, self.offset_ns))
             }
         })
-    }
-
-    /// The record of completion `i`, of latency `latency_ms`, and the
-    /// exemplar it makes.
-    fn exemplar(&self, (latency_ms, i): (f64, usize)) -> (ServeRecord, Exemplar) {
-        let r = &self.requests[i];
-        let record = ServeRecord::completion(r, self.id_base, self.offset_ns);
-        let exemplar = Exemplar {
-            span_id: self.id_base + r.req,
-            value: latency_ms,
-            at_ns: record.end_ns,
-        };
-        (record, exemplar)
     }
 }
 
@@ -358,17 +371,25 @@ struct WindowCounts {
     fault_drops: u64,
     dropped: u64,
     latency: LogHistogram,
-    /// The slowest completion, the first of equals: its latency and
-    /// its index among the log's completions.
-    slowest: Option<(f64, usize)>,
+    /// The slowest completion, the first of equals: the exemplar it
+    /// makes and its record.
+    slowest: Option<(Exemplar, ServeRecord)>,
 }
 
 impl WindowCounts {
-    fn complete(&mut self, late: bool, latency_ms: f64, i: usize) {
+    /// Counts completion `r`, of latency `latency_ms`, whose log places
+    /// it on the fleet clock with `id_base` and `offset_ns`.
+    fn complete(&mut self, r: &RequestOutcome, latency_ms: f64, (id_base, offset_ns): (u64, f64)) {
         self.completions += 1;
-        self.violations += u64::from(late);
-        if self.slowest.is_none_or(|(slowest, _)| latency_ms > slowest) {
-            self.slowest = Some((latency_ms, i));
+        self.violations += u64::from(r.violated);
+        if self.slowest.is_none_or(|(e, _)| latency_ms > e.value) {
+            let record = ServeRecord::completion(r, id_base, offset_ns);
+            let exemplar = Exemplar {
+                span_id: id_base + r.req,
+                value: latency_ms,
+                at_ns: record.end_ns,
+            };
+            self.slowest = Some((exemplar, record));
         }
     }
 
@@ -396,18 +417,18 @@ impl WindowCounts {
 impl ChipEpochLog {
     /// Reads the log (`trace` and `requests`) of chip `chip`'s run in
     /// `epoch`, which started at `start_ms` and offered arrivals for
-    /// `len_ms`, and hands each completion, with its latency bucketed
-    /// once, to `on_done` in the order the engine recorded them. The
-    /// clock ends as a monitored single-shot run's does: a `finished`
-    /// run at its closing boundary, an aborted one at its last event.
+    /// `len_ms`, and keeps the log's last [`CHIP_RING_CAPACITY`]
+    /// records for the chip's ring. The clock ends as a monitored
+    /// single-shot run's does: a `finished` run at its closing boundary,
+    /// an aborted one at its last event.
     pub(crate) fn read(
         trace: &ServingTrace,
-        mut requests: Vec<RequestOutcome>,
+        requests: Vec<RequestOutcome>,
         finished: bool,
         (epoch, chip, start_ms, len_ms): (usize, usize, f64, f64),
-        mut on_done: impl FnMut(&RequestOutcome, Bucketed),
     ) -> Self {
-        let (id_base, offset_ns) = (trace_base(epoch, chip), start_ms * NS_PER_MS);
+        let place = (trace_base(epoch, chip), start_ms * NS_PER_MS);
+        let (id_base, offset_ns) = place;
         let last_ns = trace.events.last().map_or(0.0, |e| e.t_ns);
         let mut clock = EvalClock::default();
         while clock.tick(last_ns).is_some() {}
@@ -421,13 +442,11 @@ impl ChipEpochLog {
             match entry {
                 LogEntry::Done(r) => {
                     let latency_ms = r.latency_ms();
-                    let sample = LogHistogram::bucketed(latency_ms);
-                    on_done(r, sample);
                     let w = WindowFold::at(&mut windows, ms_to_ns(r.done_ms) + offset_ns);
-                    w.chip.complete(r.violated, latency_ms, done);
+                    w.chip.complete(r, latency_ms, place);
                     let counts = w.tenant(r.tenant);
-                    counts.complete(r.violated, latency_ms, done);
-                    counts.latency.record_bucketed(sample);
+                    counts.complete(r, latency_ms, place);
+                    counts.latency.record(latency_ms);
                     done += 1;
                 }
                 LogEntry::Event(record) => {
@@ -455,16 +474,16 @@ impl ChipEpochLog {
                 w.chip.latency.merge(&t.latency);
             }
         }
-        requests.shrink_to_fit();
-        events.shrink_to_fit();
+        let mut log = LogChunk {
+            requests,
+            events,
+            id_base,
+            offset_ns,
+        };
+        log.keep_last(CHIP_RING_CAPACITY);
         ChipEpochLog {
             windows,
-            log: LogChunk {
-                requests,
-                events,
-                id_base,
-                offset_ns,
-            },
+            log,
             end_ns: offset_ns + end_ns,
         }
     }
@@ -584,8 +603,7 @@ impl FleetMonitor {
                     if counts.fault_drops > 0 {
                         ts.fault_drops.add(at_ns, counts.dropped as f64);
                     }
-                    if let Some(slowest) = counts.slowest {
-                        let (record, exemplar) = log.exemplar(slowest);
+                    if let Some((exemplar, record)) = counts.slowest {
                         ts.latency
                             .hist
                             .merge_window(at_ns, &counts.latency, Some(exemplar));
@@ -599,7 +617,7 @@ impl FleetMonitor {
                     &mut cs.violations,
                     &mut cs.sheds,
                 );
-                let exemplar = counts.slowest.map(|slowest| log.exemplar(slowest).1);
+                let exemplar = counts.slowest.map(|(e, _)| e);
                 cs.latency.merge_window(at_ns, &counts.latency, exemplar);
             }
             cs.ring.push(log);
@@ -960,6 +978,7 @@ impl FleetMonitor {
 mod tests {
     use super::*;
     use crate::route::{trace_chip, RouteCell};
+    use dtu_faults::FaultRng;
     use dtu_serve::{ServeEvent, ServeEventKind};
 
     /// The drained log of chip `chip`'s run in `epoch` (from `start_ms`,
@@ -987,42 +1006,19 @@ mod tests {
                 kind: ServeEventKind::Complete { batch: 1, depth: 0 },
             });
         }
-        ChipEpochLog::read(
-            &trace,
-            requests,
-            true,
-            (epoch, chip, start_ms, len_ms),
-            |_, _| {},
-        )
-    }
-
-    /// SplitMix64, for the randomized logs.
-    struct Gen(u64);
-
-    impl Gen {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
+        ChipEpochLog::read(&trace, requests, true, (epoch, chip, start_ms, len_ms))
     }
 
     /// A random log of `steps` events of two tenants, in time order,
     /// with every kind of event the engine writes; each `Complete`
     /// brings its batch of requests.
-    fn random_log(g: &mut Gen, steps: usize) -> (ServingTrace, Vec<RequestOutcome>) {
+    fn random_log(g: &mut FaultRng, steps: usize) -> (ServingTrace, Vec<RequestOutcome>) {
         let (mut trace, mut requests) = (ServingTrace::default(), Vec::new());
         let (mut t_ms, mut req) = (0.0, 0u64);
         for _ in 0..steps {
-            t_ms += g.below(3) as f64 * 0.7;
-            let tenant = g.below(2) as usize;
-            let kind = match g.below(9) {
+            t_ms += g.next_index(3) as f64 * 0.7;
+            let tenant = g.next_index(2);
+            let kind = match g.next_index(9) {
                 0 => ServeEventKind::Arrival { req, depth: 1 },
                 1 => ServeEventKind::Shed { req, depth: 9 },
                 2 => ServeEventKind::Dispatch {
@@ -1032,9 +1028,9 @@ mod tests {
                     service_ms: 1.5,
                 },
                 3 | 4 => {
-                    let batch = g.below(5) as usize;
+                    let batch = g.next_index(5);
                     for _ in 0..batch {
-                        let latency_ms = 0.5 + g.below(4) as f64;
+                        let latency_ms = 0.5 + g.next_index(4) as f64;
                         requests.push(RequestOutcome {
                             req,
                             tenant,
@@ -1070,33 +1066,34 @@ mod tests {
     }
 
     /// Random chip-epoch logs — empty ones, small ones and ones longer
-    /// than the ring — pushed one by one into a chip's ring: after each,
-    /// the ring shows exactly the last `CHIP_RING_CAPACITY` records of
-    /// the logs joined end to end (as `ServeRecord::read_log` reads
-    /// them), and keeps no log it does not need.
+    /// than the ring — read as a job reads them and pushed one by one
+    /// into a chip's ring: after each, the ring shows exactly the last
+    /// `CHIP_RING_CAPACITY` records of the logs joined end to end (as
+    /// `ServeRecord::read_log` reads them), keeps no log it does not
+    /// need and holds fewer than twice `CHIP_RING_CAPACITY` records.
     #[test]
     fn the_ring_shows_the_last_records_of_its_logs() {
         let (mut empty, mut larger) = (0, 0);
         for case in 0..40u64 {
-            let mut g = Gen(case);
+            let mut g = FaultRng::new(case);
             let mut ring = ChipRing::default();
             let mut joined: Vec<ServeRecord> = Vec::new();
-            for epoch in 0..1 + g.below(10) as usize {
-                let steps = [0, 3, 40, 700, 6_000][g.below(5) as usize];
+            for epoch in 0..1 + g.next_index(10) {
+                let steps = [0, 3, 40, 700, 6_000][g.next_index(5)];
                 let (trace, requests) = random_log(&mut g, steps);
                 let start_ms = epoch as f64 * 500.0;
-                let base = trace_base(epoch, 3);
+                let (base, held_before) = (trace_base(epoch, 3), joined.len());
                 joined.extend(ServeRecord::read_log(
                     &trace,
                     &requests,
                     base,
                     start_ms * 1e6,
                 ));
+                let records = joined.len() - held_before;
+                empty += usize::from(records == 0);
+                larger += usize::from(records > CHIP_RING_CAPACITY);
                 let at = (epoch, 3, start_ms, 500.0);
-                let log = ChipEpochLog::read(&trace, requests, true, at, |_, _| {}).log;
-                empty += usize::from(log.len() == 0);
-                larger += usize::from(log.len() > CHIP_RING_CAPACITY);
-                ring.push(log);
+                ring.push(ChipEpochLog::read(&trace, requests, true, at).log);
                 let shown: Vec<ServeRecord> = ring.records().collect();
                 let want = &joined[joined.len().saturating_sub(CHIP_RING_CAPACITY)..];
                 assert_eq!(shown, want, "case {case}, epoch {epoch}");
@@ -1104,6 +1101,7 @@ mod tests {
                 assert_eq!(ring.len, held);
                 let oldest = ring.logs.front().map_or(0, LogChunk::len);
                 assert!(ring.logs.len() <= 1 || held - oldest < CHIP_RING_CAPACITY);
+                assert!(oldest <= CHIP_RING_CAPACITY && held < 2 * CHIP_RING_CAPACITY);
             }
         }
         assert!(

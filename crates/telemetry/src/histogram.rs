@@ -86,28 +86,10 @@ impl LogHistogram {
         }
     }
 
-    /// Clamps `v` as [`record`](Self::record) does and computes its
-    /// bucket, so one sample can be filed into several histograms for
-    /// the price of one logarithm.
-    pub fn bucketed(v: f64) -> Bucketed {
-        let value = if v.is_finite() { v.max(0.0) } else { 0.0 };
-        Bucketed {
-            bucket: Self::bucket_of(value),
-            value,
-        }
-    }
-
     /// Records one sample. Non-finite or negative samples clamp to 0.
     pub fn record(&mut self, v: f64) {
-        self.record_bucketed(Self::bucketed(v));
-    }
-
-    /// Records a sample [`bucketed`](Self::bucketed) once already.
-    pub fn record_bucketed(&mut self, sample: Bucketed) {
-        let Bucketed {
-            bucket: b,
-            value: v,
-        } = sample;
+        let v = if v.is_finite() { v.max(0.0) } else { 0.0 };
+        let b = Self::bucket_of(v);
         self.cover(b, b);
         self.counts[(b - self.lo) as usize] += 1;
         if self.total == 0 {
@@ -214,13 +196,6 @@ impl LogHistogram {
     pub fn buckets(&self) -> usize {
         self.counts.iter().filter(|&&c| c > 0).count()
     }
-}
-
-/// A sample clamped and bucketed by [`LogHistogram::bucketed`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bucketed {
-    bucket: i32,
-    value: f64,
 }
 
 /// The span id of the slowest sample in a window.
@@ -702,14 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn bucketed_samples_record_as_plain_ones() {
-        let (mut plain, mut bucketed) = (LogHistogram::new(), LogHistogram::new());
-        for v in [3.5, -1.0, f64::NAN, 0.0, 1e6, 3.5] {
-            plain.record(v);
-            bucketed.record_bucketed(LogHistogram::bucketed(v));
-        }
-        assert_eq!(plain, bucketed);
-        // An empty summary leaves the ring as it was.
+    fn an_empty_window_summary_changes_nothing() {
         let mut wh = WindowedHistogram::new(1e9, 4);
         wh.merge_window(0.5e9, &LogHistogram::new(), None);
         assert_eq!(wh.windows().count(), 0);
